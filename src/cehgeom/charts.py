@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensors import check_point, fubini_study
-from .profiles import DomainError, GeometryParams
+from .profiles import DomainError, GeometryParams, _root_one_plus_pow
 
 __all__ = [
     "ChartError",
@@ -238,12 +238,7 @@ def pullback_metric(p: ChartPoint, params: GeometryParams) -> PullbackMetric:
     n, a = params.n, params.a
     s = 1.0 + p.base_norm_sq()
     u = p.radius_sq()
-    # (a^n + u^n)^(1/n) without overflow: a * (1 + (u/a)^n)^(1/n)
-    x = u / a
-    if x <= 1.0:
-        nth_root = a * (1.0 + x**n) ** (1.0 / n)
-    else:
-        nth_root = a * x * (1.0 + x ** (-float(n))) ** (1.0 / n)
+    nth_root = a * _root_one_plus_pow(u / a, n)  # (a^n + u^n)^(1/n)
     pref = (s / nth_root) ** (n - 1)
     fs_scale = a * (a / nth_root) ** (n - 1)
     block_zz = pref * s / n**2

@@ -1,9 +1,10 @@
 """Command-line surface: point evaluation, verification sweeps, geodesic
 runs and radial scans, with machine-readable JSON/CSV output.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage or validation
-error.  Complex literals are written ``a+bi`` / ``a-bi`` with no spaces;
-CSV carries 17 significant digits.
+Exit codes: 0 success, 1 a verification check failed, 2 usage, validation
+or arithmetic error (no output is written then).  Complex literals are
+written ``a+bi`` / ``a-bi`` with no spaces; CSV carries 17 significant
+digits.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def _arr2j(a: np.ndarray):
     if a.ndim == 0:
         return _c2j(complex(a))
     return [_arr2j(row) for row in a]
+
+
+def _json(doc: dict) -> str:
+    # a non-finite value raises ValueError instead of writing NaN/Infinity
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, path):
@@ -136,11 +142,9 @@ def cmd_eval(args) -> int:
         )
         doc["volform_coefficient"] = _c2j(volform.chart_pullback_volform(p, params))
         if p.z != 0:
-            doc["quotient"] = dict(
-                z=_arr2j(charts.chart_to_quotient(p, params)),
-                **_tensor_bundle(charts.chart_to_quotient(p, params), params),
-            )
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+            w = charts.chart_to_quotient(p, params)
+            doc["quotient"] = dict(z=_arr2j(w), **_tensor_bundle(w, params))
+    _emit(_json(doc), args.output)
     return 0
 
 
@@ -223,7 +227,7 @@ def cmd_verify(args) -> int:
     }
     ok = all(r.passed for r in agg.values())
     report["passed"] = ok
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    _emit(_json(report), args.output)
     if not ok:
         failing = [name for name, r in agg.items() if not r.passed]
         print(f"verification failed: {', '.join(sorted(failing))}", file=sys.stderr)
@@ -319,7 +323,7 @@ def cmd_scan(args) -> int:
             "columns": header,
             "rows": rows,
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit(_json(doc), args.output)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -393,8 +397,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (DomainError, ValueError) as exc:
+        # overflow or 0/0 anywhere in a run is an error, not a NaN in the output
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,13 +8,16 @@ the lower pair.  For any rotationally symmetric potential they reduce to
                                      + delta^lam_alpha zbar_mu)
         + [(phi(1-phi) - u phi') / (u(1-phi))] zbar_mu zbar_alpha z^lam / u,
 
-which needs only ``phi`` and ``phi'`` -- an overall rescaling of the metric
-drops out.  The Ricci-flat profile has ``phi' = -(n/u) phi (1-phi)``, which
-collapses the second coefficient to ``(n+1) phi / u`` and gives the
-specialised form in :func:`christoffel_ceh`.
+which needs only ``phi``, ``1 - phi`` and ``phi'`` -- an overall rescaling
+of the metric drops out.  :func:`christoffel_rot_sym` is the one
+implementation; it reads ``1 - phi`` from the profile, whose stable formula
+keeps the coefficient exact near the zero section where ``phi`` rounds
+to 1.  The Ricci-flat profile has ``phi' = -(n/u) phi (1-phi)``, which
+collapses the second coefficient to ``(n+1) phi / u``; :func:`christoffel_ceh`
+is the general form evaluated on that profile.
 
 The fully lowered curvature tensor ``R_{mu nubar alpha betabar}`` has three
-groups of terms: quadratic in the metric, bilinear in ``zbar (x) z`` against
+groups of terms: products of two metrics, bilinear in ``zbar (x) z`` against
 the metric with weight ``-(n+1) e^{-(n-1) psi}``, and quartic in ``z`` with
 weight ``+(n+1)(n+2) e^{-2(n-1) psi}``; the common prefactor is
 ``phi e^{-psi} / u``.  Contracting everything against the inverse metric
@@ -52,28 +55,28 @@ __all__ = [
 def christoffel_rot_sym(z, profile: RadialProfile) -> np.ndarray:
     """Connection of a general rotationally symmetric Kahler metric.
 
-    ``profile`` carries ``(phi, phi')`` at ``u = |z|^2`` (checked); the
-    result is indexed ``[lam, mu, alpha]`` and symmetric in ``(mu, alpha)``.
+    ``profile`` carries ``(phi, 1 - phi, phi')`` at ``u = |z|^2`` (checked);
+    the result is indexed ``[lam, mu, alpha]`` and symmetric in
+    ``(mu, alpha)``.
 
     Raises
     ------
     DomainError
-        If ``phi >= 1`` (degenerate metric) or ``z`` is the zero vector.
+        If ``1 - phi <= 0`` (degenerate metric) or ``z`` is the zero vector.
     """
     z = check_point(z)
     u = radius_sq(z)
     if abs(profile.u - u) > 1e-8 * max(1.0, u):
         raise ValueError(f"profile evaluated at u={profile.u!r} but |z|^2={u!r}")
-    if profile.phi >= 1.0:
-        raise DomainError(f"degenerate metric: phi={profile.phi!r} >= 1")
-    n = z.size
+    phi, omp = profile.phi, profile.one_minus_phi
+    if not omp > 0.0:
+        raise DomainError(f"degenerate metric: 1 - phi = {omp!r} <= 0")
     zb = np.conj(z)
-    delta = np.eye(n)
-    phi, dphi = profile.phi, profile.phi_prime
+    delta = np.eye(z.size)
     # [lam, mu, alpha]
-    sym = np.einsum("lm,a->lma", delta, zb) + np.einsum("la,m->lma", delta, zb)
-    cubic = np.einsum("m,a,l->lma", zb, zb, z) / u
-    coef = (phi * (1.0 - phi) - u * dphi) / (u * (1.0 - phi))
+    sym = np.einsum("la,m->lma", delta, zb) + np.einsum("lm,a->lma", delta, zb)
+    cubic = np.einsum("a,m,l->lma", zb, zb, z) / u
+    coef = (phi * omp - u * profile.phi_prime) / (u * omp)
     return -(phi / u) * sym + coef * cubic
 
 
@@ -84,14 +87,7 @@ def christoffel_ceh(z, params: GeometryParams) -> np.ndarray:
     + zbar_alpha delta^lam_mu - (n+1) zbar_alpha zbar_mu z^lam / u)``.
     """
     z = check_point(z)
-    u = radius_sq(z)
-    n = params.n
-    prof = radial_profile(u, params)
-    zb = np.conj(z)
-    delta = np.eye(n)
-    sym = np.einsum("la,m->lma", delta, zb) + np.einsum("lm,a->lma", delta, zb)
-    cubic = np.einsum("a,m,l->lma", zb, zb, z) / u
-    return -(prof.phi / u) * (sym - (n + 1) * cubic)
+    return christoffel_rot_sym(z, radial_profile(radius_sq(z), params))
 
 
 def riemann(z, params: GeometryParams) -> np.ndarray:

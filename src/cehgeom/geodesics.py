@@ -8,13 +8,19 @@ the state, ``u = |z|^2`` and the C^n pairing ``<z, zdot> = sum zbar zdot``:
 
 with ``phi = a^n/(a^n+u^n)``.  This is the contraction of the closed-form
 connection with the velocity, so straight lines are recovered at infinity
-and radial rays are preserved.
+and radial rays are preserved.  The Ricci-flat and the zero-section
+(Fubini-Study) flows share that contraction, :func:`_acceleration`.
 
-The squared distance from radius ``u`` to the zero section is the quadrature
+The squared distance from radius ``u`` to the zero section is
 
-    sqrt(psi)(u) = (sqrt(a)/n) * integral_0^{(u/a)^(n/2)} (tau^2+1)^{-(n-1)/(2n)} dtau,
+    sqrt(psi)(u) = (sqrt(a)/n) * integral_0^X (tau^2+1)^(-beta) dtau
+                 = (sqrt(a)/n) X 2F1(1/2, beta; 3/2; -X^2),
 
-smooth and increasing, with ``psi ~ u`` at infinity.
+with ``X = (u/a)^(n/2)`` and ``beta = (n-1)/(2n)`` (DLMF 15.6.1), smooth
+and increasing, with ``psi ~ u`` at infinity.  For ``u > a`` the same
+integral is written as a series in ``(a/u)^n`` about its power-law tail
+(see :func:`_sqrt_psi`), so both hypergeometric arguments stay in
+``[-1, 0]`` and nothing overflows.
 
 Closed-geodesic dichotomy: along any trajectory, at an interior critical
 point ``T`` of ``u(t)`` one has ``<z,zdot>(T) = i alpha u(T)`` for real
@@ -32,15 +38,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
 from .tensors import check_point, fubini_study, metric
-from .profiles import DomainError, GeometryParams, radial_profile, radius_sq
+from .profiles import DomainError, GeometryParams, _phi
 
 __all__ = [
     "GeodesicState",
@@ -105,12 +111,25 @@ class Trajectory:
     termination: str
     sol: object = field(default=None, repr=False)
 
-    def state(self, k: int) -> GeodesicState:
-        return GeodesicState(self.z[k], self.v[k])
-
     def energy_drift(self) -> float:
         e0 = self.energy[0]
         return float(np.abs(self.energy - e0).max() / abs(e0)) if e0 else 0.0
+
+
+def _acceleration(z, v, k, c):
+    """``-Gamma(v, v)`` for the rotationally symmetric connection
+    ``Gamma^lam_{mu alpha} = -k (delta^lam_mu zbar_alpha + delta^lam_alpha
+    zbar_mu) + c zbar_mu zbar_alpha z^lam``, unvalidated.  ``k = phi/u`` is
+    passed as one number because the Fubini-Study flow passes ``u = 0``."""
+    ip = np.vdot(z, v)  # sum conj(z) v
+    return (2.0 * k * ip) * v - (c * ip * ip) * z
+
+
+def _ceh_acceleration(z, v, params: GeometryParams):
+    # Ricci-flat profile: cubic coefficient (n+1) phi / u^2
+    u = np.vdot(z, z).real
+    phi = _phi(u, params)
+    return _acceleration(z, v, phi / u, (params.n + 1) * phi / (u * u))
 
 
 def geodesic_rhs(z, v, params: GeometryParams) -> np.ndarray:
@@ -120,12 +139,7 @@ def geodesic_rhs(z, v, params: GeometryParams) -> np.ndarray:
     connection, contracted analytically.
     """
     z = check_point(z)
-    v = np.asarray(v, dtype=complex)
-    u = radius_sq(z)
-    n = params.n
-    phi = radial_profile(u, params).phi
-    ip = np.vdot(z, v)  # sum conj(z) v
-    return phi * (2.0 * ip / u * v - (n + 1) * ip**2 / u**2 * z)
+    return _ceh_acceleration(z, np.asarray(v, dtype=complex), params)
 
 
 def energy(z, v, params: GeometryParams) -> float:
@@ -165,11 +179,7 @@ def integrate(
 
     def rhs(t, y):
         z, v = _unpack(y, n)
-        u = np.vdot(z, z).real
-        phi = 1.0 / (1.0 + (u / params.a) ** n)
-        ip = np.vdot(z, v)
-        acc = phi * (2.0 * ip / u * v - (n + 1) * ip**2 / u**2 * z)
-        return _pack(v, acc)
+        return _pack(v, _ceh_acceleration(z, v, params))
 
     def cutoff(t, y):
         z, _ = _unpack(y, n)
@@ -205,8 +215,8 @@ def integrate(
     else:
         termination = COMPLETED
 
-    zs = (sol.y[:n] + 1j * sol.y[n : 2 * n]).T
-    vs = (sol.y[2 * n : 3 * n] + 1j * sol.y[3 * n :]).T
+    zs, vs = _unpack(sol.y, n)
+    zs, vs = zs.T, vs.T
     us = np.einsum("km,km->k", zs, np.conj(zs)).real
     es = np.array([energy(zk, vk, params) for zk, vk in zip(zs, vs)])
     return Trajectory(
@@ -221,43 +231,30 @@ class ArcLength(NamedTuple):
     distance: float
 
 
-@lru_cache(maxsize=4096)
 def _sqrt_psi(u: float, n: int, a: float) -> float:
-    # integral of (tau^2+1)^(-beta) over [0, X], X = (u/a)^(n/2).  For X > 1
-    # the power-law tail is split off analytically (QUADPACK silently loses
-    # the O(1) correction on huge intervals) and the remainder is pushed to
-    # the compact integrand s^(2 beta - 2) ((1+s^2)^(-beta) - 1), s = 1/tau,
-    # which is smooth and bounded down to s = 0.
+    # sqrt(a)/n * int_0^X (1+tau^2)^(-beta) dtau, X = (u/a)^(n/2).  Up to
+    # u = a this is X 2F1(1/2, beta; 3/2; -X^2).  Beyond, the integrand's
+    # power-law tail tau^(-2 beta) integrates to n X^(1/n) = n sqrt(u/a); the
+    # integral equals n sqrt(u/a) 2F1(beta, -1/(2n); 1-1/(2n); -(a/u)^n)
+    # plus C_n = int_0^inf ((1+tau^2)^(-beta) - tau^(-2 beta)) dtau
+    # = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)) < 0.
     if u == 0.0:
         return 0.0
     beta = (n - 1.0) / (2.0 * n)
-    upper = (u / a) ** (n / 2.0)
-    if upper <= 1.0:
-        val, _ = quad(
-            lambda tau: (tau * tau + 1.0) ** (-beta), 0.0, upper,
-            epsabs=1e-13, epsrel=1e-13,
-        )
+    if u <= a:
+        x = (u / a) ** (n / 2.0)
+        val = x * hyp2f1(0.5, beta, 1.5, -x * x)
     else:
-        head, _ = quad(
-            lambda tau: (tau * tau + 1.0) ** (-beta), 0.0, 1.0,
-            epsabs=1e-13, epsrel=1e-13,
-        )
-        tail = n * (upper ** (1.0 / n) - 1.0)
-        corr, _ = quad(
-            lambda s: s ** (2.0 * beta - 2.0) * ((1.0 + s * s) ** (-beta) - 1.0),
-            1.0 / upper, 1.0,
-            epsabs=1e-12, epsrel=1e-12, limit=200,
-        )
-        val = head + tail + corr
-    return math.sqrt(a) / n * val
+        c_n = math.sqrt(math.pi) * math.gamma(-0.5 / n) / (2.0 * math.gamma(beta))
+        val = n * math.sqrt(u / a) * hyp2f1(
+            beta, -0.5 / n, 1.0 - 0.5 / n, -((a / u) ** n)
+        ) + c_n
+    return math.sqrt(a) / n * float(val)
 
 
 def radial_arclength(u: float, params: GeometryParams) -> ArcLength:
-    """Distance to the zero section by adaptive Gauss-Kronrod quadrature.
-
-    The integrand is smooth; results are cached on ``(u, n, a)`` (pure
-    function, safe under concurrent readers).
-    """
+    """Distance to the zero section in closed form (Gauss hypergeometric
+    function); exact at ``u = 0`` and finite for every finite ``u``."""
     u = float(u)
     if u < 0:
         raise DomainError(f"radial_arclength requires u >= 0, got {u!r}")
@@ -285,7 +282,7 @@ def _uddot_closed_form(z, v, params: GeometryParams) -> float:
     """``uddot`` at a critical point of ``u``, from the flow's closed form."""
     u = np.vdot(z, z).real
     alpha = np.vdot(z, v).imag / u
-    phi = radial_profile(float(u), params).phi
+    phi = _phi(float(u), params)
     return float(
         2.0 * (params.n - 1) * phi * u * alpha**2 + 2.0 * np.vdot(v, v).real
     )
@@ -320,12 +317,13 @@ def classify_closed(
     udot = 2.0 * np.einsum("km,km->k", np.conj(zs), vs).real
     crits = []
     sign = np.sign(udot)
+
+    def udot_at(t):
+        z, v = _unpack(traj.sol.sol(t), n)
+        return 2.0 * float(np.vdot(z, v).real)
+
     for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        f = lambda t: 2.0 * float(
-            np.vdot(_unpack(traj.sol.sol(t), n)[0],
-                    _unpack(traj.sol.sol(t), n)[1]).real
-        )
-        t_c = brentq(f, ts[k], ts[k + 1], xtol=1e-12)
+        t_c = brentq(udot_at, ts[k], ts[k + 1], xtol=1e-12)
         z_c, v_c = _unpack(traj.sol.sol(t_c), n)
         crits.append(
             CriticalPoint(
@@ -390,11 +388,10 @@ def fs_energy(zeta, dzeta, params: GeometryParams) -> float:
 
 
 def _fs_rhs(t, y, m):
-    zeta = y[:m] + 1j * y[m : 2 * m]
-    v = y[2 * m : 3 * m] + 1j * y[3 * m :]
-    ip = np.vdot(zeta, v)
-    acc = 2.0 * ip * v / (1.0 + np.vdot(zeta, zeta).real)
-    return np.concatenate([v.real, v.imag, acc.real, acc.imag])
+    # round projective profile: phi/u = 1/(1+|zeta|^2), no cubic term
+    zeta, v = _unpack(y, m)
+    k = 1.0 / (1.0 + np.vdot(zeta, zeta).real)
+    return _pack(v, _acceleration(zeta, v, k, 0.0))
 
 
 def _fs_transition(zeta, v, i, j, slots):
@@ -436,8 +433,9 @@ def zero_section_geodesic(
     connection with the round projective profile (the cubic coefficient of
     that profile vanishes identically, leaving ``2 <zeta,v> v/(1+|zeta|^2)``).
     Period detection refines the first simultaneous revisit of the initial
-    state in the start chart; at unit speed in ``a * g_FS`` the closing time
-    of every geodesic is ``pi sqrt(a)``.
+    state, searched in every chart that contains the start point against the
+    initial state transported into that chart; at unit speed in
+    ``a * g_FS`` the closing time of every geodesic is ``pi sqrt(a)``.
     """
     zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=complex))
     v0 = np.atleast_1d(np.asarray(dzeta0, dtype=complex))
@@ -453,8 +451,8 @@ def zero_section_geodesic(
         t_end = 4.0 * math.pi * math.sqrt(params.a) / math.sqrt(e0)
 
     chart = 1
-    slots = list(range(2, params.n + 1))
-    state = np.concatenate([zeta0.real, zeta0.imag, v0.real, v0.imag])
+    start_slots = slots = list(range(2, params.n + 1))
+    state = _pack(zeta0, v0)
     t0 = 0.0
     left_start = False
     period = None
@@ -480,28 +478,32 @@ def zero_section_geodesic(
             dense_output=True,
             events=[escape],
         )
+        zs, vs = _unpack(sol.y, m)
         ts_all.append(sol.t)
-        zs_all.append((sol.y[:m] + 1j * sol.y[m : 2 * m]).T)
-        vs_all.append((sol.y[2 * m : 3 * m] + 1j * sol.y[3 * m :]).T)
+        zs_all.append(zs.T)
+        vs_all.append(vs.T)
         ch_all.append(np.full(sol.t.size, chart))
 
-        if detect_period and chart == 1:
-            hit = _find_return(sol, t0, zeta0, v0, m, left_start)
-            if hit is not None:
-                t_ret, was_away = hit
-                if was_away:
-                    period = t_ret
+        if detect_period:
+            if chart == 1:
+                target = zeta0, v0
+            elif zeta0[start_slots.index(chart)] != 0:
+                target = _fs_transition(zeta0, v0, 1, chart, start_slots)[:2]
+            else:  # the start point lies outside this chart
+                target = None
+                left_start = True
+            if target is not None:
+                period = _find_return(sol, t0, *target, m, left_start)
+                if period is not None:
                     break
-            left_start = left_start or _went_far(sol, zeta0, m)
+                left_start = left_start or _went_far(sol, target[0], m)
 
         if sol.status == 1:  # chart boundary: hop to the slot of largest |zeta|
-            y = sol.y_events[0][0]
-            zz = y[:m] + 1j * y[m : 2 * m]
-            vv = y[2 * m : 3 * m] + 1j * y[3 * m :]
+            zz, vv = _unpack(sol.y_events[0][0], m)
             j = slots[int(np.argmax(np.abs(zz)))]
             zz, vv, new_slots = _fs_transition(zz, vv, chart, j, slots)
             chart, slots = j, new_slots
-            state = np.concatenate([zz.real, zz.imag, vv.real, vv.imag])
+            state = _pack(zz, vv)
             t0 = sol.t_events[0][0]
         else:
             break
@@ -524,35 +526,32 @@ def _went_far(sol, zeta0, m, radius: float = 0.3) -> bool:
 
 
 def _find_return(sol, t0, zeta0, v0, m, left_start):
-    """First refined local minimum of the distance to the initial state that
-    is an actual revisit.  Returns ``(t, had_left_before)`` or None."""
+    """Time of the first refined local minimum of the distance to the
+    initial state ``(zeta0, v0)`` that is an actual revisit, or None."""
     ts = np.linspace(t0, sol.t[-1], max(64, 24 * sol.t.size))
-    ys = sol.sol(ts)
-    zz = (ys[:m] + 1j * ys[m : 2 * m]).T
-    vv = (ys[2 * m : 3 * m] + 1j * ys[3 * m :]).T
+    zz, vv = _unpack(sol.sol(ts), m)
+    zz, vv = zz.T, vv.T
     dist = np.linalg.norm(zz - zeta0, axis=1)
     far = dist > 0.3
     # derivative of |zeta - zeta0|^2 along the flow
     dd = np.einsum("km,km->k", np.conj(zz - zeta0), vv).real
     sign = np.sign(dd)
+
+    def dd_at(t):
+        z, v = _unpack(sol.sol(t), m)
+        return float(np.vdot(z - zeta0, v).real)
+
+    # a grid point next to a return lies within about |v| dt of the start
+    reach = 1e-2 + 2.0 * (ts[1] - ts[0]) * np.linalg.norm(vv, axis=1)
     for k in np.nonzero((sign[:-1] < 0) & (sign[1:] > 0))[0]:
         was_away = left_start or far[: k + 1].any()
-        if not was_away or dist[k] > 1e-2:
+        if not was_away or dist[k] > reach[k]:
             continue
-        f = lambda t: float(
-            np.einsum(
-                "m,m->",
-                np.conj(sol.sol(t)[:m] + 1j * sol.sol(t)[m : 2 * m] - zeta0),
-                sol.sol(t)[2 * m : 3 * m] + 1j * sol.sol(t)[3 * m :],
-            ).real
-        )
-        t_c = brentq(f, ts[k], ts[k + 1], xtol=1e-14)
-        y_c = sol.sol(t_c)
-        z_c = y_c[:m] + 1j * y_c[m : 2 * m]
-        v_c = y_c[2 * m : 3 * m] + 1j * y_c[3 * m :]
+        t_c = brentq(dd_at, ts[k], ts[k + 1], xtol=1e-14)
+        z_c, v_c = _unpack(sol.sol(t_c), m)
         if (
             np.linalg.norm(z_c - zeta0) < 1e-6
             and np.linalg.norm(v_c - v0) < 1e-6 * max(1.0, np.linalg.norm(v0))
         ):
-            return float(t_c), True
+            return float(t_c)
     return None

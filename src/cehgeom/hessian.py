@@ -58,8 +58,8 @@ def psi_prime(u: float, params: GeometryParams) -> float:
         raise DomainError(f"psi_prime requires u > 0, got {u!r}")
     n = params.n
     dist = radial_arclength(u, params).distance
-    # (u^n/(a^n+u^n))^((n-1)/(2n)), overflow-safe
-    frac = 1.0 / (1.0 + (params.a / u) ** n)
+    # u^n/(a^n+u^n) = 1 - phi
+    frac = radial_profile(u, params).one_minus_phi
     return dist / np.sqrt(u) * frac ** ((n - 1.0) / (2.0 * n))
 
 
@@ -102,18 +102,14 @@ class HessianSpectrum:
 def hessian_blocks(z, params: GeometryParams) -> np.ndarray:
     """Assembled ``2n x 2n`` real symmetric Hessian in ``(x..., y...)`` order."""
     z = check_point(z)
-    u = radius_sq(z)
-    n = z.size
+    spec = hessian_spectrum(z, params)
+    ca, cb = spec.coef_a, spec.coef_b
     x, y = z.real, z.imag
-    dp = psi_prime(u, params)
-    ups = upsilon(u, params)
-    ca = 2.0 * psi_second_derivative(u, params) / dp - ups
-    cb = ups
     xx, yy = np.outer(x, x), np.outer(y, y)
     xy, yx = np.outer(x, y), np.outer(y, x)
     top = np.hstack([ca * xx + cb * yy, ca * xy - cb * yx])
     bot = np.hstack([ca * yx - cb * xy, cb * xx + ca * yy])
-    return 2.0 * dp * (np.eye(2 * n) + np.vstack([top, bot]))
+    return spec.lambda1 * (np.eye(2 * z.size) + np.vstack([top, bot]))
 
 
 def hessian_spectrum(z, params: GeometryParams) -> HessianSpectrum:

@@ -17,12 +17,17 @@ The log-sum is real for u > 0 because the branches pair into conjugates;
 :func:`potential` asserts the cancellation.
 
 The closed forms here are written to avoid overflow near ``u = 0`` (where
-``(a/u)^n`` blows up) by factoring the small ratio out first.
+``(a/u)^n`` blows up) by factoring the small ratio out first; the one
+overflow-safe power ``(1 + x^n)^(1/n)`` is ``_root_one_plus_pow``.  Each
+profile also carries ``1 - phi`` from its own stable formula, because
+forming it by subtraction loses every digit near the zero section, where
+``phi`` rounds to 1.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,21 +61,25 @@ class GeometryParams:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise DomainError(f"dimension n must be an integer >= 2, got {self.n!r}")
-        if not self.a > 0:
-            raise DomainError(f"scale a must be positive, got {self.a!r}")
+        if not (self.a > 0 and math.isfinite(self.a)):
+            raise DomainError(f"scale a must be positive and finite, got {self.a!r}")
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Profile values at one radius: ``e_psi = f'(u)``, ``phi``, ``phi'``.
+    """Profile values at one radius: ``e_psi = f'(u)``, ``phi``, ``1 - phi``
+    and ``phi'``.
 
-    ``e_psi > 0`` and ``phi < 1`` together are equivalent to positive
-    definiteness of the rotationally symmetric metric they generate.
+    ``one_minus_phi`` comes from each profile's own stable formula, never
+    from ``1 - phi``.  ``e_psi > 0`` and ``one_minus_phi > 0`` together are
+    equivalent to positive definiteness of the rotationally symmetric metric
+    they generate.
     """
 
     u: float
     e_psi: float
     phi: float
+    one_minus_phi: float
     phi_prime: float
 
 
@@ -87,17 +96,21 @@ def _check_u(u: float, where: str) -> float:
     return u
 
 
+def _root_one_plus_pow(x: float, n: int) -> float:
+    """``(1 + x^n)^(1/n)`` for ``x >= 0``; for ``x > 1`` the equivalent
+    ``x (1 + x^-n)^(1/n)`` is used so the power never overflows."""
+    if x <= 1.0:
+        return (1.0 + x**n) ** (1.0 / n)
+    return x * (1.0 + x ** (-float(n))) ** (1.0 / n)
+
+
 def f_prime(u: float, params: GeometryParams) -> float:
     """Potential derivative ``f'(u) = (1 + (a/u)^n)^(1/n)``.
 
-    Strictly decreasing, -> 1 as u -> infinity.  For u < a the equivalent
-    form ``(a/u) (1 + (u/a)^n)^(1/n)`` is used so the power never overflows.
+    Strictly decreasing, -> 1 as u -> infinity.
     """
     u = _check_u(u, "f_prime")
-    n, a = params.n, params.a
-    if u >= a:
-        return (1.0 + (a / u) ** n) ** (1.0 / n)
-    return (a / u) * (1.0 + (u / a) ** n) ** (1.0 / n)
+    return _root_one_plus_pow(params.a / u, params.n)
 
 
 def f_second(u: float, params: GeometryParams) -> float:
@@ -129,12 +142,7 @@ def potential(u: float, params: GeometryParams) -> float:
     """
     u = _check_u(u, "potential")
     n, a = params.n, params.a
-    x = u / a
-    # alpha = (1 + x^n)^(1/n) > 1, overflow-safe for large x
-    if x <= 1.0:
-        alpha = (1.0 + x**n) ** (1.0 / n)
-    else:
-        alpha = x * (1.0 + x ** (-float(n))) ** (1.0 / n)
+    alpha = _root_one_plus_pow(u / a, n)  # > 1
     zeta = cmath.exp(2j * cmath.pi / n)
     acc = 0.0 + 0.0j
     scale = 0.0
@@ -167,15 +175,19 @@ def roots_of_unity_sum(alpha: complex, n: int) -> complex:
 
 
 def radial_profile(u: float, params: GeometryParams) -> RadialProfile:
-    """Bundle ``(e^psi, phi, phi')`` at radius ``u`` for the Ricci-flat profile.
+    """Bundle ``(e^psi, phi, 1 - phi, phi')`` at radius ``u`` for the
+    Ricci-flat profile.
 
     ``phi' = -(n/u) phi (1 - phi)``, with both factors computed in their
     overflow-safe forms.
     """
     u = _check_u(u, "radial_profile")
     phi = _phi(u, params)
-    phi_prime = -(params.n / u) * phi * _one_minus_phi(u, params)
-    return RadialProfile(u=u, e_psi=f_prime(u, params), phi=phi, phi_prime=phi_prime)
+    one_minus_phi = _one_minus_phi(u, params)
+    return RadialProfile(
+        u=u, e_psi=f_prime(u, params), phi=phi, one_minus_phi=one_minus_phi,
+        phi_prime=-(params.n / u) * phi * one_minus_phi,
+    )
 
 
 def fs_profile(u: float, scale: float = 1.0) -> RadialProfile:
@@ -190,10 +202,13 @@ def fs_profile(u: float, scale: float = 1.0) -> RadialProfile:
         raise DomainError(f"fs_profile requires u >= 0, got {u!r}")
     s = scale
     return RadialProfile(
-        u=u, e_psi=s / (s + u), phi=u / (s + u), phi_prime=s / (s + u) ** 2
+        u=u, e_psi=s / (s + u), phi=u / (s + u), one_minus_phi=s / (s + u),
+        phi_prime=s / (s + u) ** 2,
     )
 
 
 def euclidean_profile(u: float) -> RadialProfile:
     """Flat-metric profile: ``e^psi = 1``, ``phi = 0``."""
-    return RadialProfile(u=float(u), e_psi=1.0, phi=0.0, phi_prime=0.0)
+    return RadialProfile(
+        u=float(u), e_psi=1.0, phi=0.0, one_minus_phi=1.0, phi_prime=0.0
+    )

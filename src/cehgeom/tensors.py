@@ -19,8 +19,6 @@ the Euclidean metric, so no conjugation is attached to lowering.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .profiles import (
@@ -112,7 +110,7 @@ def metric_inverse(z, params: GeometryParams) -> np.ndarray:
     u = radius_sq(z)
     prof = radial_profile(u, params)
     n = z.size
-    ratio = prof.phi / (1.0 - prof.phi)
+    ratio = prof.phi / prof.one_minus_phi
     return (1.0 / prof.e_psi) * (
         np.eye(n) + ratio * hermitian_outer(z) / u
     )
@@ -172,7 +170,3 @@ def random_points(
             k += 1
     return out
 
-
-def metric_field(params: GeometryParams) -> Callable[[np.ndarray], np.ndarray]:
-    """The metric as a function of the lift alone, for derivative oracles."""
-    return lambda z: metric(z, params)

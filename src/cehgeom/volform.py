@@ -4,10 +4,16 @@ The flat form ``dz^1 ^ ... ^ dz^n`` descends to the quotient (the deck group
 acts with unit determinant) and extends over the resolution; in every
 trivialization its pullback has the constant coefficient ``1/n``, matching
 the Jacobian determinant of the blow-down map.  Its squared norm is
-``det(g)/n! = 1/n!`` and its covariant derivative vanishes: the connection
-trace against the Levi-Civita coefficients cancels exactly for the
-Ricci-flat profile (and does not for other rotationally symmetric profiles,
-which makes a useful negative control).
+``det(g)/n! = 1/n!`` and its covariant derivative vanishes.  In
+
+    nabla_alpha eps_{m1..mn} = -sum_k Gamma^lam_{alpha mk} eps_{m1..lam..mn}
+
+only ``lam = mk`` survives in the k-th term, so the sum collapses to the
+trace, ``nabla_alpha eps = -Gamma^lam_{lam alpha} eps``, and parallelism is
+the vanishing of that trace.  It cancels exactly for the Ricci-flat
+profile (and does not for other rotationally symmetric profiles, which makes
+a useful negative control).  The dense symbol :func:`levi_civita` costs
+``n^n`` memory and is kept for small ``n`` only.
 """
 
 from __future__ import annotations
@@ -62,26 +68,15 @@ def volform_norm_sq(z, params: GeometryParams) -> float:
 def covariant_derivative_epsilon(
     z, params: GeometryParams, christoffel: np.ndarray = None
 ) -> np.ndarray:
-    """Covariant derivative of the Levi-Civita coefficients.
+    """Coefficient ``-Gamma^lam_{lam alpha}`` of
+    ``nabla_alpha eps = -Gamma^lam_{lam alpha} eps``, indexed by ``alpha``.
 
-    ``nabla_alpha eps_{m1..mn} = - sum_k Gamma^lam_{alpha mk} eps_{..lam..}``,
-    returned with the derivative index first (rank ``n+1``).  Zero for the
-    Ricci-flat connection; pass ``christoffel`` (indexed ``[lam, mu, alpha]``)
-    to probe other connections.
+    Zero for the Ricci-flat connection; pass ``christoffel`` (indexed
+    ``[lam, mu, alpha]``) to probe other connections.
     """
     z = check_point(z)
-    n = params.n
     gamma = christoffel_ceh(z, params) if christoffel is None else christoffel
-    eps = levi_civita(n).astype(complex)
-    out = np.zeros((n,) * (n + 1), dtype=complex)
-    for k in range(n):
-        # Gamma^lam_{mu_k alpha} eps[.. lam at slot k ..] -> [mu_k, alpha, rest]
-        term = np.tensordot(gamma, eps, axes=([0], [k]))
-        # term indices: (mu_k, alpha, m1..m_{k-1}, m_{k+1}..mn)
-        term = np.moveaxis(term, 1, 0)      # alpha first
-        term = np.moveaxis(term, 1, 1 + k)  # mu_k back to slot k
-        out -= term
-    return out
+    return -np.trace(gamma, axis1=0, axis2=1)
 
 
 def chart_pullback_volform(p: ChartPoint, params: GeometryParams) -> complex:

@@ -231,3 +231,32 @@ def test_scan_deterministic_bytes(tmp_path):
                    "--output", str(f)])
         assert rc == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_verify_beyond_dense_levi_civita(capsys):
+    # parallelism of the volume form is checked through the connection
+    # trace, so no dimension cap applies
+    rc, out, _ = run_cli(capsys, "verify", "--n", "6", "--points", "1")
+    assert rc == 0
+    assert json.loads(out)["checks"]["nabla_epsilon"]["passed"] is True
+
+
+def test_eval_near_zero_section(capsys):
+    rc, out, _ = run_cli(capsys, "eval", "--n", "3",
+                         "--point=0.001+0i,0+0i,0+0i")
+    assert rc == 0
+    assert np.isfinite(np.asarray(json.loads(out)["metric_inverse"])).all()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--a", "inf", "--points", "1"],
+    ["eval", "--a", "inf", "--point=1+0i,0+0i"],
+    ["eval", "--point=1e200+0i,0+0i"],
+    ["eval", "--chart=1:1e300+0i:0"],
+    ["verify", "--a", "1e-300", "--points", "1"],
+])
+def test_non_finite_results_exit_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert "nan" not in out.lower() and "traceback" not in err.lower()
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -57,7 +57,8 @@ def test_rot_sym_degenerate_profile_rejected(params2):
     from cehgeom import RadialProfile
 
     with pytest.raises(DomainError):
-        christoffel_rot_sym(z, RadialProfile(u=1.0, e_psi=1.0, phi=1.0, phi_prime=0.0))
+        christoffel_rot_sym(z, RadialProfile(
+            u=1.0, e_psi=1.0, phi=1.0, one_minus_phi=0.0, phi_prime=0.0))
 
 
 def test_rot_sym_profile_radius_mismatch(params2):
@@ -208,3 +209,23 @@ def test_kretschmann_scaling_collapse():
         k1 = kretschmann_radial(x * 1.0, GeometryParams(n, 1.0))
         k2 = kretschmann_radial(x * 5.5, GeometryParams(n, 5.5))
         assert k1 == pytest.approx(5.5**2 * k2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("r", [1e-3, 1e-2, 0.1, 1.0])
+def test_ceh_near_zero_section(n, r):
+    # phi rounds to 1 at the smallest radii: the coefficient must come from
+    # the stable 1 - phi, not from a subtraction
+    a = 0.7
+    p = GeometryParams(n, a)
+    w = np.arange(1, n + 1) * (1.0 - 0.5j)
+    z = r * np.sqrt(a) * w / np.linalg.norm(w)
+    u = radius_sq(z)
+    phi = 1.0 / (1.0 + (u / a) ** n)
+    zb = np.conj(z)
+    delta = np.eye(n)
+    sym = np.einsum("la,m->lma", delta, zb) + np.einsum("lm,a->lma", delta, zb)
+    cubic = np.einsum("a,m,l->lma", zb, zb, z) / u
+    want = -(phi / u) * (sym - (n + 1) * cubic)
+    got = christoffel_ceh(z, p)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

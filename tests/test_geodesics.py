@@ -164,6 +164,31 @@ def test_arclength_derivative_identity(params3):
         assert fd == pytest.approx(closed, rel=1e-8)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 40])
+def test_arclength_matches_hypergeometric_reference(n):
+    # 40-digit X 2F1(1/2, beta; 3/2; -X^2) on every radius: for u > a this is
+    # a different route from the tail series the code uses there
+    import mpmath
+
+    a = 0.8
+    p = GeometryParams(n, a)
+    with mpmath.workdps(40):
+        beta = mpmath.mpf(n - 1) / (2 * n)
+        for ratio in np.geomspace(1e-8, 1e8, 49):
+            u = float(ratio * a)
+            x = (mpmath.mpf(u) / a) ** (mpmath.mpf(n) / 2)
+            d = mpmath.sqrt(a) / n * x * mpmath.hyp2f1(0.5, beta, 1.5, -x * x)
+            ref = float(d * d)
+            assert radial_arclength(u, p).psi == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("n,ratio", [(4, 1e300), (12, 1e100)])
+def test_arclength_finite_at_huge_radius(n, ratio):
+    arc = radial_arclength(ratio, GeometryParams(n, 1.0))
+    assert np.isfinite(arc.psi) and np.isfinite(arc.distance)
+    assert arc.distance / np.sqrt(ratio) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_radial_distance_grows_linearly(params2):
     # outgoing radial geodesic: sqrt(psi)(u(t)) = sqrt(psi)(u0) + sqrt(E) t
     z0 = np.array([1.2 + 0j, 0j])
@@ -252,3 +277,14 @@ def test_zero_section_higher_dimension_period():
 def test_zero_section_requires_direction(params2):
     with pytest.raises(Exception):
         zero_section_geodesic(np.zeros(1, dtype=complex), np.zeros(1), params2)
+
+
+def test_zero_section_return_after_chart_hop():
+    # the flow closes while it is in another chart than the start chart
+    p = GeometryParams(3, 1.0)
+    zeta0 = np.array([0.15 - 0.42j, 0.25 - 0.23j])
+    dzeta0 = np.array([-0.44 + 1.74j, -1.17 - 0.5j])
+    run = zero_section_geodesic(zeta0, dzeta0, p)
+    expected = np.pi * np.sqrt(p.a) / np.sqrt(fs_energy(zeta0, dzeta0, p))
+    assert run.period is not None
+    assert run.period == pytest.approx(expected, rel=1e-8)

@@ -204,3 +204,5 @@ def test_geometry_params_validation():
         GeometryParams(2, 0.0)
     with pytest.raises(DomainError):
         GeometryParams(2, -3.0)
+    with pytest.raises(DomainError):
+        GeometryParams(2, float("inf"))

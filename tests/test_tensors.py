@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from cehgeom import (
     DomainError,
     GeometryParams,
+    f_prime,
     fubini_study,
     homothety_residual,
     metric,
@@ -138,3 +139,16 @@ def test_random_points_seeded_reproducible(params2):
     b = random_points(5, params2, seed=7)
     assert_allclose(a, b, atol=0)
     assert (np.linalg.norm(a, axis=1) >= 1e-3 * np.sqrt(params2.a)).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("r", [1e-3, 1e-2, 0.1])
+def test_inverse_radial_entry_near_zero_section(n, r):
+    # at z = r e_1 the (1,1) entry is e^-psi / (1 - phi) = (1 + (a/u)^n) / f'
+    a = 1.3
+    p = GeometryParams(n, a)
+    z = np.zeros(n, dtype=complex)
+    z[0] = r * np.sqrt(a)
+    u = radius_sq(z)
+    want = (1.0 + (a / u) ** n) / f_prime(u, p)
+    assert metric_inverse(z, p)[0, 0].real == pytest.approx(want, rel=1e-14)

@@ -8,6 +8,7 @@ from cehgeom import (
     GeodesicState,
     GeometryParams,
     chart_pullback_volform,
+    christoffel_ceh,
     christoffel_rot_sym,
     covariant_derivative_epsilon,
     fs_profile,
@@ -80,6 +81,38 @@ def test_fs_connection_negative_control(params2):
     gamma_fs = christoffel_rot_sym(z, fs_profile(radius_sq(z), scale=params2.a))
     nabla = covariant_derivative_epsilon(z, params2, christoffel=gamma_fs)
     assert np.abs(nabla).max() > 1e-3
+
+
+def dense_nabla_epsilon(gamma, n):
+    """Oracle: ``-sum_k Gamma^lam_{alpha mk} eps_{..lam..}`` contracted on the
+    dense Levi-Civita array, derivative index first (rank n+1)."""
+    eps = levi_civita(n).astype(complex)
+    out = np.zeros((n,) * (n + 1), dtype=complex)
+    for k in range(n):
+        # Gamma^lam_{mu_k alpha} eps[.. lam at slot k ..] -> [mu_k, alpha, rest]
+        term = np.tensordot(gamma, eps, axes=([0], [k]))
+        term = np.moveaxis(term, 1, 0)      # alpha first
+        term = np.moveaxis(term, 1, 1 + k)  # mu_k back to slot k
+        out -= term
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trace_form_matches_dense_contraction(n):
+    p = GeometryParams(n, 1.3)
+    eps = levi_civita(n)
+    for z in seeded_points(3, n, p.a, seed=n):
+        gammas = {
+            "ceh": christoffel_ceh(z, p),
+            "fs": christoffel_rot_sym(z, fs_profile(radius_sq(z), scale=p.a)),
+            "zero": np.zeros((n,) * 3, dtype=complex),
+        }
+        for name, gamma in gammas.items():
+            trace_form = covariant_derivative_epsilon(z, p, christoffel=gamma)
+            want = dense_nabla_epsilon(gamma, n)
+            got = np.multiply.outer(trace_form, eps)
+            scale = np.abs(gamma).max()
+            assert np.abs(got - want).max() <= 1e-14 * scale, name
 
 
 def test_chart_coefficient_constant(params2, params3):
