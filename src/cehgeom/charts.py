@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import check_point, fubini_study
+from .tensors import _one_point, fubini_study
 from .profiles import DomainError, GeometryParams, _root_one_plus_pow
 
 __all__ = [
@@ -123,7 +123,7 @@ def quotient_to_chart(w, i: int) -> ChartPoint:
     ``z = (w_i)^n`` and ``zeta_k = w_k / w_i`` are invariant under the deck
     group, so the result is independent of the chosen lift.
     """
-    w = check_point(w)
+    w, _ = _one_point(w)
     n = w.size
     if not 1 <= i <= n:
         raise ChartError(f"chart index {i} out of range 1..{n}")

@@ -400,7 +400,12 @@ def main(argv=None) -> int:
         # overflow or 0/0 anywhere in a run is an error, not a NaN in the output
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
+        print(f"error: {args.command} with n={args.n}, a={args.a!r} cannot be "
+              f"computed in double precision: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,13 +32,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import check_point, hermitian_outer, metric, metric_inverse
+from .tensors import (
+    _check_profile,
+    _checked,
+    _one_point,
+    hermitian_outer,
+    metric,
+    metric_inverse,
+)
 from .profiles import (
     DomainError,
     GeometryParams,
     RadialProfile,
+    _all,
     radial_profile,
-    radius_sq,
 )
 
 __all__ = [
@@ -55,39 +62,45 @@ __all__ = [
 def christoffel_rot_sym(z, profile: RadialProfile) -> np.ndarray:
     """Connection of a general rotationally symmetric Kahler metric.
 
-    ``profile`` carries ``(phi, 1 - phi, phi')`` at ``u = |z|^2`` (checked);
-    the result is indexed ``[lam, mu, alpha]`` and symmetric in
-    ``(mu, alpha)``.
+    ``profile`` carries ``(phi, 1 - phi, phi')`` at ``u = |z|^2`` (checked)
+    for lifts of shape ``(..., n)``; the result has shape ``(..., n, n, n)``,
+    is indexed ``[..., lam, mu, alpha]`` and is symmetric in ``(mu, alpha)``.
 
     Raises
     ------
     DomainError
         If ``1 - phi <= 0`` (degenerate metric) or ``z`` is the zero vector.
     """
-    z = check_point(z)
-    u = radius_sq(z)
-    if abs(profile.u - u) > 1e-8 * max(1.0, u):
-        raise ValueError(f"profile evaluated at u={profile.u!r} but |z|^2={u!r}")
+    z, u = _checked(z)
+    _check_profile(u, profile)
+    return _rot_sym_connection(z, u, profile)
+
+
+def _rot_sym_connection(z, u, profile: RadialProfile) -> np.ndarray:
     phi, omp = profile.phi, profile.one_minus_phi
-    if not omp > 0.0:
-        raise DomainError(f"degenerate metric: 1 - phi = {omp!r} <= 0")
+    if not _all(omp > 0.0):
+        raise DomainError(f"degenerate metric: 1 - phi = {np.min(omp)!r} <= 0")
     zb = np.conj(z)
-    delta = np.eye(z.size)
-    # [lam, mu, alpha]
-    sym = np.einsum("la,m->lma", delta, zb) + np.einsum("lm,a->lma", delta, zb)
-    cubic = np.einsum("a,m,l->lma", zb, zb, z) / u
+    delta = np.eye(z.shape[-1])
+    b = (..., None, None, None)
+    # [..., lam, mu, alpha]
+    sym = np.einsum("la,...m->...lma", delta, zb) + np.einsum(
+        "lm,...a->...lma", delta, zb
+    )
+    cubic = np.einsum("...a,...m,...l->...lma", zb, zb, z) / np.asarray(u)[b]
     coef = (phi * omp - u * profile.phi_prime) / (u * omp)
-    return -(phi / u) * sym + coef * cubic
+    return -np.asarray(phi / u)[b] * sym + np.asarray(coef)[b] * cubic
 
 
 def christoffel_ceh(z, params: GeometryParams) -> np.ndarray:
-    """Connection of the Ricci-flat metric, indexed ``[lam, mu, alpha]``.
+    """Connection of the Ricci-flat metric at lifts ``(..., n)``, indexed
+    ``[..., lam, mu, alpha]``.
 
     ``Gamma^lam_{mu alpha} = -(phi/u) (zbar_mu delta^lam_alpha
     + zbar_alpha delta^lam_mu - (n+1) zbar_alpha zbar_mu z^lam / u)``.
     """
-    z = check_point(z)
-    return christoffel_rot_sym(z, radial_profile(radius_sq(z), params))
+    z, u = _checked(z)
+    return _rot_sym_connection(z, u, radial_profile(u, params))
 
 
 def riemann(z, params: GeometryParams) -> np.ndarray:
@@ -98,8 +111,7 @@ def riemann(z, params: GeometryParams) -> np.ndarray:
     the anti-holomorphic pair ``nu <-> beta``; Hermitian in the sense
     ``R[m,n,a,b] = conj(R[n,m,b,a])``.
     """
-    z = check_point(z)
-    u = radius_sq(z)
+    z, u = _one_point(z)
     n = params.n
     prof = radial_profile(u, params)
     g = metric(z, params)
@@ -125,7 +137,7 @@ def ricci(z, params: GeometryParams) -> np.ndarray:
     inspected.  The independent route through ``-d dbar log det g`` lives in
     :func:`cehgeom.numdiff.fd_ricci_log_det`.
     """
-    z = check_point(z)
+    z, _ = _one_point(z)
     ginv = metric_inverse(z, params)
     return np.einsum("na,mnab->mb", ginv, riemann(z, params))
 
@@ -145,14 +157,13 @@ def kretschmann_radial(u: float, params: GeometryParams) -> float:
 
 def kretschmann(z, params: GeometryParams) -> float:
     """Squared curvature norm at a point of the quotient chart."""
-    z = check_point(z)
-    return kretschmann_radial(radius_sq(z), params)
+    return kretschmann_radial(_one_point(z)[1], params)
 
 
 def kretschmann_contracted(z, params: GeometryParams) -> float:
     """Brute-force curvature norm: contract the Riemann tensor with itself,
     every index raised explicitly with the inverse metric."""
-    z = check_point(z)
+    z, _ = _one_point(z)
     r = riemann(z, params)
     ginv = metric_inverse(z, params)
     val = np.einsum(

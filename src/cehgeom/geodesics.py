@@ -45,7 +45,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
-from .tensors import check_point, fubini_study, metric
+from .tensors import _one_point, fubini_study, metric
 from .profiles import DomainError, GeometryParams, _phi
 
 __all__ = [
@@ -87,7 +87,7 @@ class GeodesicState:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "z", check_point(self.z))
+        object.__setattr__(self, "z", _one_point(self.z)[0])
         v = np.atleast_1d(np.asarray(self.v, dtype=complex))
         if v.shape != self.z.shape:
             raise DomainError("velocity shape must match position shape")
@@ -138,7 +138,7 @@ def geodesic_rhs(z, v, params: GeometryParams) -> np.ndarray:
     Equals ``-Gamma^lam_{mu alpha} v^mu v^alpha`` for the closed-form
     connection, contracted analytically.
     """
-    z = check_point(z)
+    z, _ = _one_point(z)
     return _ceh_acceleration(z, np.asarray(v, dtype=complex), params)
 
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesics import radial_arclength
-from .tensors import check_point
-from .profiles import DomainError, GeometryParams, radial_profile, radius_sq
+from .tensors import _one_point
+from .profiles import DomainError, GeometryParams, radial_profile
 
 __all__ = [
     "HessianSpectrum",
@@ -101,7 +101,7 @@ class HessianSpectrum:
 
 def hessian_blocks(z, params: GeometryParams) -> np.ndarray:
     """Assembled ``2n x 2n`` real symmetric Hessian in ``(x..., y...)`` order."""
-    z = check_point(z)
+    z, _ = _one_point(z)
     spec = hessian_spectrum(z, params)
     ca, cb = spec.coef_a, spec.coef_b
     x, y = z.real, z.imag
@@ -114,8 +114,7 @@ def hessian_blocks(z, params: GeometryParams) -> np.ndarray:
 
 def hessian_spectrum(z, params: GeometryParams) -> HessianSpectrum:
     """Closed-form spectrum of :func:`hessian_blocks` at the same point."""
-    z = check_point(z)
-    u = radius_sq(z)
+    z, u = _one_point(z)
     psi = radial_arclength(u, params).psi
     dp = psi_prime(u, params)
     ups = upsilon(u, params)

@@ -12,12 +12,32 @@ first derivatives of the *metric* give the connection, an anti-holomorphic
 derivative of that gives the curvature, and the complex Hessian of the
 scalar potential gives back the metric.
 
-Step sizes follow the usual truncation/cancellation compromise: second-order
-central differences with a relative step of 1e-5 for first derivatives, and
-fourth-order stencils with a relative step of 1e-3 for anything involving
-two derivatives (a second-order stencil at that step would sit right at the
-1e-6 certification tolerance; the fourth-order one clears it by three
-orders of magnitude).
+Fields are batched.  A field maps a stack of points ``(K, n)`` to a stack
+of values ``(K, *shape)``, as the closed forms in :mod:`cehgeom.tensors`,
+:mod:`cehgeom.curvature` and :func:`cehgeom.profiles.potential` do.
+:func:`wirtinger_partial` is the one stencil: it assembles every
+central-difference point of its base points and indices into one array and
+calls the field once.  A Hessian nests it, one field call per row ``mu``:
+the outer stencil's points each carry an inner stencil over every ``nu``.
+A first derivative along one index takes 2 offsets in each of the x and y
+directions (central2) or 4 (central4).  Per stage:
+
+    stage                                         points    field calls
+    fd_christoffel, fd_riemann (central2)         4 n       1
+    fd_metric_from_potential, fd_ricci_log_det    64 n^2    n, of 64 n each
+        (central4 mixed Hessian)
+
+so one field call holds at most 64 n points and memory grows as n^3 field
+entries for a matrix-valued field.
+
+Step rule: the step at a base point ``z`` is ``step * max(1, |z|)``; in a
+Hessian each inner derivative uses ``step * max(1, |w|)`` at its own outer
+point ``w``.  Step sizes follow the usual truncation/cancellation
+compromise: second-order central differences with a relative step of 1e-5
+for first derivatives, and fourth-order stencils with a relative step of
+1e-3 for anything involving two derivatives (a second-order stencil at that
+step would sit right at the 1e-6 certification tolerance; the fourth-order
+one clears it by three orders of magnitude).
 """
 
 from __future__ import annotations
@@ -28,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import curvature as _curvature
-from .tensors import check_point, metric
+from .tensors import _one_point, metric
 from .profiles import GeometryParams, potential, radius_sq
 
 __all__ = [
@@ -72,84 +92,91 @@ FD_FIRST = FDConfig(step=1e-5, scheme="central2")
 FD_SECOND = FDConfig(step=1e-3, scheme="central4")
 
 
-def _directional(field_fn, z, e, h, scheme):
-    if scheme == "central2":
-        return (field_fn(z + h * e) - field_fn(z - h * e)) / (2.0 * h)
-    return (
-        -field_fn(z + 2 * h * e)
-        + 8.0 * field_fn(z + h * e)
-        - 8.0 * field_fn(z - h * e)
-        + field_fn(z - 2 * h * e)
-    ) / (12.0 * h)
+#: integer weights of the central first-derivative stencils, their offsets
+#: in steps h, and the common denominator: sum_k c_k F(z + s_k h e) / (d h)
+_SCHEMES = {
+    "central2": ((1.0, -1.0), (1.0, -1.0), 2.0),
+    "central4": ((-1.0, 8.0, -8.0, 1.0), (2.0, 1.0, -1.0, -2.0), 12.0),
+}
 
 
 def wirtinger_partial(
-    field_fn: Callable, z, index: int, conjugate: bool = False,
+    field_fn: Callable, z, index, conjugate: bool = False,
     cfg: FDConfig = FD_FIRST,
 ):
     """Central-difference estimate of ``d field / dz^index`` (or conjugate).
 
-    ``field_fn`` maps a complex vector to a scalar or ndarray; the derivative
-    has the same shape as the field value.
+    ``field_fn`` is batched: it maps points of shape ``(K, n)`` to values of
+    shape ``(K, *shape)``.  ``z`` holds base points ``(..., n)``, each with
+    its own step ``step * max(1, |z|)``.  ``index`` is one index or a
+    sequence of them; all stencil points of all base points and indices go
+    to ``field_fn`` in one call, and the result has shape
+    ``(..., *shape)``, or ``(..., len(index), *shape)`` for a sequence.
+
+    Raises
+    ------
+    ValueError
+        If the field's values do not carry the batch as their leading axis.
     """
     z = np.asarray(z, dtype=complex)
-    h = cfg.step * max(1.0, float(np.linalg.norm(z)))
-    e = np.zeros_like(z)
-    e[index] = 1.0
-    dx = _directional(field_fn, z, e, h, cfg.scheme)
-    dy = _directional(field_fn, z, 1j * e, h, cfg.scheme)
-    if conjugate:
-        return 0.5 * (dx + 1j * dy)
-    return 0.5 * (dx - 1j * dy)
+    lead, n = z.shape[:-1], z.shape[-1]
+    z = z.reshape(-1, n)
+    indices = np.atleast_1d(index)
+    weights, offsets, denom = _SCHEMES[cfg.scheme]
+    h = cfg.step * np.maximum(1.0, np.linalg.norm(z, axis=-1))
+    # [base, direction (x, y), offset] shifts of one coordinate
+    shift = h[:, None, None] * (np.array([1.0, 1.0j])[:, None] * offsets)
+    pts = np.broadcast_to(
+        z[:, None, None, None, :], (len(z), indices.size, 2, len(offsets), n)
+    ).copy()
+    for j, mu in enumerate(indices):
+        pts[:, j, :, :, mu] += shift
+    k = pts.size // n
+    vals = np.asarray(field_fn(pts.reshape(k, n)))
+    if vals.shape[:1] != (k,):
+        raise ValueError(
+            f"field returned shape {vals.shape} for {k} points; a field maps "
+            "points (K, n) to values (K, *shape)"
+        )
+    shape = vals.shape[1:]
+    vals = vals.reshape(pts.shape[:4] + shape)
+    num = sum(c * vals[:, :, :, i] for i, c in enumerate(weights))
+    d = num / (denom * h).reshape((-1, 1, 1) + (1,) * len(shape))
+    dx, dy = d[:, :, 0], d[:, :, 1]
+    out = 0.5 * (dx + 1j * dy) if conjugate else 0.5 * (dx - 1j * dy)
+    if np.ndim(index) == 0:
+        out = out[:, 0]
+    return out.reshape(lead + out.shape[1:])
 
 
 def complex_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
-    """Mixed Hessian ``H[mu, nu] = d_mu dbar_nu field`` of a scalar field."""
-    z = np.asarray(z, dtype=complex)
-    n = z.size
-    return np.array(
-        [
-            [
-                wirtinger_partial(
-                    lambda w, nu=nu: wirtinger_partial(
-                        field_fn, w, nu, conjugate=True, cfg=cfg
-                    ),
-                    z,
-                    mu,
-                    cfg=cfg,
-                )
-                for nu in range(n)
-            ]
-            for mu in range(n)
-        ]
-    )
+    """Mixed Hessian ``H[mu, nu] = d_mu dbar_nu field`` of a batched field
+    at one point, shape ``(n, n, *shape)``; one field call per row ``mu``."""
+    return _nested_hessian(field_fn, z, True, cfg)
 
 
 def holomorphic_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
-    """Pure Hessian ``H[mu, nu] = d_mu d_nu field`` of a scalar field."""
-    z = np.asarray(z, dtype=complex)
-    n = z.size
-    return np.array(
-        [
-            [
-                wirtinger_partial(
-                    lambda w, nu=nu: wirtinger_partial(field_fn, w, nu, cfg=cfg),
-                    z,
-                    mu,
-                    cfg=cfg,
-                )
-                for nu in range(n)
-            ]
-            for mu in range(n)
-        ]
-    )
+    """Pure Hessian ``H[mu, nu] = d_mu d_nu field`` of a batched field at one
+    point, shape ``(n, n, *shape)``; one field call per row ``mu``."""
+    return _nested_hessian(field_fn, z, False, cfg)
+
+
+def _nested_hessian(field_fn, z, conjugate, cfg):
+    # the inner derivative is taken at every outer stencil point w, with
+    # w's own step, for all nu at once
+    nus = range(np.size(z))
+
+    def row_field(w):
+        return wirtinger_partial(field_fn, w, nus, conjugate=conjugate, cfg=cfg)
+
+    return np.stack([wirtinger_partial(row_field, z, mu, cfg=cfg) for mu in nus])
 
 
 def fd_metric_from_potential(
     z, params: GeometryParams, cfg: FDConfig = FD_SECOND
 ) -> np.ndarray:
     """Metric recovered as the mixed Hessian of the Kahler potential."""
-    z = check_point(z)
+    z, _ = _one_point(z)
     return complex_hessian(lambda w: potential(radius_sq(w), params), z, cfg)
 
 
@@ -164,14 +191,11 @@ def fd_christoffel(
     indexed ``[lam, mu, alpha]``.
     """
     z = np.asarray(z, dtype=complex)
-    n = z.size
     if metric_inv is None:
         metric_inv = np.linalg.inv(metric_fn(z))
-    gamma = np.empty((n, n, n), dtype=complex)
-    for alpha in range(n):
-        dg = wirtinger_partial(metric_fn, z, alpha, cfg=cfg)  # [mu, nu]
-        gamma[:, :, alpha] = (dg @ metric_inv).T  # [mu, lam] -> [lam, mu]
-    return gamma
+    dg = wirtinger_partial(metric_fn, z, range(z.size), cfg=cfg)  # [alpha, mu, nu]
+    # [alpha, mu, lam] -> [lam, mu, alpha]
+    return np.transpose(dg @ metric_inv, (2, 1, 0))
 
 
 def fd_riemann(
@@ -184,15 +208,11 @@ def fd_riemann(
     tensor indexed ``[mu, nu, alpha, beta]``.
     """
     z = np.asarray(z, dtype=complex)
-    n = z.size
     g = metric_fn(z)
-    out = np.empty((n, n, n, n), dtype=complex)
-    for beta in range(n):
-        dgamma = -wirtinger_partial(
-            christoffel_fn, z, beta, conjugate=True, cfg=cfg
-        )  # [lam, mu, alpha]
-        out[:, :, :, beta] = np.einsum("lma,ln->mna", dgamma, g)
-    return out
+    dgamma = -wirtinger_partial(
+        christoffel_fn, z, range(z.size), conjugate=True, cfg=cfg
+    )  # [beta, lam, mu, alpha]
+    return np.einsum("blma,ln->mnab", dgamma, g)
 
 
 def fd_ricci_log_det(
@@ -203,7 +223,7 @@ def fd_ricci_log_det(
     def log_det(w):
         return np.log(np.linalg.det(metric_fn(w)).real)
 
-    return -complex_hessian(log_det, np.asarray(z, dtype=complex), cfg)
+    return -complex_hessian(log_det, z, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +289,12 @@ def verify_pipeline(
     contraction matches its closed form.
 
     ``metric_fn`` replaces the metric *field* consumed by the stencils and
-    algebraic checks (fault injection for negative controls); the closed-form
-    connection and curvature stay canonical comparison targets.
+    algebraic checks (fault injection for negative controls).  It is
+    batched, ``(K, n) -> (K, n, n)``, and every stencil point goes through
+    it; the closed-form connection and curvature stay canonical comparison
+    targets.
     """
-    z = check_point(z)
+    z, _ = _one_point(z)
     if metric_fn is None:
         metric_fn = lambda w: metric(w, params)
     second = FDConfig(step=max(cfg.step, FD_SECOND.step), scheme="central4")

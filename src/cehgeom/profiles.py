@@ -68,7 +68,7 @@ class GeometryParams:
 @dataclass(frozen=True)
 class RadialProfile:
     """Profile values at one radius: ``e_psi = f'(u)``, ``phi``, ``1 - phi``
-    and ``phi'``.
+    and ``phi'`` (arrays of them at an array of radii).
 
     ``one_minus_phi`` comes from each profile's own stable formula, never
     from ``1 - phi``.  ``e_psi > 0`` and ``one_minus_phi > 0`` together are
@@ -83,25 +83,49 @@ class RadialProfile:
     phi_prime: float
 
 
-def radius_sq(z) -> float:
-    """Squared Euclidean norm ``u = sum_mu z^mu conj(z^mu)``; exact at 0."""
-    z = np.asarray(z, dtype=complex)
-    return float(np.vdot(z, z).real)
+def radius_sq(z):
+    """Squared Euclidean norm ``u = sum_mu z^mu conj(z^mu)`` over the last
+    axis: lifts of shape ``(..., n)`` give radii of shape ``(...)``.  Exact
+    at 0."""
+    xy = np.ascontiguousarray(z, dtype=complex).view(float)  # x0, y0, x1, ...
+    return np.add.reduce(xy * xy, axis=-1)
 
 
-def _check_u(u: float, where: str) -> float:
-    u = float(u)
-    if not u > 0:
-        raise DomainError(f"{where} requires u > 0, got u={u!r}")
+def _radii(u):
+    """A radius as a float, or a stack of radii as a float array."""
+    if isinstance(u, np.ndarray) and u.ndim:
+        return u.astype(float, copy=False)
+    return float(u)
+
+
+def _all(ok) -> bool:
+    """``ok.all()`` for an array, ``bool(ok)`` for a scalar, whose numpy
+    ``.all()`` costs several times more."""
+    return bool(ok.all()) if getattr(ok, "ndim", 0) else bool(ok)
+
+
+def _check_u(u, where: str):
+    u = u if type(u) is float else _radii(u)  # a float goes straight through
+    ok = u > 0
+    if not (ok is True or _all(ok)):
+        bad = u if isinstance(u, float) else u[~ok][0]
+        raise DomainError(f"{where} requires u > 0, got u={bad!r}")
     return u
 
 
-def _root_one_plus_pow(x: float, n: int) -> float:
+def _root_one_plus_pow(x, n: int):
     """``(1 + x^n)^(1/n)`` for ``x >= 0``; for ``x > 1`` the equivalent
-    ``x (1 + x^-n)^(1/n)`` is used so the power never overflows."""
-    if x <= 1.0:
-        return (1.0 + x**n) ** (1.0 / n)
-    return x * (1.0 + x ** (-float(n))) ** (1.0 / n)
+    ``x (1 + x^-n)^(1/n)`` is used so the power never overflows.  A float
+    array is evaluated entrywise, each entry on its own branch only."""
+    if type(x) is float or not isinstance(x, np.ndarray):
+        if x <= 1.0:
+            return (1.0 + x**n) ** (1.0 / n)
+        return x * (1.0 + x ** (-float(n))) ** (1.0 / n)
+    out = (1.0 + np.minimum(x, 1.0) ** n) ** (1.0 / n)
+    big = x > 1.0
+    xb = x[big]
+    out[big] = xb * (1.0 + xb ** (-float(n))) ** (1.0 / n)
+    return out
 
 
 def f_prime(u: float, params: GeometryParams) -> float:
@@ -129,8 +153,10 @@ def _one_minus_phi(u: float, params: GeometryParams) -> float:
     return 1.0 / (1.0 + (params.a / u) ** params.n)
 
 
-def potential(u: float, params: GeometryParams) -> float:
+def potential(u, params: GeometryParams):
     """Kahler potential ``f(u)`` with principal-branch logs and constant 0.
+
+    ``u`` is a radius or an array of radii; the result has its shape.
 
     Raises
     ------
@@ -147,13 +173,14 @@ def potential(u: float, params: GeometryParams) -> float:
     acc = 0.0 + 0.0j
     scale = 0.0
     for j in range(n):
-        term = zeta**j * cmath.log(alpha - zeta**j)
-        acc += term
-        scale += abs(term)
+        term = zeta**j * np.log(alpha - zeta**j)
+        acc = acc + term
+        scale = scale + np.abs(term)
     val = a * (alpha + acc / n)
-    if abs(val.imag) > 1e-9 * max(1.0, scale):
+    if np.any(np.abs(val.imag) > 1e-9 * np.maximum(1.0, scale)):
         raise ArithmeticError(
-            f"log branches failed to cancel: residual imag {val.imag!r}"
+            "log branches failed to cancel: residual imag "
+            f"{np.max(np.abs(val.imag))!r}"
         )
     return val.real
 
@@ -174,9 +201,9 @@ def roots_of_unity_sum(alpha: complex, n: int) -> complex:
     return sum(zeta**j / (alpha - zeta**j) for j in range(n)) / n
 
 
-def radial_profile(u: float, params: GeometryParams) -> RadialProfile:
+def radial_profile(u, params: GeometryParams) -> RadialProfile:
     """Bundle ``(e^psi, phi, 1 - phi, phi')`` at radius ``u`` for the
-    Ricci-flat profile.
+    Ricci-flat profile; an array of radii gives arrays of values.
 
     ``phi' = -(n/u) phi (1 - phi)``, with both factors computed in their
     overflow-safe forms.
@@ -190,16 +217,16 @@ def radial_profile(u: float, params: GeometryParams) -> RadialProfile:
     )
 
 
-def fs_profile(u: float, scale: float = 1.0) -> RadialProfile:
+def fs_profile(u, scale: float = 1.0) -> RadialProfile:
     """Profile of the round projective metric, potential ``scale*log(scale+u)``.
 
     Useful as a rotationally-symmetric control that is *not* Ricci-flat.
     """
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale!r}")
-    u = float(u)
-    if u < 0:
-        raise DomainError(f"fs_profile requires u >= 0, got {u!r}")
+    u = _radii(u)
+    if np.any(u < 0):
+        raise DomainError(f"fs_profile requires u >= 0, got {np.min(u)!r}")
     s = scale
     return RadialProfile(
         u=u, e_psi=s / (s + u), phi=u / (s + u), one_minus_phi=s / (s + u),
@@ -207,8 +234,8 @@ def fs_profile(u: float, scale: float = 1.0) -> RadialProfile:
     )
 
 
-def euclidean_profile(u: float) -> RadialProfile:
+def euclidean_profile(u) -> RadialProfile:
     """Flat-metric profile: ``e^psi = 1``, ``phi = 0``."""
     return RadialProfile(
-        u=float(u), e_psi=1.0, phi=0.0, one_minus_phi=1.0, phi_prime=0.0
+        u=_radii(u), e_psi=1.0, phi=0.0, one_minus_phi=1.0, phi_prime=0.0
     )

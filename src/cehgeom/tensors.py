@@ -11,10 +11,14 @@ identity,
     g_{mu nubar}   = e^psi (delta - phi zbar (x) z / u),
     g^{nubar lam}  = e^-psi (delta + phi/(1-phi) zbar (x) z / u),
 
-with the profile functions from :mod:`cehgeom.profiles`.  Index convention:
-``metric(z)[mu, nu]`` holds the component with holomorphic index ``mu`` and
-anti-holomorphic index ``nu``; indices on ``z`` are raised and lowered with
-the Euclidean metric, so no conjugation is attached to lowering.
+with the profile functions from :mod:`cehgeom.profiles`.  The closed forms
+take a stack of lifts of shape ``(..., n)`` and return one tensor per lift,
+``(..., n, n)``; a single lift is a stack with no leading axes.
+
+Index convention: ``metric(z)[mu, nu]`` holds the component with
+holomorphic index ``mu`` and anti-holomorphic index ``nu``; indices on ``z``
+are raised and lowered with the Euclidean metric, so no conjugation is
+attached to lowering.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .profiles import (
     DomainError,
     GeometryParams,
     RadialProfile,
+    _all,
     radial_profile,
     radius_sq,
 )
@@ -44,43 +49,87 @@ __all__ = [
 _MIN_RADIUS_FACTOR = 1e-3
 
 
+def _checked(z):
+    """Validated lifts ``z`` of shape ``(..., n)`` and their radii ``|z|^2``."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        z = z[None]
+    u = radius_sq(z)
+    if not _all(u > 0):
+        _reject(z, u)
+    return z, u
+
+
+def _reject(z, u):
+    row = np.unravel_index(np.flatnonzero(~(np.ravel(u) > 0))[0], np.shape(u))
+    where = f" (lift {tuple(map(int, row))} of the stack)" if z.ndim > 1 else ""
+    w = z[row]
+    if not np.isfinite(w).all():
+        raise DomainError(f"point must be finite{where}, got {w!r}")
+    if np.any(w != 0):
+        raise DomainError(
+            f"|z|^2 underflows to 0 in double precision at the nonzero lift "
+            f"with max |z^mu| = {float(np.abs(w).max())!r}{where}"
+        )
+    raise DomainError(f"zero vector is not a point of the punctured quotient{where}")
+
+
 def check_point(z) -> np.ndarray:
-    """Validate and return a lift ``z`` as a 1-d complex array.
+    """Validate and return lifts ``z`` of shape ``(..., n)`` as a complex
+    array; a single lift is a 1-d vector.
 
     Raises
     ------
     DomainError
-        If ``z`` is the zero vector (the quotient chart excludes the origin).
+        If a lift is the zero vector (the quotient chart excludes the
+        origin), is not finite, or is nonzero with ``|z|^2`` below the
+        smallest double.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return _checked(z)[0]
+
+
+def _one_point(z):
+    """A single validated lift, as a 1-d vector, and its radius ``|z|^2``."""
+    z, u = _checked(z)
     if z.ndim != 1:
         raise DomainError(f"point must be a complex vector, got shape {z.shape}")
-    if not np.vdot(z, z).real > 0:
-        raise DomainError("zero vector is not a point of the punctured quotient")
-    return z
+    return z, u
 
 
 def hermitian_outer(z) -> np.ndarray:
-    """Rank-one form ``zbar (x) z`` assembled from real and imaginary parts.
+    """Rank-one forms ``zbar (x) z`` of lifts ``(..., n)``, shape
+    ``(..., n, n)``, assembled from real and imaginary parts.
 
     Bitwise Hermitian: ``np.outer(conj(z), z)`` is not, because fused
     multiply-adds in the complex product leave O(eps) asymmetry.
     """
-    x, y = np.asarray(z).real, np.asarray(z).imag
-    return (np.outer(x, x) + np.outer(y, y)) + 1j * (
-        np.outer(x, y) - np.outer(y, x)
-    )
+    z = np.asarray(z)
+    x, y = z.real[..., :, None], z.imag[..., :, None]
+    xt, yt = z.real[..., None, :], z.imag[..., None, :]
+    return (x * xt + y * yt) + 1j * (x * yt - y * xt)
+
+
+def _rank_one_update(z, u, scale, coef):
+    # scale (delta + coef zbar (x) z / u), one (n, n) block per lift
+    b = (..., None, None)
+    outer = hermitian_outer(z) / np.asarray(u)[b]
+    return np.asarray(scale)[b] * (np.eye(z.shape[-1]) + np.asarray(coef)[b] * outer)
 
 
 def metric(z, params: GeometryParams) -> np.ndarray:
-    """Ricci-flat metric ``g_{mu nubar}`` at the lift ``z``.
+    """Ricci-flat metric ``g_{mu nubar}`` at lifts ``(..., n)``, shape
+    ``(..., n, n)``.
 
     Hermitian positive definite with ``det g = 1`` identically.
     """
-    z = check_point(z)
-    u = radius_sq(z)
+    z, u = _checked(z)
     prof = radial_profile(u, params)
-    return metric_from_profile(z, prof)
+    return _rank_one_update(z, u, prof.e_psi, -prof.phi)
+
+
+def _check_profile(u, profile: RadialProfile) -> None:
+    if np.any(np.abs(profile.u - u) > 1e-8 * np.maximum(1.0, u)):
+        raise ValueError(f"profile evaluated at u={profile.u!r} but |z|^2={u!r}")
 
 
 def metric_from_profile(z, profile: RadialProfile) -> np.ndarray:
@@ -88,32 +137,21 @@ def metric_from_profile(z, profile: RadialProfile) -> np.ndarray:
 
     ``profile`` must be evaluated at ``u = |z|^2``; this is checked.
     """
-    z = check_point(z)
-    u = radius_sq(z)
-    if abs(profile.u - u) > 1e-8 * max(1.0, u):
-        raise ValueError(
-            f"profile evaluated at u={profile.u!r} but |z|^2={u!r}"
-        )
-    n = z.size
-    return profile.e_psi * (
-        np.eye(n) - profile.phi * hermitian_outer(z) / u
-    )
+    z, u = _checked(z)
+    _check_profile(u, profile)
+    return _rank_one_update(z, u, profile.e_psi, -profile.phi)
 
 
 def metric_inverse(z, params: GeometryParams) -> np.ndarray:
-    """Inverse metric ``g^{nubar lam}``, row index anti-holomorphic.
+    """Inverse metric ``g^{nubar lam}``, row index anti-holomorphic, at lifts
+    ``(..., n)``.
 
     ``z`` (unconjugated, Euclidean-lowered) is an eigenvector with eigenvalue
     ``e^-psi / (1 - phi)``; directions orthogonal to it get ``e^-psi``.
     """
-    z = check_point(z)
-    u = radius_sq(z)
+    z, u = _checked(z)
     prof = radial_profile(u, params)
-    n = z.size
-    ratio = prof.phi / prof.one_minus_phi
-    return (1.0 / prof.e_psi) * (
-        np.eye(n) + ratio * hermitian_outer(z) / u
-    )
+    return _rank_one_update(z, u, 1.0 / prof.e_psi, prof.phi / prof.one_minus_phi)
 
 
 def fubini_study(zeta) -> np.ndarray:
@@ -139,7 +177,7 @@ def homothety_residual(z, alpha: float, params: GeometryParams) -> float:
     """
     if not alpha > 0:
         raise DomainError(f"homothety factor must be positive, got {alpha!r}")
-    z = check_point(z)
+    z, _ = _one_point(z)
     scaled = GeometryParams(params.n, alpha**2 * params.a)
     g_scaled = metric(alpha * z, scaled)
     g_base = metric(z, params)

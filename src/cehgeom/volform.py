@@ -25,7 +25,7 @@ import numpy as np
 
 from .charts import ChartPoint, _check_dim
 from .curvature import christoffel_ceh
-from .tensors import check_point, metric
+from .tensors import _one_point, metric
 from .profiles import GeometryParams
 
 __all__ = [
@@ -60,7 +60,7 @@ def levi_civita(n: int) -> np.ndarray:
 
 def volform_norm_sq(z, params: GeometryParams) -> float:
     """Squared norm of the holomorphic volume form, ``det(metric)/n!``."""
-    z = check_point(z)
+    z, _ = _one_point(z)
     det = np.linalg.det(metric(z, params)).real
     return float(det / math.factorial(params.n))
 
@@ -74,7 +74,7 @@ def covariant_derivative_epsilon(
     Zero for the Ricci-flat connection; pass ``christoffel`` (indexed
     ``[lam, mu, alpha]``) to probe other connections.
     """
-    z = check_point(z)
+    z, _ = _one_point(z)
     gamma = christoffel_ceh(z, params) if christoffel is None else christoffel
     return -np.trace(gamma, axis1=0, axis2=1)
 

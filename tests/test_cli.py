@@ -260,3 +260,26 @@ def test_non_finite_results_exit_2(capsys, argv):
     assert rc == 2
     assert "nan" not in out.lower() and "traceback" not in err.lower()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_underflowing_lift_is_not_the_zero_vector(capsys):
+    # |z|^2 = 1e-400 underflows, but the lift is a valid nonzero point
+    rc, out, err = run_cli(capsys, "eval", "--point=1e-200+0i,0+0i")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "underflows" in err and "zero vector" not in err
+    assert "traceback" not in err.lower()
+
+
+def test_arithmetic_error_names_command_and_parameters(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--a", "1e-300", "--points", "1")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: verify with n=2, a=1e-300 ")
+    assert err.count("\n") == 1 and "traceback" not in err.lower()
+
+
+def test_verify_n8_one_point(capsys):
+    # the batched stencil's field calls grow as n^3 entries per Hessian row
+    rc, out, _ = run_cli(capsys, "verify", "--n", "8", "--points", "1")
+    assert rc == 0
+    assert json.loads(out)["passed"] is True

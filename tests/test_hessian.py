@@ -22,7 +22,8 @@ def fd_hessian_oracle(z, params):
     """Real Hessian of psi(u(z)) from stencils plus the closed-form connection."""
 
     def f(w):
-        return radial_arclength(np.vdot(w, w).real, params).psi
+        # batched field; radial_arclength takes one radius at a time
+        return np.array([radial_arclength(u, params).psi for u in radius_sq(w)])
 
     n = z.size
     m1 = complex_hessian(f, z)                    # d d-bar psi

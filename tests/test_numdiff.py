@@ -1,34 +1,113 @@
 import numpy as np
 import pytest
 
-from cehgeom import GeometryParams, metric, potential, radius_sq, verify_pipeline
+from cehgeom import (
+    GeometryParams,
+    christoffel_ceh,
+    metric,
+    potential,
+    radius_sq,
+    verify_pipeline,
+)
 from cehgeom.numdiff import (
+    FD_FIRST,
     FD_SECOND,
     FDConfig,
     complex_hessian,
+    fd_christoffel,
     fd_metric_from_potential,
+    fd_ricci_log_det,
+    fd_riemann,
+    holomorphic_hessian,
     wirtinger_partial,
 )
 
 from conftest import seeded_points
 
 
+# --- oracle: the nested per-point stencil ----------------------------------------
+# Every derivative is built from single-point field calls, and a Hessian entry
+# nests one Wirtinger stencil inside another.  The package's batched stencil
+# must reproduce it to round-off.
+
+def _oracle_directional(field_fn, z, e, h, scheme):
+    if scheme == "central2":
+        return (field_fn(z + h * e) - field_fn(z - h * e)) / (2.0 * h)
+    return (
+        -field_fn(z + 2 * h * e)
+        + 8.0 * field_fn(z + h * e)
+        - 8.0 * field_fn(z - h * e)
+        + field_fn(z - 2 * h * e)
+    ) / (12.0 * h)
+
+
+def oracle_partial(field_fn, z, index, conjugate=False, cfg=FD_FIRST):
+    z = np.asarray(z, dtype=complex)
+    h = cfg.step * max(1.0, float(np.linalg.norm(z)))
+    e = np.zeros_like(z)
+    e[index] = 1.0
+    dx = _oracle_directional(field_fn, z, e, h, cfg.scheme)
+    dy = _oracle_directional(field_fn, z, 1j * e, h, cfg.scheme)
+    if conjugate:
+        return 0.5 * (dx + 1j * dy)
+    return 0.5 * (dx - 1j * dy)
+
+
+def oracle_hessian(field_fn, z, conjugate=True, cfg=FD_SECOND):
+    n = np.size(z)
+    return np.array([
+        [
+            oracle_partial(
+                lambda w, nu=nu: oracle_partial(field_fn, w, nu, conjugate, cfg),
+                z, mu, cfg=cfg,
+            )
+            for nu in range(n)
+        ]
+        for mu in range(n)
+    ])
+
+
+def oracle_fd_christoffel(metric_fn, z, cfg=FD_FIRST):
+    n = np.size(z)
+    ginv = np.linalg.inv(metric_fn(z))
+    gamma = np.empty((n, n, n), dtype=complex)
+    for alpha in range(n):
+        dg = oracle_partial(metric_fn, z, alpha, cfg=cfg)
+        gamma[:, :, alpha] = (dg @ ginv).T
+    return gamma
+
+
+def oracle_fd_riemann(christoffel_fn, metric_fn, z, cfg=FD_FIRST):
+    n = np.size(z)
+    g = metric_fn(z)
+    out = np.empty((n, n, n, n), dtype=complex)
+    for beta in range(n):
+        dgamma = -oracle_partial(christoffel_fn, z, beta, conjugate=True, cfg=cfg)
+        out[:, :, :, beta] = np.einsum("lma,ln->mna", dgamma, g)
+    return out
+
+
+def sq_norm(w):
+    """Batched field |w|^2, (K, n) -> (K,)."""
+    return (np.abs(w) ** 2).sum(axis=-1)
+
+
 def test_wirtinger_on_radius_sq():
     # d_mu |z|^2 = zbar_mu, quadratic so central differences are exact
     z = np.array([0.3 + 1.1j, -0.8 + 0.2j, 0.5j])
     for mu in range(3):
-        d = wirtinger_partial(lambda w: np.vdot(w, w).real, z, mu)
+        d = wirtinger_partial(sq_norm, z, mu)
         assert d == pytest.approx(np.conj(z[mu]), abs=1e-10)
-        db = wirtinger_partial(lambda w: np.vdot(w, w).real, z, mu, conjugate=True)
+        db = wirtinger_partial(sq_norm, z, mu, conjugate=True)
         assert db == pytest.approx(z[mu], abs=1e-10)
 
 
 def test_wirtinger_holomorphic_field():
     # Cauchy-Riemann: dbar of z_1^2 vanishes
     z = np.array([0.7 + 0.4j, 1.0])
-    db = wirtinger_partial(lambda w: w[0] ** 2, z, 0, conjugate=True)
+    db = wirtinger_partial(lambda w: w[..., 0] ** 2, z, 0, conjugate=True)
     assert abs(db) < 1e-10
-    d = wirtinger_partial(lambda w: w[0] ** 2, z, 0)
+    d = wirtinger_partial(lambda w: w[..., 0] ** 2, z, 0)
     assert d == pytest.approx(2 * z[0], abs=1e-10)
 
 
@@ -106,7 +185,7 @@ def test_pipeline_corrupted_metric_fails():
 
     def corrupted(w):
         g = metric(w, p).copy()
-        g[0, 0] += 1e-3
+        g[..., 0, 0] += 1e-3
         return g
 
     report = verify_pipeline(z, p, metric_fn=corrupted)
@@ -129,3 +208,88 @@ def test_pipeline_report_mapping(params2):
     }
     with pytest.raises(KeyError):
         report["nope"]
+
+
+# --- batched stencil against the nested oracle ------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_stencil_matches_nested_oracle(n):
+    p = GeometryParams(n, 0.9)
+    g = lambda w: metric(w, p)
+    pot = lambda w: potential(radius_sq(w), p)
+    gam = lambda w: christoffel_ceh(w, p)
+    log_det = lambda w: np.log(np.linalg.det(g(w)).real)
+    for z in seeded_points(2, n, p.a, seed=50 + n):
+        pairs = {
+            "complex_hessian": (complex_hessian(pot, z), oracle_hessian(pot, z)),
+            "holomorphic_hessian": (
+                holomorphic_hessian(pot, z), oracle_hessian(pot, z, conjugate=False)
+            ),
+            "fd_metric_from_potential": (
+                fd_metric_from_potential(z, p), oracle_hessian(pot, z)
+            ),
+            "fd_christoffel": (fd_christoffel(g, z), oracle_fd_christoffel(g, z)),
+            "fd_riemann": (fd_riemann(gam, g, z), oracle_fd_riemann(gam, g, z)),
+            "fd_ricci_log_det": (
+                fd_ricci_log_det(g, z), -oracle_hessian(log_det, z)
+            ),
+        }
+        for name, (batched, nested) in pairs.items():
+            assert batched.shape == nested.shape, name
+            assert np.abs(batched - nested).max() < 1e-9, name
+
+
+def test_wirtinger_stacked_base_points(params2):
+    # a stack of base points, each with its own step, in one field call
+    zs = seeded_points(3, 2, 1.0, seed=5).reshape(3, 1, 2)
+    calls = []
+
+    def field(w):
+        calls.append(len(w))
+        return metric(w, params2)
+
+    d = wirtinger_partial(field, zs, [0, 1], conjugate=True)
+    assert d.shape == (3, 1, 2, 2, 2) and calls == [3 * 2 * 2 * 2]
+    for k in range(3):
+        for mu in range(2):
+            ref = oracle_partial(lambda w: metric(w, params2), zs[k, 0], mu, True)
+            assert np.abs(d[k, 0, mu] - ref).max() < 1e-12
+
+
+def test_hessian_one_field_call_per_row(params3):
+    z = seeded_points(1, 3, params3.a)[0]
+    calls = []
+
+    def field(w):
+        calls.append(len(w))
+        return potential(radius_sq(w), params3)
+
+    complex_hessian(field, z)
+    assert calls == [8 * 8 * 3] * 3
+
+
+def test_stencil_rejects_flattening_field():
+    # np.vdot folds a (K, n) stack into one number
+    z = np.array([0.3 + 1.1j, -0.8 + 0.2j])
+    with pytest.raises(ValueError, match="points"):
+        wirtinger_partial(lambda w: np.vdot(w, w).real, z, 0)
+    with pytest.raises(ValueError, match="points"):
+        complex_hessian(lambda w: np.vdot(w, w).real, z)
+
+
+def test_pipeline_corrupted_field_off_point_fails():
+    # g(z) stays exact, the field is wrong away from z: only checks that
+    # differentiate metric_fn can see it
+    p = GeometryParams(2, 1.0)
+    z = seeded_points(1, 2, 1.0, seed=7)[0]
+    u0 = radius_sq(z)
+
+    def corrupted(w):
+        bump = 1e-3 * (radius_sq(w) - u0)
+        return metric(w, p) + bump[..., None, None] * np.eye(2)
+
+    assert np.array_equal(corrupted(z), metric(z, p))
+    report = verify_pipeline(z, p, metric_fn=corrupted)
+    assert not report["christoffel_vs_metric"].passed
+    assert not report["ricci_log_det"].passed
+    assert report["det_unity"].passed
