@@ -160,6 +160,8 @@ def _spectrum_residual(z, params) -> float:
 
 def cmd_verify(args) -> int:
     params = GeometryParams(args.n, args.a)
+    if args.points < 1:
+        raise DomainError(f"need points >= 1, got {args.points}")
     rng = np.random.default_rng(args.seed)
     pts = tensors.random_points(args.points, params, rng=rng)
     scale = args.tol

@@ -9,7 +9,11 @@ the state, ``u = |z|^2`` and the C^n pairing ``<z, zdot> = sum zbar zdot``:
 with ``phi = a^n/(a^n+u^n)``.  This is the contraction of the closed-form
 connection with the velocity, so straight lines are recovered at infinity
 and radial rays are preserved.  The Ricci-flat and the zero-section
-(Fubini-Study) flows share that contraction, :func:`_acceleration`.
+(Fubini-Study) flows share that contraction, :func:`_acceleration`, and
+their energies share one Hermitian form over whole trajectories.  The
+zero-section flow changes affine chart through :mod:`cehgeom.charts`: the
+base point by :func:`~cehgeom.charts.transition` and the velocity by the
+base block of :func:`~cehgeom.charts.transition_jacobian`, both at ``z = 0``.
 
 The squared distance from radius ``u`` to the zero section is
 
@@ -45,7 +49,9 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
-from .tensors import _one_point, fubini_study, metric
+from .charts import ChartError, ChartPoint, transition, transition_jacobian
+from .charts import zero_section_restriction
+from .tensors import _one_point, metric
 from .profiles import DomainError, GeometryParams, _phi
 
 __all__ = [
@@ -91,6 +97,8 @@ class GeodesicState:
         v = np.atleast_1d(np.asarray(self.v, dtype=complex))
         if v.shape != self.z.shape:
             raise DomainError("velocity shape must match position shape")
+        if not np.isfinite(v).all():
+            raise DomainError(f"velocity must be finite, got {v!r}")
         object.__setattr__(self, "v", v)
 
 
@@ -142,10 +150,18 @@ def geodesic_rhs(z, v, params: GeometryParams) -> np.ndarray:
     return _ceh_acceleration(z, np.asarray(v, dtype=complex), params)
 
 
-def energy(z, v, params: GeometryParams) -> float:
-    """Kinetic energy ``g_{mu nubar} v^mu conj(v^nu)``; conserved by the flow."""
-    g = metric(z, params)
-    return float(np.einsum("m,mn,n->", v, g, np.conj(v)).real)
+def _hermitian_form(g, v):
+    """``g_{mu nubar} v^mu conj(v^nu)`` for stacks ``g (..., n, n)`` and
+    ``v (..., n)``, one real value per point."""
+    v = np.atleast_1d(np.asarray(v, dtype=complex))
+    return np.einsum("...m,...mn,...n->...", v, g, np.conj(v)).real
+
+
+def energy(z, v, params: GeometryParams):
+    """Kinetic energy ``g_{mu nubar} v^mu conj(v^nu)``; conserved by the flow.
+
+    Lifts and velocities of shape ``(..., n)`` give one energy per point."""
+    return _hermitian_form(metric(z, params), v)
 
 
 def _pack(z, v):
@@ -154,6 +170,26 @@ def _pack(z, v):
 
 def _unpack(y, n):
     return y[:n] + 1j * y[n : 2 * n], y[2 * n : 3 * n] + 1j * y[3 * n :]
+
+
+def _crossing(level: float, direction: int, n: int):
+    """Terminal ``solve_ivp`` event where ``|z|^2`` of a packed state of
+    ``n`` complex coordinates crosses ``level`` in ``direction``."""
+
+    def event(t, y, *_):
+        z, _ = _unpack(y, n)
+        return np.vdot(z, z).real - level
+
+    event.terminal = True
+    event.direction = direction
+    return event
+
+
+def _check_run(t_end: float, tol: float) -> None:
+    if not math.isfinite(t_end):
+        raise DomainError(f"integration time t_end must be finite, got {t_end!r}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"integrator tolerance tol must be in (0, inf), got {tol!r}")
 
 
 def integrate(
@@ -174,6 +210,7 @@ def integrate(
     n = params.n
     if state.z.size != n:
         raise DomainError(f"state has dimension {state.z.size}, params n={n}")
+    _check_run(t_end, tol)
     if u_min is None:
         u_min = U_MIN_FACTOR * params.a
 
@@ -181,23 +218,9 @@ def integrate(
         z, v = _unpack(y, n)
         return _pack(v, _ceh_acceleration(z, v, params))
 
-    def cutoff(t, y):
-        z, _ = _unpack(y, n)
-        return np.vdot(z, z).real - u_min
-
-    cutoff.terminal = True
-    cutoff.direction = -1
-    events = [cutoff]
-
+    events = [_crossing(u_min, -1, n)]
     if u_escape is not None:
-
-        def escape(t, y):
-            z, _ = _unpack(y, n)
-            return np.vdot(z, z).real - u_escape
-
-        escape.terminal = True
-        escape.direction = 1
-        events.append(escape)
+        events.append(_crossing(u_escape, 1, n))
 
     sol = solve_ivp(
         rhs,
@@ -218,9 +241,9 @@ def integrate(
     zs, vs = _unpack(sol.y, n)
     zs, vs = zs.T, vs.T
     us = np.einsum("km,km->k", zs, np.conj(zs)).real
-    es = np.array([energy(zk, vk, params) for zk, vk in zip(zs, vs)])
     return Trajectory(
-        t=sol.t, z=zs, v=vs, u=us, energy=es, termination=termination, sol=sol
+        t=sol.t, z=zs, v=vs, u=us, energy=energy(zs, vs, params),
+        termination=termination, sol=sol,
     )
 
 
@@ -380,11 +403,12 @@ class FSTrajectory:
     period: Optional[float]
 
 
-def fs_energy(zeta, dzeta, params: GeometryParams) -> float:
-    """Energy in the zero-section metric ``a * g_FS``; chart independent."""
-    g = params.a * fubini_study(zeta)
-    v = np.atleast_1d(np.asarray(dzeta, dtype=complex))
-    return float(np.einsum("m,mn,n->", v, g, np.conj(v)).real)
+def fs_energy(zeta, dzeta, params: GeometryParams):
+    """Energy in the zero-section metric ``a * g_FS``; chart independent.
+
+    Base points and velocities of shape ``(..., n-1)`` give one energy per
+    point."""
+    return _hermitian_form(zero_section_restriction(zeta, params), dzeta)
 
 
 def _fs_rhs(t, y, m):
@@ -394,28 +418,9 @@ def _fs_rhs(t, y, m):
     return _pack(v, _acceleration(zeta, v, k, 0.0))
 
 
-def _fs_transition(zeta, v, i, j, slots):
-    """Projective chart change on the base with velocity transport.
-
-    ``slots`` are the 1-based slots of ``zeta`` in chart ``i``; returns the
-    new ``(zeta', v', slots')`` in chart ``j``.
-    """
-    pos_j = slots.index(j)
-    zj, vj = zeta[pos_j], v[pos_j]
-    new_slots = [k for k in slots if k != j]
-    new_slots.insert(0, i)
-    new_slots.sort()
-    nz = np.empty_like(zeta)
-    nv = np.empty_like(v)
-    for pos, k in enumerate(new_slots):
-        if k == i:
-            nz[pos] = 1.0 / zj
-            nv[pos] = -vj / zj**2
-        else:
-            p = slots.index(k)
-            nz[pos] = zeta[p] / zj
-            nv[pos] = v[p] / zj - zeta[p] * vj / zj**2
-    return nz, nv, new_slots
+def _hop(p: ChartPoint, v, j: int):
+    """Zero-section point ``p`` and base velocity ``v`` in chart ``j``."""
+    return transition(p, j).zeta, transition_jacobian(p, j)[1:, 1:] @ v
 
 
 def zero_section_geodesic(
@@ -439,6 +444,8 @@ def zero_section_geodesic(
     """
     zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=complex))
     v0 = np.atleast_1d(np.asarray(dzeta0, dtype=complex))
+    if not (np.isfinite(zeta0).all() and np.isfinite(v0).all()):
+        raise DomainError(f"start must be finite, got zeta0={zeta0!r}, dzeta0={v0!r}")
     if not np.any(v0):
         raise DomainError("zero-section geodesic needs a nonzero direction")
     m = zeta0.size
@@ -446,27 +453,24 @@ def zero_section_geodesic(
         raise DomainError(
             f"base coordinates have dimension {m}, expected n-1={params.n - 1}"
         )
-    e0 = fs_energy(zeta0, v0, params)
     if t_end is None:
-        t_end = 4.0 * math.pi * math.sqrt(params.a) / math.sqrt(e0)
+        t_end = (4.0 * math.pi * math.sqrt(params.a)
+                 / math.sqrt(fs_energy(zeta0, v0, params)))
+    _check_run(t_end, tol)
+    if not t_end > 0:
+        raise DomainError(f"integration time t_end must be positive, got {t_end!r}")
 
+    start = ChartPoint(1, 0, zeta0)
     chart = 1
-    start_slots = slots = list(range(2, params.n + 1))
     state = _pack(zeta0, v0)
     t0 = 0.0
     left_start = False
     period = None
 
     ts_all, zs_all, vs_all, ch_all = [], [], [], []
+    escape = _crossing(_CHART_ESCAPE_SQ, 1, m)
 
-    def escape(t, y, m):
-        zz = y[:m] + 1j * y[m : 2 * m]
-        return np.vdot(zz, zz).real - _CHART_ESCAPE_SQ
-
-    escape.terminal = True
-    escape.direction = 1
-
-    while t0 < t_end and period is None:
+    while t0 < t_end:
         sol = solve_ivp(
             _fs_rhs,
             (t0, t_end),
@@ -485,49 +489,38 @@ def zero_section_geodesic(
         ch_all.append(np.full(sol.t.size, chart))
 
         if detect_period:
-            if chart == 1:
-                target = zeta0, v0
-            elif zeta0[start_slots.index(chart)] != 0:
-                target = _fs_transition(zeta0, v0, 1, chart, start_slots)[:2]
-            else:  # the start point lies outside this chart
-                target = None
+            try:
+                target = _hop(start, v0, chart)
+            except ChartError:  # the start point lies outside this chart
                 left_start = True
-            if target is not None:
-                period = _find_return(sol, t0, *target, m, left_start)
+            else:
+                period, left_start = _find_return(sol, t0, *target, m, left_start)
                 if period is not None:
                     break
-                left_start = left_start or _went_far(sol, target[0], m)
 
-        if sol.status == 1:  # chart boundary: hop to the slot of largest |zeta|
-            zz, vv = _unpack(sol.y_events[0][0], m)
-            j = slots[int(np.argmax(np.abs(zz)))]
-            zz, vv, new_slots = _fs_transition(zz, vv, chart, j, slots)
-            chart, slots = j, new_slots
-            state = _pack(zz, vv)
-            t0 = sol.t_events[0][0]
-        else:
+        if sol.status != 1:
             break
+        # chart boundary: hop to the slot of largest |zeta|
+        zz, vv = _unpack(sol.y_events[0][0], m)
+        p = ChartPoint(chart, 0, zz)
+        chart = p.slots[int(np.argmax(np.abs(zz)))]
+        state = _pack(*_hop(p, vv, chart))
+        t0 = sol.t_events[0][0]
 
-    t = np.concatenate(ts_all)
     zeta = np.vstack(zs_all)
     dzeta = np.vstack(vs_all)
-    chart_idx = np.concatenate(ch_all)
-    es = np.array(
-        [fs_energy(zk, vk, params) for zk, vk in zip(zeta, dzeta)]
-    )
     return FSTrajectory(
-        t=t, zeta=zeta, dzeta=dzeta, chart=chart_idx, energy=es, period=period
+        t=np.concatenate(ts_all), zeta=zeta, dzeta=dzeta,
+        chart=np.concatenate(ch_all), energy=fs_energy(zeta, dzeta, params),
+        period=period,
     )
-
-
-def _went_far(sol, zeta0, m, radius: float = 0.3) -> bool:
-    zz = (sol.y[:m] + 1j * sol.y[m : 2 * m]).T
-    return bool((np.linalg.norm(zz - zeta0, axis=1) > radius).any())
 
 
 def _find_return(sol, t0, zeta0, v0, m, left_start):
     """Time of the first refined local minimum of the distance to the
-    initial state ``(zeta0, v0)`` that is an actual revisit, or None."""
+    initial state ``(zeta0, v0)`` that is an actual revisit, or None; and
+    whether the flow has been away from the start by now (``left_start``
+    or any point of this piece more than 0.3 away)."""
     ts = np.linspace(t0, sol.t[-1], max(64, 24 * sol.t.size))
     zz, vv = _unpack(sol.sol(ts), m)
     zz, vv = zz.T, vv.T
@@ -553,5 +546,5 @@ def _find_return(sol, t0, zeta0, v0, m, left_start):
             np.linalg.norm(z_c - zeta0) < 1e-6
             and np.linalg.norm(v_c - v0) < 1e-6 * max(1.0, np.linalg.norm(v0))
         ):
-            return float(t_c)
-    return None
+            return float(t_c), True
+    return None, left_start or bool(far.any())

@@ -45,37 +45,36 @@ __all__ = [
 ]
 
 
+def _psi_jet(u: float, params: GeometryParams, where: str):
+    """``(psi, psi', psi'', Upsilon)`` at one radius, from one evaluation of
+    ``psi`` and one of the profile.
+
+    ``u^n/(a^n+u^n)`` is ``1 - phi``, and ``((n-2) a^n - u^n)/(a^n+u^n) =
+    (n-1) phi - 1`` keeps ``psi''`` stable at both ends of the radial range.
+    """
+    if not u > 0:
+        raise DomainError(f"{where} requires u > 0, got {u!r}")
+    n = params.n
+    arc = radial_arclength(u, params)
+    prof = radial_profile(u, params)
+    dp = arc.distance / np.sqrt(u) * prof.one_minus_phi ** ((n - 1.0) / (2.0 * n))
+    d2p = dp / (2.0 * arc.psi) * (dp + arc.psi * ((n - 1) * prof.phi - 1.0) / u)
+    return arc.psi, dp, d2p, (n - 1) * prof.phi / u
+
+
 def upsilon(u: float, params: GeometryParams) -> float:
     """Connection coefficient ``(n-1) a^n / (u (a^n+u^n))``."""
-    if not u > 0:
-        raise DomainError(f"upsilon requires u > 0, got {u!r}")
-    return (params.n - 1) * radial_profile(u, params).phi / u
+    return _psi_jet(u, params, "upsilon")[3]
 
 
 def psi_prime(u: float, params: GeometryParams) -> float:
     """Radial derivative of the squared distance to the zero section."""
-    if not u > 0:
-        raise DomainError(f"psi_prime requires u > 0, got {u!r}")
-    n = params.n
-    dist = radial_arclength(u, params).distance
-    # u^n/(a^n+u^n) = 1 - phi
-    frac = radial_profile(u, params).one_minus_phi
-    return dist / np.sqrt(u) * frac ** ((n - 1.0) / (2.0 * n))
+    return _psi_jet(u, params, "psi_prime")[1]
 
 
 def psi_second_derivative(u: float, params: GeometryParams) -> float:
-    """Second radial derivative of the squared distance.
-
-    Uses ``((n-2) a^n - u^n)/(a^n+u^n) = (n-1) phi - 1`` to stay stable at
-    both ends of the radial range.
-    """
-    if not u > 0:
-        raise DomainError(f"psi_second_derivative requires u > 0, got {u!r}")
-    n = params.n
-    psi = radial_arclength(u, params).psi
-    dp = psi_prime(u, params)
-    phi = radial_profile(u, params).phi
-    return dp / (2.0 * psi) * (dp + psi * ((n - 1) * phi - 1.0) / u)
+    """Second radial derivative of the squared distance."""
+    return _psi_jet(u, params, "psi_second_derivative")[2]
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,8 @@ def hessian_blocks(z, params: GeometryParams) -> np.ndarray:
 def hessian_spectrum(z, params: GeometryParams) -> HessianSpectrum:
     """Closed-form spectrum of :func:`hessian_blocks` at the same point."""
     z, u = _one_point(z)
-    psi = radial_arclength(u, params).psi
-    dp = psi_prime(u, params)
-    ups = upsilon(u, params)
-    ca = 2.0 * psi_second_derivative(u, params) / dp - ups
+    psi, dp, d2p, ups = _psi_jet(u, params, "hessian_spectrum")
+    ca = 2.0 * d2p / dp - ups
     return HessianSpectrum(
         lambda1=2.0 * dp,
         lambda2=2.0 * u * dp**2 / psi,

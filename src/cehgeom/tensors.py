@@ -157,14 +157,14 @@ def metric_inverse(z, params: GeometryParams) -> np.ndarray:
 def fubini_study(zeta) -> np.ndarray:
     """Fubini-Study metric on projective space in one affine chart.
 
-    ``zeta`` is the (m,) vector of affine coordinates; returns the Hermitian
-    matrix ``((1+|zeta|^2) delta - zetabar (x) zeta) / (1+|zeta|^2)^2``.
-    At the chart origin this is the identity.
+    ``zeta`` holds affine coordinates of shape ``(..., m)``; returns one
+    Hermitian matrix ``((1+|zeta|^2) delta - zetabar (x) zeta) /
+    (1+|zeta|^2)^2`` per point, shape ``(..., m, m)``.  At the chart origin
+    this is the identity.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    m = zeta.size
-    s = 1.0 + np.vdot(zeta, zeta).real
-    return (s * np.eye(m) - hermitian_outer(zeta)) / s**2
+    s = (1.0 + radius_sq(zeta))[..., None, None]
+    return (s * np.eye(zeta.shape[-1]) - hermitian_outer(zeta)) / s**2
 
 
 def homothety_residual(z, alpha: float, params: GeometryParams) -> float:

@@ -8,11 +8,14 @@ from cehgeom import (
     DomainError,
     GeometryParams,
     christoffel_ceh,
+    energy,
+    fubini_study,
     metric,
     metric_inverse,
     potential,
     radius_sq,
 )
+from cehgeom.geodesics import fs_energy
 from cehgeom.tensors import check_point
 
 #: agreement of a batched kernel with its per-lift calls, relative to the
@@ -62,6 +65,24 @@ def test_potential_stack_matches_single_calls(n):
         assert us.shape == zs.shape[:-1]
         _assert_close(potential(us, p),
                       _per_lift(lambda w: potential(radius_sq(w), p), zs))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_fubini_study_stack_matches_single_calls(m):
+    for zs in _stacks(m, seed=50 + m):
+        _assert_close(fubini_study(zs), _per_lift(fubini_study, zs))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_energy_stack_matches_single_calls(n):
+    # lift and velocity side by side in one row, split again per lift
+    p = GeometryParams(n, 1.1)
+    for zs, vs in zip(_stacks(n, seed=60 + n), _stacks(n, seed=70 + n)):
+        zv = np.concatenate([zs, vs], axis=-1)
+        _assert_close(energy(zs, vs, p),
+                      _per_lift(lambda w: energy(w[:n], w[n:], p), zv))
+        _assert_close(fs_energy(zs[..., 1:], vs[..., 1:], p),
+                      _per_lift(lambda w: fs_energy(w[1:n], w[n + 1:], p), zv))
 
 
 def test_batched_metric_bitwise_hermitian():

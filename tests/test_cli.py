@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,12 +258,32 @@ def test_eval_near_zero_section(capsys):
     ["eval", "--point=1e200+0i,0+0i"],
     ["eval", "--chart=1:1e300+0i:0"],
     ["verify", "--a", "1e-300", "--points", "1"],
+    ["verify", "--points", "0"],
+    ["geodesic", "--point=1+0i,0+0i", "--velocity=0+1i,0.2+0i", "--tol", "0"],
+    ["geodesic", "--point=1+0i,0+0i", "--velocity=0+1i,0.2+0i", "--t-end", "inf"],
 ])
 def test_non_finite_results_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert "nan" not in out.lower() and "traceback" not in err.lower()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--t-end", "--tol"])
+def test_nan_flow_option_exits_2_without_hanging(option):
+    # a NaN time span or tolerance can keep solve_ivp stepping forever, so
+    # the run is bounded by a subprocess timeout rather than trusted to end
+    path = [str(Path(__file__).resolve().parents[1] / "src"),
+            os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cehgeom.cli", "geodesic", "--point=1+0i,0+0i",
+         "--velocity=0+1i,0.2+0i", option, "nan"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert option.lstrip("-").replace("-", "_") in proc.stderr
 
 
 def test_underflowing_lift_is_not_the_zero_vector(capsys):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cehgeom import (
+    DomainError,
     GeometryParams,
     GeodesicState,
     christoffel_ceh,
@@ -277,6 +278,24 @@ def test_zero_section_higher_dimension_period():
 def test_zero_section_requires_direction(params2):
     with pytest.raises(Exception):
         zero_section_geodesic(np.zeros(1, dtype=complex), np.zeros(1), params2)
+
+
+@pytest.mark.parametrize("zeta0,dzeta0,kwargs,bad", [
+    ([0j], [1 + 0j], {"t_end": 0.0}, "t_end"),
+    ([0j], [1 + 0j], {"t_end": -1.0}, "t_end"),
+    ([0j], [1 + 0j], {"t_end": np.nan}, "t_end"),
+    ([0j], [1 + 0j], {"tol": -1.0}, "tol"),
+    ([np.nan + 0j], [1 + 0j], {}, "zeta0"),
+    ([0j], [np.inf + 0j], {}, "dzeta0"),
+])
+def test_zero_section_rejects_bad_run(params2, zeta0, dzeta0, kwargs, bad):
+    with pytest.raises(DomainError, match=bad):
+        zero_section_geodesic(np.array(zeta0), np.array(dzeta0), params2, **kwargs)
+
+
+def test_state_rejects_non_finite_velocity():
+    with pytest.raises(DomainError, match="velocity must be finite"):
+        GeodesicState(np.array([1.0, 0.0]), np.array([np.nan, 1.0]))
 
 
 def test_zero_section_return_after_chart_hop():

@@ -156,3 +156,29 @@ def test_eigenvalues_bounded_below_on_compact_range(params2):
         s = hessian_spectrum(z, params2)
         lows.append(min(s.lambda1, s.lambda2, s.lambda3))
     assert min(lows) > 0
+
+
+def test_spectrum_evaluates_psi_and_profile_once(monkeypatch, params3):
+    import cehgeom.hessian as hessian_module
+
+    calls = {"radial_arclength": 0, "radial_profile": 0}
+
+    def counting(name):
+        real = getattr(hessian_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hessian_module, name, counting(name))
+    z = seeded_points(1, 3, params3.a, seed=8)[0]
+    spec = hessian_spectrum(z, params3)
+    assert calls == {"radial_arclength": 1, "radial_profile": 1}
+    # the spectrum and the scalar derivatives agree bit for bit
+    u = radius_sq(z)
+    dp, ups = psi_prime(u, params3), upsilon(u, params3)
+    assert spec.lambda1 == 2.0 * dp and spec.upsilon == ups
+    assert spec.coef_a == 2.0 * psi_second_derivative(u, params3) / dp - ups
