@@ -160,6 +160,12 @@ def kretschmann(z, params: GeometryParams) -> float:
     return kretschmann_radial(_one_point(z)[1], params)
 
 
+#: contraction order of :func:`kretschmann_contracted`; the greedy path
+#: ``optimize=True`` finds for every n, fixed here so it is not re-planned on
+#: each call
+_KRETSCHMANN_PATH = ["einsum_path", (0, 2), (0, 1), (2, 3), (0, 2), (0, 1)]
+
+
 def kretschmann_contracted(z, params: GeometryParams) -> float:
     """Brute-force curvature norm: contract the Riemann tensor with itself,
     every index raised explicitly with the inverse metric."""
@@ -167,6 +173,7 @@ def kretschmann_contracted(z, params: GeometryParams) -> float:
     r = riemann(z, params)
     ginv = metric_inverse(z, params)
     val = np.einsum(
-        "mnab,rscd,sm,nr,da,bc->", r, r, ginv, ginv, ginv, ginv, optimize=True
+        "mnab,rscd,sm,nr,da,bc->", r, r, ginv, ginv, ginv, ginv,
+        optimize=_KRETSCHMANN_PATH,
     )
     return float(val.real)

@@ -14,6 +14,13 @@ their energies share one Hermitian form over whole trajectories.  The
 zero-section flow changes affine chart through :mod:`cehgeom.charts`: the
 base point by :func:`~cehgeom.charts.transition` and the velocity by the
 base block of :func:`~cehgeom.charts.transition_jacobian`, both at ``z = 0``.
+Its period comes from ``solve_ivp``'s own event location, with no dense
+output: in each chart piece, each local minimum of the distance to the
+start (an upward zero of ``Re <zeta - zeta0, v>``) is an event, and the
+first one after the flow has been 0.3 away whose state revisits the start
+is the closing time.  Both flows keep their state packed as
+``[Re z, Im z, Re v, Im v]`` and move it to and from complex ``(z, v)``
+through one cached index map per dimension.
 
 The squared distance from radius ``u`` to the zero section is
 
@@ -40,6 +47,7 @@ all of whose geodesics are closed; at unit speed their common period is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -73,8 +81,16 @@ __all__ = [
 #: inner integration cutoff, relative to the scale a
 U_MIN_FACTOR = 1e-8
 
+#: smallest integrator tolerance: ``solve_ivp`` raises any relative
+#: tolerance below ``100 eps`` to it, so a smaller request is refused
+TOL_FLOOR = 100 * float(np.finfo(float).eps)
+
 #: |zeta|^2 at which the base integrator hops to a neighbouring chart
 _CHART_ESCAPE_SQ = 9.0
+
+#: chart distance from the start beyond which the next closest approach of
+#: the zero-section flow may be its return
+_AWAY = 0.3
 
 # classifications / terminations
 CONSTANT = "constant"
@@ -164,12 +180,28 @@ def energy(z, v, params: GeometryParams):
     return _hermitian_form(metric(z, params), v)
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(n: int):
+    """Index maps between the packed real state ``[Re z, Im z, Re v, Im v]``
+    of ``n`` complex coordinates and the float view of the complex vector
+    ``[z, v]``: ``packed = view[to_packed]`` and ``view = packed[to_view]``."""
+    k = np.arange(n)
+    to_packed = np.concatenate([2 * k, 2 * k + 1, 2 * (n + k), 2 * (n + k) + 1])
+    to_view = np.argsort(to_packed)
+    to_packed.flags.writeable = to_view.flags.writeable = False
+    return to_packed, to_view
+
+
 def _pack(z, v):
-    return np.concatenate([z.real, z.imag, v.real, v.imag])
+    return np.concatenate((z, v), dtype=complex).view(np.float64)[_layout(z.size)[0]]
 
 
 def _unpack(y, n):
-    return y[:n] + 1j * y[n : 2 * n], y[2 * n : 3 * n] + 1j * y[3 * n :]
+    """Complex ``(z, v)`` of a packed state ``(4n,)``, or of packed sample
+    columns ``(4n, T)`` as two ``(n, T)`` arrays; both are views of one new
+    buffer, never of ``y``."""
+    c = np.ascontiguousarray(y[_layout(n)[1]].T).view(complex).T
+    return c[:n], c[n:]
 
 
 def _crossing(level: float, direction: int, n: int):
@@ -188,8 +220,11 @@ def _crossing(level: float, direction: int, n: int):
 def _check_run(t_end: float, tol: float) -> None:
     if not math.isfinite(t_end):
         raise DomainError(f"integration time t_end must be finite, got {t_end!r}")
-    if not 0 < tol < math.inf:
-        raise DomainError(f"integrator tolerance tol must be in (0, inf), got {tol!r}")
+    if not TOL_FLOOR <= tol < math.inf:
+        raise DomainError(
+            f"integrator tolerance tol must be finite and at least "
+            f"100 eps = {TOL_FLOOR!r}, got {tol!r}"
+        )
 
 
 def integrate(
@@ -392,7 +427,8 @@ class FSTrajectory:
 
     ``chart`` holds the 1-based chart index valid at each sample; ``zeta``
     and ``dzeta`` are expressed in that chart.  ``period`` is the detected
-    closing time, if any.
+    closing time, if any, and ``nfev`` the number of right-hand-side calls
+    summed over the chart pieces.
     """
 
     t: np.ndarray
@@ -401,6 +437,7 @@ class FSTrajectory:
     chart: np.ndarray
     energy: np.ndarray
     period: Optional[float]
+    nfev: int
 
 
 def fs_energy(zeta, dzeta, params: GeometryParams):
@@ -423,6 +460,39 @@ def _hop(p: ChartPoint, v, j: int):
     return transition(p, j).zeta, transition_jacobian(p, j)[1:, 1:] @ v
 
 
+def _return_events(target, m: int):
+    """Non-terminal ``solve_ivp`` events against the packed start ``target``
+    of ``m`` base coordinates: ``closest``, each local minimum of the chart
+    distance to the start (upward zero of ``Re <zeta - zeta0, v>``), and
+    ``away``, the distance rising through ``_AWAY``."""
+    base = target[: 2 * m]
+
+    def closest(t, y, *_):
+        return (y[: 2 * m] - base) @ y[2 * m :]
+
+    def away(t, y, *_):
+        d = y[: 2 * m] - base
+        return d @ d - _AWAY * _AWAY
+
+    closest.direction = away.direction = 1
+    return closest, away
+
+
+def _first_return(sol, t_away, zeta0, v0, m):
+    """Time of the first ``closest`` event of ``sol`` (event 1) after
+    ``t_away`` whose state revisits ``(zeta0, v0)``, or None."""
+    for t_c, y_c in zip(sol.t_events[1], sol.y_events[1]):
+        if t_c <= t_away:
+            continue
+        z_c, v_c = _unpack(y_c, m)
+        if (
+            np.linalg.norm(z_c - zeta0) < 1e-6
+            and np.linalg.norm(v_c - v0) < 1e-6 * max(1.0, np.linalg.norm(v0))
+        ):
+            return float(t_c)
+    return None
+
+
 def zero_section_geodesic(
     zeta0,
     dzeta0,
@@ -437,10 +507,13 @@ def zero_section_geodesic(
     The acceleration is the contraction of the rotationally symmetric
     connection with the round projective profile (the cubic coefficient of
     that profile vanishes identically, leaving ``2 <zeta,v> v/(1+|zeta|^2)``).
-    Period detection refines the first simultaneous revisit of the initial
-    state, searched in every chart that contains the start point against the
-    initial state transported into that chart; at unit speed in
-    ``a * g_FS`` the closing time of every geodesic is ``pi sqrt(a)``.
+    The period is found by the integrator's own event location, in every
+    chart that contains the start point, against the initial state moved
+    into that chart: it is the first local minimum of the chart distance to
+    the start (an upward zero of ``Re <zeta - zeta0, v>``) that comes after
+    the flow has been more than 0.3 away and whose state revisits the start
+    within 1e-6.  At unit speed in ``a * g_FS`` the closing time of every
+    geodesic is ``pi sqrt(a)``.
     """
     zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=complex))
     v0 = np.atleast_1d(np.asarray(dzeta0, dtype=complex))
@@ -466,11 +539,25 @@ def zero_section_geodesic(
     t0 = 0.0
     left_start = False
     period = None
+    nfev = 0
 
     ts_all, zs_all, vs_all, ch_all = [], [], [], []
     escape = _crossing(_CHART_ESCAPE_SQ, 1, m)
 
     while t0 < t_end:
+        events = [escape]
+        target = None
+        if detect_period:
+            try:
+                target = _hop(start, v0, chart)
+            except ChartError:  # the start point lies outside this chart
+                left_start = True
+            else:
+                closest, away = _return_events(_pack(*target), m)
+                left_start = left_start or away(t0, state) > 0
+                events.append(closest)
+                if not left_start:
+                    events.append(away)
         sol = solve_ivp(
             _fs_rhs,
             (t0, t_end),
@@ -479,24 +566,26 @@ def zero_section_geodesic(
             method="DOP853",
             rtol=tol,
             atol=tol * 1e-2,
-            dense_output=True,
-            events=[escape],
+            events=events,
         )
+        nfev += sol.nfev
         zs, vs = _unpack(sol.y, m)
         ts_all.append(sol.t)
         zs_all.append(zs.T)
         vs_all.append(vs.T)
         ch_all.append(np.full(sol.t.size, chart))
 
-        if detect_period:
-            try:
-                target = _hop(start, v0, chart)
-            except ChartError:  # the start point lies outside this chart
+        if target is not None:
+            if left_start:
+                t_away = -math.inf
+            elif sol.t_events[2].size:
+                t_away = sol.t_events[2][0]
                 left_start = True
             else:
-                period, left_start = _find_return(sol, t0, *target, m, left_start)
-                if period is not None:
-                    break
+                t_away = math.inf
+            period = _first_return(sol, t_away, *target, m)
+            if period is not None:
+                break
 
         if sol.status != 1:
             break
@@ -512,39 +601,5 @@ def zero_section_geodesic(
     return FSTrajectory(
         t=np.concatenate(ts_all), zeta=zeta, dzeta=dzeta,
         chart=np.concatenate(ch_all), energy=fs_energy(zeta, dzeta, params),
-        period=period,
+        period=period, nfev=nfev,
     )
-
-
-def _find_return(sol, t0, zeta0, v0, m, left_start):
-    """Time of the first refined local minimum of the distance to the
-    initial state ``(zeta0, v0)`` that is an actual revisit, or None; and
-    whether the flow has been away from the start by now (``left_start``
-    or any point of this piece more than 0.3 away)."""
-    ts = np.linspace(t0, sol.t[-1], max(64, 24 * sol.t.size))
-    zz, vv = _unpack(sol.sol(ts), m)
-    zz, vv = zz.T, vv.T
-    dist = np.linalg.norm(zz - zeta0, axis=1)
-    far = dist > 0.3
-    # derivative of |zeta - zeta0|^2 along the flow
-    dd = np.einsum("km,km->k", np.conj(zz - zeta0), vv).real
-    sign = np.sign(dd)
-
-    def dd_at(t):
-        z, v = _unpack(sol.sol(t), m)
-        return float(np.vdot(z - zeta0, v).real)
-
-    # a grid point next to a return lies within about |v| dt of the start
-    reach = 1e-2 + 2.0 * (ts[1] - ts[0]) * np.linalg.norm(vv, axis=1)
-    for k in np.nonzero((sign[:-1] < 0) & (sign[1:] > 0))[0]:
-        was_away = left_start or far[: k + 1].any()
-        if not was_away or dist[k] > reach[k]:
-            continue
-        t_c = brentq(dd_at, ts[k], ts[k + 1], xtol=1e-14)
-        z_c, v_c = _unpack(sol.sol(t_c), m)
-        if (
-            np.linalg.norm(z_c - zeta0) < 1e-6
-            and np.linalg.norm(v_c - v0) < 1e-6 * max(1.0, np.linalg.norm(v0))
-        ):
-            return float(t_c), True
-    return None, left_start or bool(far.any())

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,17 @@ def test_non_finite_results_exit_2(capsys, argv):
     assert rc == 2
     assert "nan" not in out.lower() and "traceback" not in err.lower()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_geodesic_tolerance_below_floor_exits_2(capsys):
+    # solve_ivp would raise the tolerance to 100 eps with a UserWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, "geodesic", "--point=1+0i,0+0i",
+                               "--velocity=0+1i,0.2+0i", "--tol", "1e-20")
+    assert rc == 2 and out == "" and not caught
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "tol" in err and "2.220446049250313e-14" in err
 
 
 @pytest.mark.parametrize("option", ["--t-end", "--tol"])

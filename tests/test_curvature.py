@@ -188,6 +188,17 @@ def test_kretschmann_contraction_matches(n):
         assert kretschmann_contracted(z, p) == pytest.approx(closed, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kretschmann_fixed_path_bitwise_matches_planned(n):
+    # the fixed contraction order gives what optimize=True plans per call
+    p = GeometryParams(n, 1.3)
+    for z in seeded_points(5, n, p.a, seed=7):
+        r, ginv = riemann(z, p), metric_inverse(z, p)
+        planned = np.einsum("mnab,rscd,sm,nr,da,bc->", r, r, ginv, ginv, ginv,
+                            ginv, optimize=True)
+        assert kretschmann_contracted(z, p) == float(planned.real)
+
+
 def test_kretschmann_monotone_decreasing(params3):
     us = np.geomspace(1e-3, 1e3, 80) * params3.a
     vals = [kretschmann_radial(u, params3) for u in us]

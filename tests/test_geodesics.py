@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,11 +18,13 @@ from cehgeom import (
     radius_sq,
     zero_section_geodesic,
 )
+from cehgeom import geodesics
 from cehgeom.geodesics import (
     CONSTANT,
     ESCAPES,
     HIT_CUTOFF,
     RETURNS,
+    TOL_FLOOR,
     fs_energy,
 )
 
@@ -52,6 +56,77 @@ def test_rhs_is_christoffel_contraction(params3):
         gamma = christoffel_ceh(z, params3)
         expected = -np.einsum("lma,m,a->l", gamma, v, v)
         assert_allclose(geodesic_rhs(z, v, params3), expected, rtol=1e-12)
+
+
+# --- packed state ---------------------------------------------------------------
+
+def _split_merge_unpack(y, n):
+    # the packed layout written out as slices: the reference for _unpack
+    return y[:n] + 1j * y[n : 2 * n], y[2 * n : 3 * n] + 1j * y[3 * n :]
+
+
+def _split_merge_pack(z, v):
+    return np.concatenate([z.real, z.imag, v.real, v.imag])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_pack_unpack_bitwise(n):
+    rng = np.random.default_rng(n)
+    cols = rng.normal(size=(4 * n, 9))
+    z, v = geodesics._unpack(cols, n)
+    zr, vr = _split_merge_unpack(cols, n)
+    assert z.shape == zr.shape == (n, 9) and v.shape == (n, 9)
+    assert np.array_equal(z, zr) and np.array_equal(v, vr)
+    for y in cols.T:
+        z, v = geodesics._unpack(y, n)
+        zr, vr = _split_merge_unpack(y, n)
+        assert np.array_equal(z, zr) and np.array_equal(v, vr)
+        assert np.array_equal(geodesics._pack(z, v), y)
+        assert np.array_equal(_split_merge_pack(z, v), y)
+
+
+def _rhs_of(monkeypatch, run):
+    """The right-hand side and extra arguments ``run`` hands to solve_ivp."""
+    seen = []
+    real = geodesics.solve_ivp
+
+    def spy(fun, *args, **kwargs):
+        seen.append((fun, kwargs.get("args", ())))
+        return real(fun, *args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "solve_ivp", spy)
+    out = run()
+    monkeypatch.undo()
+    return seen[0], out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flow_rhs_bitwise_matches_split_merge(monkeypatch, n):
+    # both flows' right-hand sides against the slice-and-merge formula, on
+    # single (4n,) states and on the (4n, T) sample columns of a run
+    params = GeometryParams(n, 0.8)
+    m = n - 1
+    rng = np.random.default_rng(10 + n)
+
+    (ceh, extra), traj = _rhs_of(monkeypatch, lambda: integrate(
+        GeodesicState(seeded_points(1, n, 0.8, seed=n)[0],
+                      seeded_points(1, n, 0.8, seed=n + 1)[0]), 2.0, params))
+    assert extra == ()
+    for y in np.hstack([rng.normal(size=(4 * n, 5)), traj.sol.y]).T:
+        z, v = _split_merge_unpack(y, n)
+        ref = _split_merge_pack(v, geodesics._ceh_acceleration(z, v, params))
+        assert np.array_equal(ceh(0.0, y), ref)
+
+    zeta0 = 0.4 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+    (fs, extra), run = _rhs_of(monkeypatch, lambda: zero_section_geodesic(
+        zeta0, np.ones(m) + 0.5j, params))
+    cols = np.vstack([run.zeta.real.T, run.zeta.imag.T,
+                      run.dzeta.real.T, run.dzeta.imag.T])
+    for y in np.hstack([rng.normal(size=(4 * m, 5)), cols]).T:
+        zeta, v = _split_merge_unpack(y, m)
+        k = 1.0 / (1.0 + np.vdot(zeta, zeta).real)
+        ref = _split_merge_pack(v, geodesics._acceleration(zeta, v, k, 0.0))
+        assert np.array_equal(fs(0.0, y, *extra), ref)
 
 
 # --- integrate -----------------------------------------------------------------
@@ -239,7 +314,7 @@ def test_zero_section_period_unit_scale(params2):
     v0 = v0 / np.sqrt(fs_energy(np.zeros(1, dtype=complex), v0, params2))
     run = zero_section_geodesic(np.zeros(1, dtype=complex), v0, params2)
     assert run.period is not None
-    assert run.period == pytest.approx(np.pi * np.sqrt(params2.a), abs=1e-6)
+    assert run.period == pytest.approx(np.pi * np.sqrt(params2.a), rel=1e-11)
 
 
 def test_zero_section_period_scales_with_sqrt_a():
@@ -247,7 +322,7 @@ def test_zero_section_period_scales_with_sqrt_a():
     v0 = np.array([1.0 + 0j])
     v0 = v0 / np.sqrt(fs_energy(np.zeros(1, dtype=complex), v0, p))
     run = zero_section_geodesic(np.zeros(1, dtype=complex), v0, p)
-    assert run.period == pytest.approx(2 * np.pi, abs=1e-6)
+    assert run.period == pytest.approx(2 * np.pi, rel=1e-11)
 
 
 def test_zero_section_period_isotropic(params2):
@@ -257,7 +332,7 @@ def test_zero_section_period_isotropic(params2):
         v0 = v0 / np.sqrt(fs_energy(np.zeros(1, dtype=complex), v0, params2))
         run = zero_section_geodesic(np.zeros(1, dtype=complex), v0, params2)
         periods.append(run.period)
-    assert np.ptp(periods) < 1e-6
+    assert np.ptp(periods) < 1e-11 * np.pi * np.sqrt(params2.a)
 
 
 def test_zero_section_energy_conserved_across_charts(params2):
@@ -272,7 +347,7 @@ def test_zero_section_higher_dimension_period():
     v0 = np.array([0.6 + 0.2j, -0.3 + 0.7j])
     v0 = v0 / np.sqrt(fs_energy(np.zeros(2, dtype=complex), v0, p))
     run = zero_section_geodesic(np.zeros(2, dtype=complex), v0, p)
-    assert run.period == pytest.approx(np.pi, abs=1e-6)
+    assert run.period == pytest.approx(np.pi, rel=1e-11)
 
 
 def test_zero_section_requires_direction(params2):
@@ -293,6 +368,55 @@ def test_zero_section_rejects_bad_run(params2, zeta0, dzeta0, kwargs, bad):
         zero_section_geodesic(np.array(zeta0), np.array(dzeta0), params2, **kwargs)
 
 
+@pytest.mark.parametrize("tol", [1e-20, 0.5 * TOL_FLOOR, np.nextafter(TOL_FLOOR, 0)])
+def test_flows_refuse_tolerance_below_floor(params2, tol):
+    # below 100 eps solve_ivp would silently raise the tolerance
+    state = GeodesicState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(DomainError, match="2.220446049250313e-14"):
+        integrate(state, 1.0, params2, tol=tol)
+    with pytest.raises(DomainError, match="2.220446049250313e-14"):
+        zero_section_geodesic(np.array([0j]), np.array([1 + 0j]), params2, tol=tol)
+
+
+def test_flows_run_at_tolerance_floor(params2):
+    state = GeodesicState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(state, 0.1, params2, tol=TOL_FLOOR)
+    assert traj.termination == "completed"
+
+
+def test_zero_section_nfev_counts_rhs_calls(monkeypatch, params3):
+    calls = []
+    real = geodesics._fs_rhs
+
+    def counting(t, y, m):
+        calls.append(t)
+        return real(t, y, m)
+
+    monkeypatch.setattr(geodesics, "_fs_rhs", counting)
+    run = zero_section_geodesic(np.zeros(2, dtype=complex),
+                                np.array([1.0 + 0.5j, -0.3j]), params3)
+    assert len(np.unique(run.chart)) > 1  # the count spans several pieces
+    assert run.nfev == len(calls) > 0
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.5])
+def test_zero_section_period_sweep(radius):
+    # 30 seeded starts per radius, n = 2..5, each closing at pi sqrt(a)/speed
+    rng = np.random.default_rng(int(10 * radius))
+    for k in range(30):
+        p = GeometryParams(2 + k % 4, float(rng.uniform(0.5, 2.0)))
+        m = p.n - 1
+        zeta0 = rng.normal(size=m) + 1j * rng.normal(size=m)
+        zeta0 *= radius * rng.uniform(0.8, 1.2) / np.linalg.norm(zeta0)
+        dzeta0 = rng.normal(size=m) + 1j * rng.normal(size=m)
+        run = zero_section_geodesic(zeta0, dzeta0, p)
+        expected = np.pi * np.sqrt(p.a / fs_energy(zeta0, dzeta0, p))
+        assert run.period is not None, (k, zeta0, dzeta0)
+        assert run.period == pytest.approx(expected, rel=1e-11)
+
+
 def test_state_rejects_non_finite_velocity():
     with pytest.raises(DomainError, match="velocity must be finite"):
         GeodesicState(np.array([1.0, 0.0]), np.array([np.nan, 1.0]))
@@ -306,4 +430,4 @@ def test_zero_section_return_after_chart_hop():
     run = zero_section_geodesic(zeta0, dzeta0, p)
     expected = np.pi * np.sqrt(p.a) / np.sqrt(fs_energy(zeta0, dzeta0, p))
     assert run.period is not None
-    assert run.period == pytest.approx(expected, rel=1e-8)
+    assert run.period == pytest.approx(expected, rel=1e-11)
