@@ -14,13 +14,19 @@ their energies share one Hermitian form over whole trajectories.  The
 zero-section flow changes affine chart through :mod:`cehgeom.charts`: the
 base point by :func:`~cehgeom.charts.transition` and the velocity by the
 base block of :func:`~cehgeom.charts.transition_jacobian`, both at ``z = 0``.
-Its period comes from ``solve_ivp``'s own event location, with no dense
-output: in each chart piece, each local minimum of the distance to the
-start (an upward zero of ``Re <zeta - zeta0, v>``) is an event, and the
-first one after the flow has been 0.3 away whose state revisits the start
-is the closing time.  Both flows keep their state packed as
-``[Re z, Im z, Re v, Im v]`` and move it to and from complex ``(z, v)``
-through one cached index map per dimension.
+
+Neither flow asks ``solve_ivp`` for dense output; what they report between
+the solver's steps comes from its own event location.  Both share one
+return rule (:func:`_return_events`, :func:`_first_return`): each local
+minimum of the distance to the start (a zero of ``Re <z - z0, v>``, rising
+in the direction of integration) is an event, and the first one after the
+flow has been ``0.3`` away whose state revisits the start within ``1e-6``
+is the closing time.  Distances and tolerances are in chart units, times
+``sqrt(a)`` on the quotient chart, so the rule commutes with the homothety
+``z -> alpha z``, ``a -> alpha^2 a``.  The Ricci-flat flow also locates the
+turning points of ``u``, the zeros of ``Re <z, v>``.  Both flows keep
+their state packed as ``[Re z, Im z, Re v, Im v]`` and move it to and from
+complex ``(z, v)`` through one cached index map per dimension.
 
 The squared distance from radius ``u`` to the zero section is
 
@@ -54,7 +60,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
 from .charts import ChartError, ChartPoint, transition, transition_jacobian
@@ -88,8 +93,8 @@ TOL_FLOOR = 100 * float(np.finfo(float).eps)
 #: |zeta|^2 at which the base integrator hops to a neighbouring chart
 _CHART_ESCAPE_SQ = 9.0
 
-#: chart distance from the start beyond which the next closest approach of
-#: the zero-section flow may be its return
+#: distance from the start, in chart units (times sqrt(a) on the quotient
+#: chart), beyond which the next closest approach may be the flow's return
 _AWAY = 0.3
 
 # classifications / terminations
@@ -98,7 +103,6 @@ ESCAPES = "escapes"
 RETURNS = "returns_to_start"
 HIT_CUTOFF = "hit_inner_cutoff"
 COMPLETED = "completed"
-ESCAPED = "escaped"
 
 
 @dataclass(frozen=True)
@@ -118,13 +122,24 @@ class GeodesicState:
         object.__setattr__(self, "v", v)
 
 
+@dataclass(frozen=True)
+class CriticalPoint:
+    """Interior critical point of ``u(t)`` with the closed-form ``uddot``."""
+
+    t: float
+    u: float
+    uddot: float
+
+
 @dataclass
 class Trajectory:
     """Time-ordered samples of one geodesic run.
 
-    ``termination`` is one of ``completed`` (reached ``t_end``), ``escaped``
-    (crossed the escape radius) or ``hit_inner_cutoff``.  ``sol`` keeps the
-    integrator's dense output for refinement work.
+    ``termination`` is ``completed`` (reached ``t_end``) or
+    ``hit_inner_cutoff``.  ``critical_points`` are the interior turning
+    points of ``u(t)`` and ``period`` the time to the first return to the
+    start, or None, both located as solver events.  ``sol`` is the
+    ``solve_ivp`` result, without an interpolant.
     """
 
     t: np.ndarray
@@ -133,6 +148,8 @@ class Trajectory:
     u: np.ndarray
     energy: np.ndarray
     termination: str
+    critical_points: list
+    period: Optional[float]
     sol: object = field(default=None, repr=False)
 
     def energy_drift(self) -> float:
@@ -164,6 +181,16 @@ def geodesic_rhs(z, v, params: GeometryParams) -> np.ndarray:
     """
     z, _ = _one_point(z)
     return _ceh_acceleration(z, np.asarray(v, dtype=complex), params)
+
+
+def _uddot_closed_form(z, v, params: GeometryParams) -> float:
+    """``uddot`` at a critical point of ``u``, from the flow's closed form."""
+    u = np.vdot(z, z).real
+    alpha = np.vdot(z, v).imag / u
+    phi = _phi(float(u), params)
+    return float(
+        2.0 * (params.n - 1) * phi * u * alpha**2 + 2.0 * np.vdot(v, v).real
+    )
 
 
 def _hermitian_form(g, v):
@@ -217,6 +244,47 @@ def _crossing(level: float, direction: int, n: int):
     return event
 
 
+def _return_events(target, scale: float, sign: float):
+    """Non-terminal ``solve_ivp`` events against the packed start ``target``
+    for a run in the time direction ``sign``: ``closest``, each local
+    minimum of the distance to the start (a zero of ``Re <z - z0, v>``
+    rising with time), and ``away``, the distance rising through
+    ``_AWAY * scale`` in the direction of integration."""
+    h = target.size // 2  # the position block [Re z, Im z]
+    base = target[:h]
+    radius = _AWAY * scale
+
+    def closest(t, y, *_):
+        return (y[:h] - base) @ y[h:]
+
+    def away(t, y, *_):
+        d = y[:h] - base
+        return d @ d - radius * radius
+
+    closest.direction = sign
+    away.direction = 1
+    return closest, away
+
+
+def _first_return(times, states, t_away, target, scale: float, sign: float):
+    """Time elapsed to the first ``closest`` event (``times``, packed
+    ``states``) that comes after ``t_away`` in the direction ``sign`` and
+    whose state revisits ``target`` within ``1e-6 scale`` in position and
+    ``1e-6 max(scale, |v0|)`` in velocity, or None."""
+    m = target.size // 4
+    z0, v0 = _unpack(target, m)
+    for t_c, y_c in zip(times, states):
+        if sign * (t_c - t_away) <= 0:
+            continue
+        z_c, v_c = _unpack(y_c, m)
+        if (
+            np.linalg.norm(z_c - z0) < 1e-6 * scale
+            and np.linalg.norm(v_c - v0) < 1e-6 * max(scale, np.linalg.norm(v0))
+        ):
+            return abs(float(t_c))
+    return None
+
+
 def _check_run(t_end: float, tol: float) -> None:
     if not math.isfinite(t_end):
         raise DomainError(f"integration time t_end must be finite, got {t_end!r}")
@@ -232,53 +300,61 @@ def integrate(
     t_end: float,
     params: GeometryParams,
     tol: float = 1e-10,
-    u_min: Optional[float] = None,
-    u_escape: Optional[float] = None,
 ) -> Trajectory:
-    """Integrate the flow over ``[0, t_end]`` with an adaptive embedded
-    Runge-Kutta scheme (DOP853) at relative tolerance ``tol``.
+    """Integrate the flow over ``[0, t_end]``, forward or backward in time,
+    with an adaptive embedded Runge-Kutta scheme (DOP853) at relative
+    tolerance ``tol``.
 
-    Terminates early when ``u`` falls to ``u_min`` (default ``1e-8 a``; the
-    connection has ``1/u`` factors and crossing the zero section belongs to
-    the chart machinery, not this integrator) or exceeds ``u_escape``.
+    Terminates early when ``u`` falls to ``1e-8 a``: the connection has
+    ``1/u`` factors and crossing the zero section belongs to the chart
+    machinery, not this integrator.  The solver locates the turning points
+    of ``u`` (zeros of ``Re <z, v>`` after the start) and the first return
+    to the start (:func:`_first_return`, away radius ``0.3 sqrt(a)``) as
+    non-terminal events; it keeps no dense output.
     """
     n = params.n
     if state.z.size != n:
         raise DomainError(f"state has dimension {state.z.size}, params n={n}")
     _check_run(t_end, tol)
-    if u_min is None:
-        u_min = U_MIN_FACTOR * params.a
+    y0 = _pack(state.z, state.v)
+    sign = 1.0 if t_end >= 0 else -1.0
+    scale = math.sqrt(params.a)
 
     def rhs(t, y):
         z, v = _unpack(y, n)
         return _pack(v, _ceh_acceleration(z, v, params))
 
-    events = [_crossing(u_min, -1, n)]
-    if u_escape is not None:
-        events.append(_crossing(u_escape, 1, n))
+    def turning(t, y):
+        return y[: 2 * n] @ y[2 * n :]  # Re <z, v>
 
     sol = solve_ivp(
         rhs,
         (0.0, float(t_end)),
-        _pack(state.z, state.v),
+        y0,
         method="DOP853",
         rtol=tol,
         atol=tol * 1e-2,
-        dense_output=True,
-        events=events,
+        events=[_crossing(U_MIN_FACTOR * params.a, -1, n), turning,
+                *_return_events(y0, scale, sign)],
     )
-    if sol.status == 1:
-        hit = sol.t_events[0].size > 0
-        termination = HIT_CUTOFF if hit else ESCAPED
-    else:
-        termination = COMPLETED
+    crits = []
+    for t_c, y_c in zip(sol.t_events[1], sol.y_events[1]):
+        if t_c != 0.0:  # a tangential launch is no interior turning point
+            z_c, v_c = _unpack(y_c, n)
+            crits.append(CriticalPoint(
+                t=float(t_c), u=float(np.vdot(z_c, z_c).real),
+                uddot=_uddot_closed_form(z_c, v_c, params),
+            ))
+    t_away = sol.t_events[3][0] if sol.t_events[3].size else sign * math.inf
+    period = _first_return(sol.t_events[2], sol.y_events[2], t_away, y0, scale, sign)
 
     zs, vs = _unpack(sol.y, n)
     zs, vs = zs.T, vs.T
     us = np.einsum("km,km->k", zs, np.conj(zs)).real
     return Trajectory(
         t=sol.t, z=zs, v=vs, u=us, energy=energy(zs, vs, params),
-        termination=termination, sol=sol,
+        termination=HIT_CUTOFF if sol.status == 1 else COMPLETED,
+        critical_points=crits, period=period, sol=sol,
     )
 
 
@@ -320,15 +396,6 @@ def radial_arclength(u: float, params: GeometryParams) -> ArcLength:
     return ArcLength(psi=d * d, distance=d)
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    """Interior critical point of ``u(t)`` with the closed-form ``uddot``."""
-
-    t: float
-    u: float
-    uddot: float
-
-
 @dataclass
 class ClosedGeodesicReport:
     classification: str
@@ -336,85 +403,30 @@ class ClosedGeodesicReport:
     critical_points: list
 
 
-def _uddot_closed_form(z, v, params: GeometryParams) -> float:
-    """``uddot`` at a critical point of ``u``, from the flow's closed form."""
-    u = np.vdot(z, z).real
-    alpha = np.vdot(z, v).imag / u
-    phi = _phi(float(u), params)
-    return float(
-        2.0 * (params.n - 1) * phi * u * alpha**2 + 2.0 * np.vdot(v, v).real
-    )
-
-
 def classify_closed(
     state: GeodesicState,
     t_max: float,
     params: GeometryParams,
     tol: float = 1e-10,
-    return_tol: float = 1e-6,
-    u_escape: Optional[float] = None,
 ) -> ClosedGeodesicReport:
-    """Run the flow and classify the trajectory.
+    """Run the flow over ``[0, t_max]`` and classify the trajectory.
 
-    ``returns_to_start`` requires position and velocity to simultaneously
-    revisit the initial state within ``return_tol`` (never observed off the
-    zero section); critical points of ``u(t)`` are located from the dense
-    output and reported with the nonnegative closed-form ``uddot``
-    certificate.
+    ``returns_to_start`` when the run records a first return to the start
+    (``Trajectory.period``; never observed off the zero section), else
+    ``hit_inner_cutoff`` or ``escapes``.  The critical points are the run's
+    interior turning points of ``u(t)``, each with the nonnegative
+    closed-form ``uddot`` certificate.
     """
     if not np.any(state.v):
         return ClosedGeodesicReport(CONSTANT, None, [])
-    traj = integrate(state, t_max, params, tol=tol, u_escape=u_escape)
-    n = params.n
-
-    ts = _dense_times(traj)
-    zs, vs = _unpack(traj.sol.sol(ts), n)
-    zs, vs = zs.T, vs.T
-
-    # interior critical points of u: roots of udot = 2 Re<z, zdot>
-    udot = 2.0 * np.einsum("km,km->k", np.conj(zs), vs).real
-    crits = []
-    sign = np.sign(udot)
-
-    def udot_at(t):
-        z, v = _unpack(traj.sol.sol(t), n)
-        return 2.0 * float(np.vdot(z, v).real)
-
-    for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        t_c = brentq(udot_at, ts[k], ts[k + 1], xtol=1e-12)
-        z_c, v_c = _unpack(traj.sol.sol(t_c), n)
-        crits.append(
-            CriticalPoint(
-                t=float(t_c),
-                u=float(np.vdot(z_c, z_c).real),
-                uddot=_uddot_closed_form(z_c, v_c, params),
-            )
-        )
-
-    # revisit detection: distance in the chart norm to the initial state
-    dist = np.linalg.norm(zs - state.z, axis=1) + np.linalg.norm(
-        vs - state.v, axis=1
-    )
-    away = np.nonzero(dist > 10 * return_tol)[0]
-    if away.size:
-        k0 = away[0]
-        near = np.nonzero(dist[k0:] < return_tol)[0]
-        if near.size:
-            return ClosedGeodesicReport(RETURNS, traj, crits)
-
-    if traj.termination == HIT_CUTOFF:
-        return ClosedGeodesicReport(HIT_CUTOFF, traj, crits)
-    return ClosedGeodesicReport(ESCAPES, traj, crits)
-
-
-def _dense_times(traj: Trajectory, per_step: int = 12) -> np.ndarray:
-    """Refinement grid between the solver's own steps."""
-    pieces = [
-        np.linspace(traj.t[k], traj.t[k + 1], per_step, endpoint=False)
-        for k in range(len(traj.t) - 1)
-    ]
-    pieces.append(traj.t[-1:])
-    return np.concatenate(pieces)
+    traj = integrate(state, t_max, params, tol=tol)
+    if traj.period is not None:
+        classification = RETURNS
+    elif traj.termination == HIT_CUTOFF:
+        classification = HIT_CUTOFF
+    else:
+        classification = ESCAPES
+    return ClosedGeodesicReport(classification, traj, traj.critical_points)
 
 
 # ---------------------------------------------------------------------------
@@ -460,46 +472,12 @@ def _hop(p: ChartPoint, v, j: int):
     return transition(p, j).zeta, transition_jacobian(p, j)[1:, 1:] @ v
 
 
-def _return_events(target, m: int):
-    """Non-terminal ``solve_ivp`` events against the packed start ``target``
-    of ``m`` base coordinates: ``closest``, each local minimum of the chart
-    distance to the start (upward zero of ``Re <zeta - zeta0, v>``), and
-    ``away``, the distance rising through ``_AWAY``."""
-    base = target[: 2 * m]
-
-    def closest(t, y, *_):
-        return (y[: 2 * m] - base) @ y[2 * m :]
-
-    def away(t, y, *_):
-        d = y[: 2 * m] - base
-        return d @ d - _AWAY * _AWAY
-
-    closest.direction = away.direction = 1
-    return closest, away
-
-
-def _first_return(sol, t_away, zeta0, v0, m):
-    """Time of the first ``closest`` event of ``sol`` (event 1) after
-    ``t_away`` whose state revisits ``(zeta0, v0)``, or None."""
-    for t_c, y_c in zip(sol.t_events[1], sol.y_events[1]):
-        if t_c <= t_away:
-            continue
-        z_c, v_c = _unpack(y_c, m)
-        if (
-            np.linalg.norm(z_c - zeta0) < 1e-6
-            and np.linalg.norm(v_c - v0) < 1e-6 * max(1.0, np.linalg.norm(v0))
-        ):
-            return float(t_c)
-    return None
-
-
 def zero_section_geodesic(
     zeta0,
     dzeta0,
     params: GeometryParams,
     t_end: Optional[float] = None,
     tol: float = 1e-12,
-    detect_period: bool = True,
 ) -> FSTrajectory:
     """Integrate the Fubini-Study flow on the zero section, starting in the
     first affine chart, hopping charts when ``|zeta|`` grows large.
@@ -509,10 +487,8 @@ def zero_section_geodesic(
     that profile vanishes identically, leaving ``2 <zeta,v> v/(1+|zeta|^2)``).
     The period is found by the integrator's own event location, in every
     chart that contains the start point, against the initial state moved
-    into that chart: it is the first local minimum of the chart distance to
-    the start (an upward zero of ``Re <zeta - zeta0, v>``) that comes after
-    the flow has been more than 0.3 away and whose state revisits the start
-    within 1e-6.  At unit speed in ``a * g_FS`` the closing time of every
+    into that chart, by the return rule of :func:`_first_return` in chart
+    units.  At unit speed in ``a * g_FS`` the closing time of every
     geodesic is ``pi sqrt(a)``.
     """
     zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=complex))
@@ -547,17 +523,16 @@ def zero_section_geodesic(
     while t0 < t_end:
         events = [escape]
         target = None
-        if detect_period:
-            try:
-                target = _hop(start, v0, chart)
-            except ChartError:  # the start point lies outside this chart
-                left_start = True
-            else:
-                closest, away = _return_events(_pack(*target), m)
-                left_start = left_start or away(t0, state) > 0
-                events.append(closest)
-                if not left_start:
-                    events.append(away)
+        try:
+            target = _pack(*_hop(start, v0, chart))
+        except ChartError:  # the start point lies outside this chart
+            left_start = True
+        else:
+            closest, away = _return_events(target, 1.0, 1)
+            left_start = left_start or away(t0, state) > 0
+            events.append(closest)
+            if not left_start:
+                events.append(away)
         sol = solve_ivp(
             _fs_rhs,
             (t0, t_end),
@@ -583,7 +558,8 @@ def zero_section_geodesic(
                 left_start = True
             else:
                 t_away = math.inf
-            period = _first_return(sol, t_away, *target, m)
+            period = _first_return(sol.t_events[1], sol.y_events[1], t_away,
+                                   target, 1.0, 1)
             if period is not None:
                 break
 

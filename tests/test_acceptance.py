@@ -190,16 +190,17 @@ def test_criterion_07_geodesics():
     returns = 0
     worst_udd = np.inf
     n_crit = 0
-    for z0, v0 in zip(seeded_points(100, 2, 1.0, seed=61),
-                      seeded_points(100, 2, 1.0, seed=62)):
-        rep = classify_closed(GeodesicState(z0, v0), 50.0, p, tol=1e-9)
-        if rep.classification == RETURNS:
-            returns += 1
-        for cp in rep.critical_points:
-            worst_udd = min(worst_udd, cp.uddot)
-            n_crit += 1
-    report(7, "returns_to_start count over 100 launches", returns, 1,
-           ok=returns == 0)
+    for t_max in (50.0, -50.0):
+        for z0, v0 in zip(seeded_points(100, 2, 1.0, seed=61),
+                          seeded_points(100, 2, 1.0, seed=62)):
+            rep = classify_closed(GeodesicState(z0, v0), t_max, p, tol=1e-9)
+            if rep.classification == RETURNS:
+                returns += 1
+            for cp in rep.critical_points:
+                worst_udd = min(worst_udd, cp.uddot)
+                n_crit += 1
+    report(7, "returns_to_start count over 100 launches, forward and backward",
+           returns, 1, ok=returns == 0)
     report(7, f"uddot certificate at {n_crit} critical points (min)",
            worst_udd, np.inf, ok=n_crit > 0 and worst_udd >= -1e-9)
 

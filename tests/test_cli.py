@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cehgeom import cli
 from cehgeom.cli import main, parse_chart, parse_complex, parse_point
 
 
@@ -319,3 +320,26 @@ def test_verify_n8_one_point(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--n", "8", "--points", "1")
     assert rc == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    # in-process callers run main many times; the parser is built once, and
+    # neither a usage error nor another call's options carry over
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    argv = ["scan", "--quantity", "fprime", "--u-min", "1", "--u-max", "2",
+            "--points", "3"]
+    try:
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--format", "json")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--quantity", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        again = [run_cli(capsys, *argv) for _ in range(2)]
+    finally:
+        cli._parser.cache_clear()
+    assert first[0] == 0 and again == [first, first]
+    assert len(builds) == 1

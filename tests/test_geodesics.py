@@ -166,18 +166,16 @@ def test_inner_cutoff_termination(params2):
     assert traj.u[-1] < 2e-8
 
 
-def test_mu_n_phase_equivariance(params2):
-    z0, v0 = seeded_points(1, 2, 1.0, seed=3)[0], seeded_points(1, 2, 1.0, seed=4)[0]
-    t1 = integrate(GeodesicState(z0, v0), 3.0, params2, tol=1e-11)
-    t2 = integrate(GeodesicState(-z0, -v0), 3.0, params2, tol=1e-11)  # -1 in mu_2
-    # same times are not guaranteed (adaptive); compare at shared dense times
-    ts = np.linspace(0.0, 3.0, 50)
-    n = params2.n
-    y1 = t1.sol.sol(ts)
-    y2 = t2.sol.sol(ts)
-    z1 = y1[:n] + 1j * y1[n : 2 * n]
-    z2 = y2[:n] + 1j * y2[n : 2 * n]
-    assert np.abs(z1 + z2).max() < 1e-8
+def test_mu_n_phase_equivariance():
+    # -1 in mu_n (n even) makes the right-hand side exactly odd, so both runs
+    # take the same steps and their samples agree bitwise
+    for n in (2, 4):
+        p = GeometryParams(n, 1.0)
+        z0, v0 = seeded_points(1, n, 1.0, seed=3)[0], seeded_points(1, n, 1.0, seed=4)[0]
+        t1 = integrate(GeodesicState(z0, v0), 3.0, p, tol=1e-11)
+        t2 = integrate(GeodesicState(-z0, -v0), 3.0, p, tol=1e-11)
+        assert np.array_equal(t1.t, t2.t)
+        assert np.array_equal(t1.z, -t2.z)
 
 
 def test_energy_value_definition(params2):
@@ -295,16 +293,48 @@ def test_classify_never_returns(params2):
 
 
 def test_uddot_certificate_at_critical_points(params2):
-    # tangential launches turn around: every critical point certificate >= 0
-    found = 0
+    # tangential launches turn around: every critical point certificate >= 0,
+    # forward and backward in time
     zs = seeded_points(10, 2, 1.0, seed=21)
     vs = seeded_points(10, 2, 1.0, seed=22)
-    for z0, v0 in zip(zs, vs):
-        rep = classify_closed(GeodesicState(z0, v0), 20.0, params2, tol=1e-9)
-        for cp in rep.critical_points:
-            assert cp.uddot >= -1e-9
-            found += 1
-    assert found > 0  # the sweep must actually exercise the certificate
+    for t_max in (20.0, -50.0):
+        found = 0
+        for z0, v0 in zip(zs, vs):
+            rep = classify_closed(GeodesicState(z0, v0), t_max, params2, tol=1e-9)
+            assert rep.classification != RETURNS
+            for cp in rep.critical_points:
+                assert cp.uddot >= -1e-9
+                assert 0 < cp.t / t_max < 1
+                found += 1
+        assert found > 0  # the sweep must actually exercise the certificate
+
+
+@pytest.mark.parametrize("t_max", [20.0, -20.0])
+def test_tangential_launch_has_no_turning_point(params2, t_max):
+    # Re <z0, v0> = 0 exactly: u is least at the start, which is no interior
+    # critical point, and u has no other
+    state = GeodesicState(np.array([1.0 + 0j, 0j]), np.array([1j, 0.2 + 0j]))
+    rep = classify_closed(state, t_max, params2)
+    assert rep.classification == ESCAPES
+    assert rep.critical_points == []
+
+
+@pytest.mark.parametrize("t_max", [20.0, -20.0])
+def test_classify_sees_a_closed_orbit(monkeypatch, t_max):
+    # negative control: with the acceleration -z every orbit closes at 2 pi,
+    # and the return rule must see it in both time directions and at a
+    # scaled start (it commutes with z -> alpha z, a -> alpha^2 a)
+    monkeypatch.setattr(geodesics, "_ceh_acceleration", lambda z, v, params: -z)
+    starts = [
+        (1.0, [1, 0], [0, 1]),
+        (1.0, [0.6 + 0.2j, 0.3j], [0.1j, 0.7]),
+        (1e-4, [1e-2, 0], [0, 1e-2]),
+    ]
+    for a, z0, v0 in starts:
+        state = GeodesicState(np.array(z0, dtype=complex), np.array(v0, dtype=complex))
+        rep = classify_closed(state, t_max, GeometryParams(2, a))
+        assert rep.classification == RETURNS, (a, z0)
+        assert abs(rep.trajectory.period - 2 * np.pi) < 1e-9
 
 
 # --- zero-section flow --------------------------------------------------------------
