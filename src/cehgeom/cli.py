@@ -3,16 +3,17 @@ runs and radial scans, with machine-readable JSON/CSV output.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage, validation
 or arithmetic error (no output is written then).  Complex literals are
-written ``a+bi`` / ``a-bi`` with no spaces; CSV carries 17 significant
-digits.
+written ``a+bi`` / ``a-bi`` with no spaces.  JSON is indented by two
+spaces, floats in their shortest round-trip ``repr``, complex numbers as
+``[re, im]`` pairs; one bulk writer produces the bytes that
+``json.dumps(doc, indent=2, allow_nan=False)`` would, formatting each
+complex array in one pass.  CSV is one ``%.17g`` pass over a float matrix.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -61,20 +62,68 @@ def parse_chart(text: str, n: int) -> charts.ChartPoint:
     return charts.ChartPoint(i=i, z=z, zeta=zeta)
 
 
-def _c2j(x: complex):
-    return [float(np.real(x)), float(np.imag(x))]
+#: json's string encoder under its default ``ensure_ascii=True``
+_string = json.encoder.encode_basestring_ascii
 
 
-def _arr2j(a: np.ndarray):
-    a = np.asarray(a)
-    if a.ndim == 0:
-        return _c2j(complex(a))
-    return [_arr2j(row) for row in a]
+def _out_of_range(x) -> ValueError:
+    # json's message for a non-finite float under allow_nan=False
+    return ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+def _array(a, pad: str) -> str:
+    """A complex array (or number) as nested ``[re, im]`` lists, each list
+    opened at the indent ``pad`` plus two spaces per axis."""
+    a = np.asarray(a, dtype=complex)
+    if a.size == 0:
+        return _value(a.tolist(), pad)
+    pairs = np.stack([a.real, a.imag], axis=-1)
+    vals = pairs.ravel().tolist()
+    if not np.isfinite(pairs).all():
+        raise _out_of_range(next(x for x in vals if not math.isfinite(x)))
+    text = list(map(float.__repr__, vals))
+    for axis in range(pairs.ndim - 1, -1, -1):
+        outer = pad + "  " * axis
+        sep = ",\n  " + outer
+        rows = zip(*[iter(text)] * pairs.shape[axis])
+        text = ["[\n  " + outer + sep.join(row) + "\n" + outer + "]" for row in rows]
+    return text[0]
+
+
+def _value(x, pad: str) -> str:
+    # json's own order of tests: True and False are ints too
+    if isinstance(x, str):
+        return _string(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        raise _out_of_range(x)
+    if isinstance(x, (np.ndarray, complex)):
+        return _array(x, pad)
+    inner = pad + "  "
+    if isinstance(x, dict) and x:
+        items = (_string(k) + ": " + _value(v, inner) for k, v in x.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(x, (list, tuple)) and x:
+        items = (_value(v, inner) for v in x)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(x)  # {} and [], or json's TypeError for any other type
 
 
 def _json(doc: dict) -> str:
-    # a non-finite value raises ValueError instead of writing NaN/Infinity
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """The bytes of ``json.dumps(doc, indent=2, allow_nan=False)`` and a
+    newline, with complex arrays and numbers written as nested ``[re, im]``
+    lists.  A non-finite value raises json's ``ValueError`` before anything
+    is written."""
+    return _value(doc, "") + "\n"
 
 
 def _emit(text: str, path):
@@ -85,8 +134,17 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv(header: list, table: np.ndarray) -> str:
+    """Header line and one line per row of the float matrix ``table``,
+    every value at 17 significant digits."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    body = (line * len(table)) % tuple(table.ravel().tolist())
+    return ",".join(header) + "\n" + body
+
+
+def _reim(c: np.ndarray) -> np.ndarray:
+    """Rows of complex numbers as interleaved ``re, im`` float columns."""
+    return np.stack([c.real, c.imag], axis=-1).reshape(len(c), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +157,11 @@ def _tensor_bundle(z: np.ndarray, params: GeometryParams) -> dict:
     spec = hessian.hessian_spectrum(z, params)
     return {
         "u": u,
-        "metric": _arr2j(tensors.metric(z, params)),
-        "metric_inverse": _arr2j(tensors.metric_inverse(z, params)),
-        "christoffel": _arr2j(curvature.christoffel_ceh(z, params)),
-        "riemann": _arr2j(curvature.riemann(z, params)),
-        "ricci": _arr2j(curvature.ricci(z, params)),
+        "metric": tensors.metric(z, params),
+        "metric_inverse": tensors.metric_inverse(z, params),
+        "christoffel": curvature.christoffel_ceh(z, params),
+        "riemann": curvature.riemann(z, params),
+        "ricci": curvature.ricci(z, params),
         "kretschmann": curvature.kretschmann(z, params),
         "psi": arc.psi,
         "distance": arc.distance,
@@ -124,27 +182,25 @@ def cmd_eval(args) -> int:
     if args.point is not None:
         z = parse_point(args.point, params.n)
         doc["kind"] = "point"
-        doc["z"] = _arr2j(z)
+        doc["z"] = z
         doc.update(_tensor_bundle(z, params))
     else:
         p = parse_chart(args.chart, params.n)
         doc["kind"] = "chart"
-        doc["chart"] = {"i": p.i, "z": _c2j(p.z), "zeta": _arr2j(p.zeta)}
+        doc["chart"] = {"i": p.i, "z": p.z, "zeta": p.zeta}
         pb = charts.pullback_metric(p, params)
         doc["u"] = p.radius_sq()
         doc["pullback"] = {
             "block_zz": pb.block_zz,
-            "block_zzeta": _arr2j(pb.block_zzeta),
-            "block_zetazeta": _arr2j(pb.block_zetazeta),
+            "block_zzeta": pb.block_zzeta,
+            "block_zetazeta": pb.block_zetazeta,
             "fs_scale": pb.fs_scale,
         }
-        doc["zero_section_metric"] = _arr2j(
-            charts.zero_section_restriction(p.zeta, params)
-        )
-        doc["volform_coefficient"] = _c2j(volform.chart_pullback_volform(p, params))
+        doc["zero_section_metric"] = charts.zero_section_restriction(p.zeta, params)
+        doc["volform_coefficient"] = volform.chart_pullback_volform(p, params)
         if p.z != 0:
             w = charts.chart_to_quotient(p, params)
-            doc["quotient"] = dict(z=_arr2j(w), **_tensor_bundle(w, params))
+            doc["quotient"] = dict(z=w, **_tensor_bundle(w, params))
     _emit(_json(doc), args.output)
     return 0
 
@@ -249,9 +305,8 @@ def cmd_geodesic(args) -> int:
     state = geodesics.GeodesicState(z0, v0)
 
     if not np.any(v0):
-        rows = [[0.0, *np.ravel([[c.real, c.imag] for c in z0]),
-                 *np.ravel([[c.real, c.imag] for c in v0]),
-                 radius_sq(z0), 0.0]]
+        t, zs, vs = np.zeros(1), z0[None], v0[None]
+        us, es = np.array([radius_sq(z0)]), np.zeros(1)
         classification = geodesics.CONSTANT
     else:
         report = geodesics.classify_closed(
@@ -263,28 +318,15 @@ def cmd_geodesic(args) -> int:
             idx = np.unique(
                 np.linspace(0, len(traj.t) - 1, args.samples).astype(int)
             )
-        rows = []
-        for k in idx:
-            row = [traj.t[k]]
-            row += np.ravel([[c.real, c.imag] for c in traj.z[k]]).tolist()
-            row += np.ravel([[c.real, c.imag] for c in traj.v[k]]).tolist()
-            row += [traj.u[k], traj.energy[k]]
-            rows.append(row)
+        t, zs, vs = traj.t[idx], traj.z[idx], traj.v[idx]
+        us, es = traj.u[idx], traj.energy[idx]
         classification = report.classification
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["t"]
-    for mu in range(1, params.n + 1):
-        header += [f"re_z{mu}", f"im_z{mu}"]
-    for mu in range(1, params.n + 1):
-        header += [f"re_v{mu}", f"im_v{mu}"]
-    header += ["u", "energy"]
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
-    writer.writerow(["classification", classification])
-    _emit(buf.getvalue(), args.output)
+    mus = range(1, params.n + 1)
+    header = ["t", *(f"{p}_z{mu}" for mu in mus for p in ("re", "im")),
+              *(f"{p}_v{mu}" for mu in mus for p in ("re", "im")), "u", "energy"]
+    table = np.column_stack([t, _reim(zs), _reim(vs), us, es])
+    _emit(_csv(header, table) + f"classification,{classification}\n", args.output)
     return 0
 
 
@@ -319,21 +361,17 @@ def cmd_scan(args) -> int:
         raise DomainError("need 0 < u-min < u-max and points >= 2")
     us = np.geomspace(args.u_min, args.u_max, args.points)
     header, rows = _scan_rows(args.quantity, us, params)
+    table = np.array(rows, dtype=float)
     if args.format == "json":
         doc = {
             "schema": SCHEMA_VERSION,
             "quantity": args.quantity,
             "columns": header,
-            "rows": rows,
+            "rows": table.tolist(),
         }
         _emit(_json(doc), args.output)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-        _emit(buf.getvalue(), args.output)
+        _emit(_csv(header, table), args.output)
     return 0
 
 

@@ -249,13 +249,16 @@ def _return_events(target, scale: float, sign: float):
     for a run in the time direction ``sign``: ``closest``, each local
     minimum of the distance to the start (a zero of ``Re <z - z0, v>``
     rising with time), and ``away``, the distance rising through
-    ``_AWAY * scale`` in the direction of integration."""
+    ``_AWAY * scale`` in the direction of integration.  At the start itself
+    ``closest`` takes the sign it has just after it, so the start is no
+    crossing."""
     h = target.size // 2  # the position block [Re z, Im z]
     base = target[:h]
     radius = _AWAY * scale
 
     def closest(t, y, *_):
-        return (y[:h] - base) @ y[h:]
+        d = y[:h] - base
+        return d @ y[h:] if d.any() else sign
 
     def away(t, y, *_):
         d = y[:h] - base

@@ -343,3 +343,125 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
         cli._parser.cache_clear()
     assert first[0] == 0 and again == [first, first]
     assert len(builds) == 1
+
+
+# --- JSON writer ---------------------------------------------------------------
+
+def _c2j(x: complex):
+    return [float(np.real(x)), float(np.imag(x))]
+
+
+def _arr2j(a):
+    a = np.asarray(a)
+    if a.ndim == 0:
+        return _c2j(complex(a))
+    return [_arr2j(row) for row in a]
+
+
+def _reference_json(doc) -> str:
+    # the element-wise conversion and json's own indented encoder
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [plain(v) for v in x]
+        if isinstance(x, (np.ndarray, complex)):
+            return _arr2j(x)
+        return x
+
+    return json.dumps(plain(doc), indent=2, allow_nan=False) + "\n"
+
+
+def _assert_same_text(got: str, want: str):
+    # compared line by line: pytest's full diff of these texts is slow
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for k, (g, w) in enumerate(zip(got_lines, want_lines)):
+        assert g == w, f"line {k}"
+    if got != want:
+        pytest.fail("texts differ in length or line endings")
+
+
+def _docs(monkeypatch, capsys, argv):
+    """The one document ``main(argv)`` writes, checked against its stdout."""
+    docs = []
+    real = cli._json
+    monkeypatch.setattr(cli, "_json", lambda doc: docs.append(doc) or real(doc))
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and len(docs) == 1
+    _assert_same_text(out, real(docs[0]))
+    return docs[0]
+
+
+def _writer_argvs():
+    for n in range(2, 7):
+        zeta = ":".join(["0.3-0.1i"] * (n - 1))
+        point = ",".join(["0.4-0.3i"] * n)
+        yield ["eval", "--n", str(n), "--a", "0.7", f"--point={point}"]
+        yield ["eval", "--n", str(n), "--a", "1.5", f"--chart=1:0:{zeta}"]
+        yield ["eval", "--n", str(n), "--a", "0.5", f"--chart=2:0.2+0.4i:{zeta}"]
+    yield ["verify", "--n", "2", "--points", "3", "--seed", "5"]
+    yield ["verify", "--n", "3", "--a", "0.6", "--points", "2"]
+    for q in ("kretschmann", "psi", "spectrum", "fprime"):
+        yield ["scan", "--n", "3", "--a", "1.2", "--quantity", q, "--format", "json",
+               "--u-min", "1e-3", "--u-max", "1e3", "--points", "7"]
+
+
+@pytest.mark.parametrize("argv", list(_writer_argvs()), ids=" ".join)
+def test_json_writer_matches_json_module(monkeypatch, capsys, argv):
+    doc = _docs(monkeypatch, capsys, argv)
+    if "--chart=1:0:" in argv[-1]:
+        assert "quotient" not in doc  # a zero-section point has no quotient
+    _assert_same_text(cli._json(doc), _reference_json(doc))
+
+
+def test_json_writer_synthetic_document():
+    doc = {
+        "floats": [-0.0, 5e-324, 1.7976931348623157e308, np.float64(0.1), 1e16],
+        "ints": [0, -3, 2**70],
+        "constants": [True, False, None],
+        'text "quoted"': 'tab\t, newline\n, backslash \\, "quote", é,  ',
+        "empty": {},
+        "none": [],
+        "tuple": (1.5, "x"),
+        "complex": -0.0 + 5e-324j,
+        "scalar": np.asarray(1.7976931348623157e308 - 0.0j),
+        "real": np.array([[1.5, -0.0], [1e-300, 2.0]]),
+        "vector": np.array([1 + 2j, -3.25e-7 + 0j]),
+        "empty_array": np.zeros((2, 0), dtype=complex),
+        "nested": {"a": [{"b": np.arange(24).reshape(2, 3, 4) * (1 - 0.5j)}]},
+    }
+    _assert_same_text(cli._json(doc), _reference_json(doc))
+    assert cli._json({}) == _reference_json({})
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        cli._json({"n": np.int64(3)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["array", "complex", "scalar", "numpy scalar"])
+def test_json_writer_rejects_non_finite(bad, where):
+    leaf = {
+        "array": np.array([[1 + 1j, 2.0], [complex(3.0, bad), complex(bad, 4.0)]]),
+        "complex": complex(0.5, bad),
+        "scalar": float(bad),
+        "numpy scalar": np.float64(bad),
+    }[where]
+    doc = {"ok": [1.0, np.array([0.5j])], "bad": {"leaf": leaf},
+           "after": np.float64(np.nan)}  # raises too, with another message
+    with pytest.raises(ValueError) as ref:
+        _reference_json(doc)
+    with pytest.raises(ValueError) as got:
+        cli._json(doc)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith(
+        "Out of range float values are not JSON compliant: ")
+
+
+def test_non_finite_output_is_not_written(monkeypatch, capsys, tmp_path):
+    from cehgeom import curvature
+
+    monkeypatch.setattr(curvature, "kretschmann", lambda z, params: float("nan"))
+    path = tmp_path / "eval.json"
+    rc, out, err = run_cli(capsys, "eval", "--n", "2", "--point=1+0i,0+0i",
+                           "--output", str(path))
+    assert rc == 2 and out == "" and not path.exists()
+    assert err == "error: Out of range float values are not JSON compliant: nan\n"

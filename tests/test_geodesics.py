@@ -337,6 +337,49 @@ def test_classify_sees_a_closed_orbit(monkeypatch, t_max):
         assert abs(rep.trajectory.period - 2 * np.pi) < 1e-9
 
 
+def _closest_without_start_rule(monkeypatch):
+    # the plain Re <z - z0, v>, which is exactly 0 at the start
+    real = geodesics._return_events
+
+    def events(target, scale, sign):
+        closest, away = real(target, scale, sign)
+        h = target.size // 2
+
+        def plain(t, y, *_):
+            return (y[:h] - target[:h]) @ y[h:]
+
+        plain.direction = closest.direction
+        return plain, away
+
+    monkeypatch.setattr(geodesics, "_return_events", events)
+
+
+@pytest.mark.parametrize("t_max", [10.0, -10.0])
+def test_start_is_no_closest_approach(monkeypatch, params2, t_max):
+    # the start is no crossing of the closest event, so the first step
+    # builds no interpolant for it: 3 fewer right-hand-side calls with
+    # DOP853, and the same samples to the bit
+    state = GeodesicState(np.array([1.0 + 0j, 0.5j]), np.array([0.3 + 0.2j, 0.4]))
+    y0 = geodesics._pack(state.z, state.v)
+    closest, _ = geodesics._return_events(y0, 1.0, np.sign(t_max))
+    assert closest(0.0, y0) == np.sign(t_max)
+    new = integrate(state, t_max, params2)
+    assert 0.0 not in new.sol.t_events[2]
+    zeta0, dzeta0 = np.array([0.3 - 0.2j]), np.array([0.5 + 1j])
+    fs = zero_section_geodesic(zeta0, dzeta0, params2)
+
+    _closest_without_start_rule(monkeypatch)
+    old = integrate(state, t_max, params2)
+    assert old.sol.t_events[2][0] == 0.0
+    assert new.sol.nfev == old.sol.nfev - 3
+    assert np.array_equal(new.t, old.t) and np.array_equal(new.z, old.z)
+    assert np.array_equal(new.v, old.v) and new.period == old.period
+    fs_old = zero_section_geodesic(zeta0, dzeta0, params2)
+    assert fs.nfev == fs_old.nfev - 3
+    assert np.array_equal(fs.t, fs_old.t) and np.array_equal(fs.zeta, fs_old.zeta)
+    assert fs.period == fs_old.period is not None
+
+
 # --- zero-section flow --------------------------------------------------------------
 
 def test_zero_section_period_unit_scale(params2):
