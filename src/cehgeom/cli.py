@@ -13,6 +13,7 @@ complex array in one pass.  CSV is one ``%.17g`` pass over a float matrix.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -153,8 +154,6 @@ def _reim(c: np.ndarray) -> np.ndarray:
 
 def _tensor_bundle(z: np.ndarray, params: GeometryParams) -> dict:
     u = radius_sq(z)
-    arc = geodesics.radial_arclength(u, params)
-    spec = hessian.hessian_spectrum(z, params)
     return {
         "u": u,
         "metric": tensors.metric(z, params),
@@ -163,16 +162,8 @@ def _tensor_bundle(z: np.ndarray, params: GeometryParams) -> dict:
         "riemann": curvature.riemann(z, params),
         "ricci": curvature.ricci(z, params),
         "kretschmann": curvature.kretschmann(z, params),
-        "psi": arc.psi,
-        "distance": arc.distance,
-        "spectrum": {
-            "lambda1": spec.lambda1,
-            "lambda2": spec.lambda2,
-            "lambda3": spec.lambda3,
-            "upsilon": spec.upsilon,
-            "coef_a": spec.coef_a,
-            "coef_b": spec.coef_b,
-        },
+        **geodesics.radial_arclength(u, params)._asdict(),  # psi, distance
+        "spectrum": dataclasses.asdict(hessian.hessian_spectrum(z, params)),
     }
 
 
@@ -188,14 +179,8 @@ def cmd_eval(args) -> int:
         p = parse_chart(args.chart, params.n)
         doc["kind"] = "chart"
         doc["chart"] = {"i": p.i, "z": p.z, "zeta": p.zeta}
-        pb = charts.pullback_metric(p, params)
         doc["u"] = p.radius_sq()
-        doc["pullback"] = {
-            "block_zz": pb.block_zz,
-            "block_zzeta": pb.block_zzeta,
-            "block_zetazeta": pb.block_zetazeta,
-            "fs_scale": pb.fs_scale,
-        }
+        doc["pullback"] = dataclasses.asdict(charts.pullback_metric(p, params))
         doc["zero_section_metric"] = charts.zero_section_restriction(p.zeta, params)
         doc["volform_coefficient"] = volform.chart_pullback_volform(p, params)
         if p.z != 0:
@@ -300,6 +285,8 @@ def cmd_verify(args) -> int:
 
 def cmd_geodesic(args) -> int:
     params = GeometryParams(args.n, args.a)
+    if args.samples is not None and args.samples < 1:
+        raise DomainError(f"need samples >= 1, got {args.samples}")
     z0 = parse_point(args.point, params.n)
     v0 = parse_point(args.velocity, params.n)
     state = geodesics.GeodesicState(z0, v0)
@@ -335,24 +322,18 @@ def cmd_geodesic(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _scan_rows(quantity: str, us: np.ndarray, params: GeometryParams):
+    """Header and value columns of a quantity on radii, one stacked call each."""
     if quantity == "kretschmann":
-        header = ["u", "kretschmann"]
-        rows = [[u, curvature.kretschmann_radial(u, params)] for u in us]
-    elif quantity == "psi":
-        header = ["u", "psi", "distance"]
-        rows = [[u, *geodesics.radial_arclength(u, params)] for u in us]
-    elif quantity == "fprime":
-        header = ["u", "f_prime"]
-        rows = [[u, f_prime(u, params)] for u in us]
-    else:  # spectrum
-        header = ["u", "lambda1", "lambda2", "lambda3"]
-        rows = []
-        for u in us:
-            z = np.zeros(params.n, dtype=complex)
-            z[0] = np.sqrt(u)
-            s = hessian.hessian_spectrum(z, params)
-            rows.append([u, s.lambda1, s.lambda2, s.lambda3])
-    return header, rows
+        return ["u", "kretschmann"], [curvature.kretschmann_radial(us, params)]
+    if quantity == "psi":
+        d = geodesics._sqrt_psi(us, params.n, params.a)
+        return ["u", "psi", "distance"], [d * d, d]
+    if quantity == "fprime":
+        return ["u", "f_prime"], [f_prime(us, params)]
+    z = np.zeros((len(us), params.n), dtype=complex)  # spectrum at (sqrt(u), 0, ...)
+    z[:, 0] = np.sqrt(us)
+    s = hessian.hessian_spectrum(z, params)
+    return ["u", "lambda1", "lambda2", "lambda3"], [s.lambda1, s.lambda2, s.lambda3]
 
 
 def cmd_scan(args) -> int:
@@ -360,8 +341,8 @@ def cmd_scan(args) -> int:
     if not (0 < args.u_min < args.u_max) or args.points < 2:
         raise DomainError("need 0 < u-min < u-max and points >= 2")
     us = np.geomspace(args.u_min, args.u_max, args.points)
-    header, rows = _scan_rows(args.quantity, us, params)
-    table = np.array(rows, dtype=float)
+    header, cols = _scan_rows(args.quantity, us, params)
+    table = np.column_stack([us, *cols])
     if args.format == "json":
         doc = {
             "schema": SCHEMA_VERSION,

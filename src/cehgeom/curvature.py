@@ -26,6 +26,8 @@ gives the squared curvature norm
     K(u) = n (n+2) (n^2 - 1) a^{2n} / (a^n + u^n)^{2(n+1)/n},
 
 strictly decreasing from ``n(n+2)(n^2-1)/a^2`` at the zero section to zero.
+Every function takes lifts ``(..., n)`` (``kretschmann_radial``: radii) and
+returns one tensor or value per lift, its stack axes first: ``[..., lam, mu, alpha]``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 from .tensors import (
     _check_profile,
     _checked,
-    _one_point,
     hermitian_outer,
     metric,
     metric_inverse,
@@ -104,60 +105,65 @@ def christoffel_ceh(z, params: GeometryParams) -> np.ndarray:
 
 
 def riemann(z, params: GeometryParams) -> np.ndarray:
-    """Fully lowered curvature tensor, indexed ``[mu, nu, alpha, beta]``
-    for ``R_{mu nubar alpha betabar}``.
+    """Fully lowered curvature tensor at lifts ``(..., n)``, indexed
+    ``[..., mu, nu, alpha, beta]`` for ``R_{mu nubar alpha betabar}``.
 
     Symmetric under exchange of the holomorphic pair ``mu <-> alpha`` and of
     the anti-holomorphic pair ``nu <-> beta``; Hermitian in the sense
-    ``R[m,n,a,b] = conj(R[n,m,b,a])``.
+    ``R[..., m, n, a, b] = conj(R[..., n, m, b, a])``.
     """
-    z, u = _one_point(z)
+    z, u = _checked(z)
     n = params.n
     prof = radial_profile(u, params)
     g = metric(z, params)
-    pref = prof.phi / (u * prof.e_psi)
     w = prof.e_psi ** (-(n - 1))
-    zbz = hermitian_outer(z) / u
+    # per-lift coefficients, broadcast over the four tensor axes
+    pref, c2, c3 = (np.asarray(c)[..., None, None, None, None] for c in (
+        prof.phi / (u * prof.e_psi), (n + 1) * w, (n + 1) * (n + 2) * w**2))
+    zbz = hermitian_outer(z) / np.asarray(u)[..., None, None]
 
-    t1 = np.einsum("an,mb->mnab", g, g) + np.einsum("mn,ab->mnab", g, g)
+    t1 = np.einsum("...an,...mb->...mnab", g, g) + np.einsum(
+        "...mn,...ab->...mnab", g, g)
     t2 = (
-        np.einsum("mb,an->mnab", zbz, g)
-        + np.einsum("ab,mn->mnab", zbz, g)
-        + np.einsum("mn,ab->mnab", zbz, g)
-        + np.einsum("an,mb->mnab", zbz, g)
+        np.einsum("...mb,...an->...mnab", zbz, g)
+        + np.einsum("...ab,...mn->...mnab", zbz, g)
+        + np.einsum("...mn,...ab->...mnab", zbz, g)
+        + np.einsum("...an,...mb->...mnab", zbz, g)
     )
-    t3 = np.einsum("mn,ab->mnab", zbz, zbz)
-    return pref * (t1 - (n + 1) * w * t2 + (n + 1) * (n + 2) * w**2 * t3)
+    t3 = np.einsum("...mn,...ab->...mnab", zbz, zbz)
+    return pref * (t1 - c2 * t2 + c3 * t3)
 
 
 def ricci(z, params: GeometryParams) -> np.ndarray:
-    """Ricci tensor by contraction, ``g^{nubar alpha} R_{mu nubar alpha betabar}``.
+    """Ricci tensor by contraction, ``g^{nubar alpha} R_{mu nubar alpha betabar}``,
+    indexed ``[..., mu, beta]``.
 
     Identically zero for this metric; returned so the residual can be
     inspected.  The independent route through ``-d dbar log det g`` lives in
     :func:`cehgeom.numdiff.fd_ricci_log_det`.
     """
-    z, _ = _one_point(z)
+    z = _checked(z)[0]
     ginv = metric_inverse(z, params)
-    return np.einsum("na,mnab->mb", ginv, riemann(z, params))
+    return np.einsum("...na,...mnab->...mb", ginv, riemann(z, params))
 
 
-def kretschmann_radial(u: float, params: GeometryParams) -> float:
-    """Squared curvature norm as a function of the radius alone.
+def kretschmann_radial(u, params: GeometryParams):
+    """Squared curvature norm as a function of the radius alone; an array
+    of radii gives an array of values.
 
     ``K = n(n+2)(n^2-1) a^{2n} (a^n + u^n)^{-2(n+1)/n}``; evaluated through
     the profile functions so neither power overflows.
     """
-    n, a = params.n, params.a
+    n = params.n
     prof = radial_profile(u, params)
     # a^n/(a^n+u^n)^((n+1)/n) = phi * e^-psi / u
-    pref = prof.phi / (u * prof.e_psi)
-    return float(n * (n + 2) * (n**2 - 1) * pref**2)
+    pref = prof.phi / (prof.u * prof.e_psi)
+    return n * (n + 2) * (n**2 - 1) * pref**2
 
 
-def kretschmann(z, params: GeometryParams) -> float:
-    """Squared curvature norm at a point of the quotient chart."""
-    return kretschmann_radial(_one_point(z)[1], params)
+def kretschmann(z, params: GeometryParams):
+    """Squared curvature norm at lifts ``(..., n)``, one value per lift."""
+    return kretschmann_radial(_checked(z)[1], params)
 
 
 #: contraction order of :func:`kretschmann_contracted`; the greedy path
@@ -166,14 +172,13 @@ def kretschmann(z, params: GeometryParams) -> float:
 _KRETSCHMANN_PATH = ["einsum_path", (0, 2), (0, 1), (2, 3), (0, 2), (0, 1)]
 
 
-def kretschmann_contracted(z, params: GeometryParams) -> float:
-    """Brute-force curvature norm: contract the Riemann tensor with itself,
-    every index raised explicitly with the inverse metric."""
-    z, _ = _one_point(z)
+def kretschmann_contracted(z, params: GeometryParams):
+    """Brute-force curvature norm at lifts ``(..., n)``: contract the
+    Riemann tensor with itself, every index raised explicitly with the
+    inverse metric."""
+    z = _checked(z)[0]
     r = riemann(z, params)
     ginv = metric_inverse(z, params)
-    val = np.einsum(
-        "mnab,rscd,sm,nr,da,bc->", r, r, ginv, ginv, ginv, ginv,
-        optimize=_KRETSCHMANN_PATH,
-    )
-    return float(val.real)
+    val = np.einsum("...mnab,...rscd,...sm,...nr,...da,...bc->...", r, r,
+                    ginv, ginv, ginv, ginv, optimize=_KRETSCHMANN_PATH)
+    return val.real[()]

@@ -368,25 +368,34 @@ class ArcLength(NamedTuple):
     distance: float
 
 
-def _sqrt_psi(u: float, n: int, a: float) -> float:
+def _sqrt_psi(u, n: int, a: float):
     # sqrt(a)/n * int_0^X (1+tau^2)^(-beta) dtau, X = (u/a)^(n/2).  Up to
     # u = a this is X 2F1(1/2, beta; 3/2; -X^2).  Beyond, the integrand's
     # power-law tail tau^(-2 beta) integrates to n X^(1/n) = n sqrt(u/a); the
     # integral equals n sqrt(u/a) 2F1(beta, -1/(2n); 1-1/(2n); -(a/u)^n)
     # plus C_n = int_0^inf ((1+tau^2)^(-beta) - tau^(-2 beta)) dtau
     # = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)) < 0.
-    if u == 0.0:
-        return 0.0
+    # ``u`` is a radius (float arithmetic) or an array of radii >= 0, each
+    # entry evaluated on its own branch only: the other's power overflows.
     beta = (n - 1.0) / (2.0 * n)
-    if u <= a:
+
+    def inner(u):
         x = (u / a) ** (n / 2.0)
-        val = x * hyp2f1(0.5, beta, 1.5, -x * x)
-    else:
+        return x * hyp2f1(0.5, beta, 1.5, -x * x)
+
+    def outer(u):
         c_n = math.sqrt(math.pi) * math.gamma(-0.5 / n) / (2.0 * math.gamma(beta))
-        val = n * math.sqrt(u / a) * hyp2f1(
+        return n * np.sqrt(u / a) * hyp2f1(
             beta, -0.5 / n, 1.0 - 0.5 / n, -((a / u) ** n)
         ) + c_n
-    return math.sqrt(a) / n * float(val)
+
+    if not isinstance(u, np.ndarray):
+        val = 0.0 if u == 0.0 else inner(u) if u <= a else outer(u)
+        return math.sqrt(a) / n * float(val)
+    val = np.zeros_like(u)  # u == 0 stays 0
+    lo, hi = (u > 0.0) & (u <= a), u > a
+    val[lo], val[hi] = inner(u[lo]), outer(u[hi])
+    return math.sqrt(a) / n * val
 
 
 def radial_arclength(u: float, params: GeometryParams) -> ArcLength:

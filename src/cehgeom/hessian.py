@@ -23,6 +23,8 @@ The radial derivatives have closed forms in terms of ``psi`` itself:
 
     psi'  = sqrt(psi/u) (u^n/(a^n+u^n))^((n-1)/(2n)),
     psi'' = (psi'/2 psi) (psi' + psi ((n-2) a^n - u^n) / (u (a^n+u^n))).
+
+The spectrum and blocks take lifts ``(..., n)``, the derivatives radii.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesics import radial_arclength
-from .tensors import _one_point
-from .profiles import DomainError, GeometryParams, radial_profile
+from .geodesics import _sqrt_psi
+from .tensors import _checked
+from .profiles import GeometryParams, _check_u, radial_profile
 
 __all__ = [
     "HessianSpectrum",
@@ -45,43 +47,46 @@ __all__ = [
 ]
 
 
-def _psi_jet(u: float, params: GeometryParams, where: str):
-    """``(psi, psi', psi'', Upsilon)`` at one radius, from one evaluation of
-    ``psi`` and one of the profile.
+def _psi_jet(u, params: GeometryParams, where: str):
+    """``(psi, psi', psi'', Upsilon)`` at a radius or an array of radii,
+    from one evaluation of ``psi`` and one of the profile.
 
     ``u^n/(a^n+u^n)`` is ``1 - phi``, and ``((n-2) a^n - u^n)/(a^n+u^n) =
     (n-1) phi - 1`` keeps ``psi''`` stable at both ends of the radial range.
     """
-    if not u > 0:
-        raise DomainError(f"{where} requires u > 0, got {u!r}")
+    u = _check_u(u, where)
     n = params.n
-    arc = radial_arclength(u, params)
+    d = _sqrt_psi(u, n, params.a)
+    psi = d * d
     prof = radial_profile(u, params)
-    dp = arc.distance / np.sqrt(u) * prof.one_minus_phi ** ((n - 1.0) / (2.0 * n))
-    d2p = dp / (2.0 * arc.psi) * (dp + arc.psi * ((n - 1) * prof.phi - 1.0) / u)
-    return arc.psi, dp, d2p, (n - 1) * prof.phi / u
+    dp = d / np.sqrt(u) * prof.one_minus_phi ** ((n - 1.0) / (2.0 * n))
+    d2p = dp / (2.0 * psi) * (dp + psi * ((n - 1) * prof.phi - 1.0) / u)
+    return psi, dp, d2p, (n - 1) * prof.phi / u
 
 
-def upsilon(u: float, params: GeometryParams) -> float:
+def upsilon(u, params: GeometryParams):
     """Connection coefficient ``(n-1) a^n / (u (a^n+u^n))``."""
     return _psi_jet(u, params, "upsilon")[3]
 
 
-def psi_prime(u: float, params: GeometryParams) -> float:
+def psi_prime(u, params: GeometryParams):
     """Radial derivative of the squared distance to the zero section."""
     return _psi_jet(u, params, "psi_prime")[1]
 
 
-def psi_second_derivative(u: float, params: GeometryParams) -> float:
+def psi_second_derivative(u, params: GeometryParams):
     """Second radial derivative of the squared distance."""
     return _psi_jet(u, params, "psi_second_derivative")[2]
 
 
 @dataclass(frozen=True)
 class HessianSpectrum:
-    """Closed-form eigenvalues of the real Hessian with their coefficients.
+    """Closed-form eigenvalues of the real Hessian with their coefficients,
+    each a float for one lift or shape ``(...)`` for lifts ``(..., n)``.
 
     ``lambda1`` occurs with multiplicity ``2n-2``; the other two are simple.
+    ``coef_a`` and ``coef_b`` are ``A`` and ``B = upsilon`` of the rank-two
+    form ``H = lambda1 (1 + A v (x) v + B w (x) w)``.
     """
 
     lambda1: float
@@ -92,35 +97,35 @@ class HessianSpectrum:
     coef_b: float
 
     def multiset(self, n: int) -> np.ndarray:
-        """Sorted eigenvalue multiset of the ``2n x 2n`` Hessian."""
-        return np.sort(
-            np.array([self.lambda1] * (2 * n - 2) + [self.lambda2, self.lambda3])
-        )
+        """Sorted eigenvalue multiset of each ``2n x 2n`` Hessian, shape
+        ``(..., 2n)``."""
+        lams = [self.lambda1] * (2 * n - 2) + [self.lambda2, self.lambda3]
+        return np.sort(np.stack(lams, axis=-1), axis=-1)
 
 
 def hessian_blocks(z, params: GeometryParams) -> np.ndarray:
-    """Assembled ``2n x 2n`` real symmetric Hessian in ``(x..., y...)`` order."""
-    z, _ = _one_point(z)
+    """Assembled ``2n x 2n`` real symmetric Hessian in ``(x..., y...)``
+    order at lifts ``(..., n)``, shape ``(..., 2n, 2n)``."""
+    z = _checked(z)[0]
     spec = hessian_spectrum(z, params)
-    ca, cb = spec.coef_a, spec.coef_b
-    x, y = z.real, z.imag
-    xx, yy = np.outer(x, x), np.outer(y, y)
-    xy, yx = np.outer(x, y), np.outer(y, x)
-    top = np.hstack([ca * xx + cb * yy, ca * xy - cb * yx])
-    bot = np.hstack([ca * yx - cb * xy, cb * xx + ca * yy])
-    return spec.lambda1 * (np.eye(2 * z.size) + np.vstack([top, bot]))
+    ca, cb, lam = (np.asarray(c)[..., None, None] for c in
+                   (spec.coef_a, spec.coef_b, spec.lambda1))
+    v = np.concatenate([z.real, z.imag], axis=-1)
+    w = np.concatenate([z.imag, -z.real], axis=-1)
+    vv, ww = (x[..., :, None] * x[..., None, :] for x in (v, w))
+    return lam * (np.eye(v.shape[-1]) + (ca * vv + cb * ww))
 
 
 def hessian_spectrum(z, params: GeometryParams) -> HessianSpectrum:
-    """Closed-form spectrum of :func:`hessian_blocks` at the same point."""
-    z, u = _one_point(z)
+    """Closed-form spectrum of :func:`hessian_blocks` at lifts ``(..., n)``,
+    one value of each field per lift."""
+    z, u = _checked(z)
     psi, dp, d2p, ups = _psi_jet(u, params, "hessian_spectrum")
-    ca = 2.0 * d2p / dp - ups
     return HessianSpectrum(
         lambda1=2.0 * dp,
         lambda2=2.0 * u * dp**2 / psi,
         lambda3=2.0 * dp * (1.0 + u * ups),
         upsilon=ups,
-        coef_a=ca,
+        coef_a=2.0 * d2p / dp - ups,
         coef_b=ups,
     )

@@ -167,9 +167,9 @@ def fubini_study(zeta) -> np.ndarray:
     return (s * np.eye(zeta.shape[-1]) - hermitian_outer(zeta)) / s**2
 
 
-def homothety_residual(z, alpha: float, params: GeometryParams) -> float:
+def homothety_residual(z, alpha: float, params: GeometryParams):
     """Max-norm violation of the scaling identity ``g_{a'}(alpha z) = g_a(z)``
-    with ``a' = alpha^2 a``.
+    with ``a' = alpha^2 a``, one residual per lift of ``(..., n)``.
 
     The dilation ``z -> alpha z`` pulls the metric of scale ``alpha^2 a`` back
     to ``alpha^2`` times the metric of scale ``a``; the chain-rule factor
@@ -177,11 +177,9 @@ def homothety_residual(z, alpha: float, params: GeometryParams) -> float:
     """
     if not alpha > 0:
         raise DomainError(f"homothety factor must be positive, got {alpha!r}")
-    z, _ = _one_point(z)
-    scaled = GeometryParams(params.n, alpha**2 * params.a)
-    g_scaled = metric(alpha * z, scaled)
-    g_base = metric(z, params)
-    return float(np.abs(g_scaled - g_base).max())
+    z = _checked(z)[0]
+    g_scaled = metric(alpha * z, GeometryParams(params.n, alpha**2 * params.a))
+    return np.abs(g_scaled - metric(z, params)).max(axis=(-2, -1))
 
 
 def random_points(

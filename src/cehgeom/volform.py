@@ -13,7 +13,8 @@ trace, ``nabla_alpha eps = -Gamma^lam_{lam alpha} eps``, and parallelism is
 the vanishing of that trace.  It cancels exactly for the Ricci-flat
 profile (and does not for other rotationally symmetric profiles, which makes
 a useful negative control).  The dense symbol :func:`levi_civita` costs
-``n^n`` memory and is kept for small ``n`` only.
+``n^n`` memory and is kept for small ``n`` only.  The norm and the trace
+take lifts ``(..., n)``, one value or ``(..., n)`` coefficient per lift.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .charts import ChartPoint, _check_dim
 from .curvature import christoffel_ceh
-from .tensors import _one_point, metric
+from .tensors import check_point, metric
 from .profiles import GeometryParams
 
 __all__ = [
@@ -58,25 +59,26 @@ def levi_civita(n: int) -> np.ndarray:
     return eps
 
 
-def volform_norm_sq(z, params: GeometryParams) -> float:
-    """Squared norm of the holomorphic volume form, ``det(metric)/n!``."""
-    z, _ = _one_point(z)
+def volform_norm_sq(z, params: GeometryParams):
+    """Squared norm of the holomorphic volume form, ``det(metric)/n!``, one
+    value per lift of ``(..., n)``."""
     det = np.linalg.det(metric(z, params)).real
-    return float(det / math.factorial(params.n))
+    return det / math.factorial(params.n)
 
 
 def covariant_derivative_epsilon(
     z, params: GeometryParams, christoffel: np.ndarray = None
 ) -> np.ndarray:
     """Coefficient ``-Gamma^lam_{lam alpha}`` of
-    ``nabla_alpha eps = -Gamma^lam_{lam alpha} eps``, indexed by ``alpha``.
+    ``nabla_alpha eps = -Gamma^lam_{lam alpha} eps`` at lifts ``(..., n)``,
+    indexed ``[..., alpha]``.
 
     Zero for the Ricci-flat connection; pass ``christoffel`` (indexed
-    ``[lam, mu, alpha]``) to probe other connections.
+    ``[..., lam, mu, alpha]``) to probe other connections.
     """
-    z, _ = _one_point(z)
+    z = check_point(z)
     gamma = christoffel_ceh(z, params) if christoffel is None else christoffel
-    return -np.trace(gamma, axis1=0, axis2=1)
+    return -np.trace(gamma, axis1=-3, axis2=-2)
 
 
 def chart_pullback_volform(p: ChartPoint, params: GeometryParams) -> complex:

@@ -178,7 +178,74 @@ def test_geodesic_sample_cap(capsys):
     assert len(rows) <= 12  # header + <=10 samples + footer
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_geodesic_samples_below_one_exit_2(capsys, samples):
+    rc, out, err = run_cli(capsys, "geodesic", "--n", "2",
+                           "--point", "1+0i,0+0i", "--velocity", "0+1i,0.2+0i",
+                           "--t-end", "1", "--samples", samples)
+    assert rc == 2 and out == ""
+    assert err == f"error: need samples >= 1, got {samples}\n"
+
+
 # --- scan ------------------------------------------------------------------------
+
+def _scan_table(capsys, n, a, quantity, u_min, u_max, points):
+    rc, out, err = run_cli(capsys, "scan", "--n", str(n), "--a", repr(a),
+                           "--quantity", quantity, "--u-min", repr(u_min),
+                           "--u-max", repr(u_max), "--points", str(points))
+    assert rc == 0 and err == ""
+    return np.array(list(csv.reader(io.StringIO(out)))[1:], dtype=float)
+
+
+def _scalar_row(quantity, u, p):
+    from cehgeom import f_prime, hessian_spectrum, kretschmann_radial, radial_arclength
+
+    if quantity == "kretschmann":
+        return [kretschmann_radial(u, p)]
+    if quantity == "psi":
+        return list(radial_arclength(u, p))
+    if quantity == "fprime":
+        return [f_prime(u, p)]
+    z = np.zeros(p.n, dtype=complex)
+    z[0] = np.sqrt(u)
+    s = hessian_spectrum(z, p)
+    return [s.lambda1, s.lambda2, s.lambda3]
+
+
+@pytest.mark.parametrize("quantity", ["kretschmann", "psi", "spectrum", "fprime"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_scan_rows_match_scalar_calls(capsys, n, quantity):
+    # one stacked call per column against one scalar call per radius: the
+    # array power rounds apart from libm's pow by an ulp, which the formulas
+    # grow to a few.  Not a bound for every radius: just above u = a, psi's
+    # integral cancels against its constant C_n, and rare radii there reach
+    # 9-13 ulp in psi
+    from cehgeom import GeometryParams
+
+    p = GeometryParams(n, 0.8)
+    table = _scan_table(capsys, n, p.a, quantity, 1e-4, 1e4, 61)
+    single = np.array([[u, *_scalar_row(quantity, u, p)] for u in table[:, 0]])
+    assert table.shape == single.shape
+    assert np.all(np.sign(table) == np.sign(single))
+    ulps = np.abs(table.view(np.int64) - single.view(np.int64))
+    assert ulps.max() <= 8
+
+
+@pytest.mark.parametrize("quantity", ["psi", "fprime"])
+def test_scan_full_double_range(capsys, quantity):
+    table = _scan_table(capsys, 3, 1.0, quantity, 1e-300, 1e300, 61)
+    assert table.shape[0] == 61 and np.all(np.isfinite(table))
+
+
+@pytest.mark.parametrize("quantity", ["kretschmann", "spectrum"])
+def test_scan_full_double_range_overflows(capsys, quantity):
+    # (u/a)^n overflows in the profile's phi near u = 1e300
+    rc, out, err = run_cli(capsys, "scan", "--n", "3", "--a", "1",
+                           "--quantity", quantity, "--u-min", "1e-300",
+                           "--u-max", "1e300", "--points", "61")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_scan_kretschmann_includes_exact_row(capsys):
     rc, out, _ = run_cli(capsys, "scan", "--n", "2", "--a", "1",

@@ -159,9 +159,11 @@ def test_eigenvalues_bounded_below_on_compact_range(params2):
 
 
 def test_spectrum_evaluates_psi_and_profile_once(monkeypatch, params3):
+    # one psi and one profile evaluation per call, for one lift and for a
+    # stack of seven alike
     import cehgeom.hessian as hessian_module
 
-    calls = {"radial_arclength": 0, "radial_profile": 0}
+    calls = {"_sqrt_psi": 0, "radial_profile": 0}
 
     def counting(name):
         real = getattr(hessian_module, name)
@@ -174,11 +176,15 @@ def test_spectrum_evaluates_psi_and_profile_once(monkeypatch, params3):
 
     for name in calls:
         monkeypatch.setattr(hessian_module, name, counting(name))
-    z = seeded_points(1, 3, params3.a, seed=8)[0]
-    spec = hessian_spectrum(z, params3)
-    assert calls == {"radial_arclength": 1, "radial_profile": 1}
-    # the spectrum and the scalar derivatives agree bit for bit
-    u = radius_sq(z)
-    dp, ups = psi_prime(u, params3), upsilon(u, params3)
-    assert spec.lambda1 == 2.0 * dp and spec.upsilon == ups
-    assert spec.coef_a == 2.0 * psi_second_derivative(u, params3) / dp - ups
+    zs = seeded_points(7, 3, params3.a, seed=8)
+    for z in (zs[0], zs):
+        calls.update(dict.fromkeys(calls, 0))
+        spec = hessian_spectrum(z, params3)
+        assert calls == {"_sqrt_psi": 1, "radial_profile": 1}
+        # the spectrum and the radial derivatives agree bit for bit
+        u = radius_sq(z)
+        dp, ups = psi_prime(u, params3), upsilon(u, params3)
+        assert np.array_equal(spec.lambda1, 2.0 * dp)
+        assert np.array_equal(spec.upsilon, ups)
+        assert np.array_equal(
+            spec.coef_a, 2.0 * psi_second_derivative(u, params3) / dp - ups)
