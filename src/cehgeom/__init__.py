@@ -68,7 +68,6 @@ from .hessian import (
 from .volform import (
     chart_pullback_volform,
     covariant_derivative_epsilon,
-    levi_civita,
     volform_norm_sq,
 )
 from .numdiff import (

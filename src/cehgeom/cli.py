@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import charts, curvature, geodesics, hessian, numdiff, tensors, volform
-from .profiles import DomainError, GeometryParams, f_prime, roots_of_unity_sum
+from .profiles import DomainError, GeometryParams, f_prime
 from .tensors import radius_sq
 
 __all__ = ["main", "build_parser", "parse_complex", "parse_point", "parse_chart"]
@@ -194,87 +194,19 @@ def cmd_eval(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _spectrum_residual(z, params) -> float:
-    numeric = np.sort(np.linalg.eigvalsh(hessian.hessian_blocks(z, params)))
-    closed = hessian.hessian_spectrum(z, params).multiset(params.n)
-    return float(np.abs(numeric - closed).max())
-
-
 def cmd_verify(args) -> int:
     params = GeometryParams(args.n, args.a)
     if args.points < 1:
         raise DomainError(f"need points >= 1, got {args.points}")
     rng = np.random.default_rng(args.seed)
     pts = tensors.random_points(args.points, params, rng=rng)
-    scale = args.tol
-
-    agg: dict[str, numdiff.CheckResult] = {}
-
-    def fold(res: numdiff.CheckResult):
-        prev = agg.get(res.name)
-        if prev is None or res.residual > prev.residual:
-            agg[res.name] = res
-
-    for z in pts:
-        for res in numdiff.verify_pipeline(z, params, tol_scale=scale).checks:
-            fold(res)
-
-        g = tensors.metric(z, params)
-        ginv = tensors.metric_inverse(z, params)
-        n = params.n
-        fold(numdiff.CheckResult(
-            "inverse_identity",
-            float(np.abs(g @ ginv - np.eye(n)).max()), 1e-12 * scale))
-        fold(numdiff.CheckResult(
-            "hermiticity", float(np.abs(g - g.conj().T).max()), 1e-14 * scale))
-        zeta_n = np.exp(2j * np.pi / n)
-        fold(numdiff.CheckResult(
-            "mu_n_invariance",
-            float(np.abs(tensors.metric(zeta_n * z, params) - g).max()),
-            1e-14 * scale))
-        fold(numdiff.CheckResult(
-            "metric_positivity",
-            float(-np.linalg.eigvalsh(g).min()), 0.0))
-        alpha = float(rng.uniform(0.5, 2.0))
-        fold(numdiff.CheckResult(
-            "homothety", tensors.homothety_residual(z, alpha, params),
-            1e-12 * scale))
-        fold(numdiff.CheckResult(
-            "volform_norm",
-            abs(volform.volform_norm_sq(z, params) * math.factorial(n) - 1.0),
-            1e-12 * scale))
-        fold(numdiff.CheckResult(
-            "nabla_epsilon",
-            float(np.abs(volform.covariant_derivative_epsilon(z, params)).max()),
-            1e-13 * scale))
-        fold(numdiff.CheckResult(
-            "hessian_spectrum", _spectrum_residual(z, params), 1e-6 * scale))
-
-    for _ in range(8):
-        alpha = complex(rng.uniform(1.5, 5.0), rng.uniform(-1.0, 1.0))
-        k = int(rng.integers(2, 13))
-        fold(numdiff.CheckResult(
-            "roots_of_unity",
-            abs(roots_of_unity_sum(alpha, k) - 1.0 / (alpha**k - 1.0)),
-            1e-12 * scale))
-
-    report = {
-        "schema": SCHEMA_VERSION,
-        "n": params.n,
-        "a": params.a,
-        "seed": args.seed,
-        "points": args.points,
-        "checks": {
-            name: {"residual": r.residual, "tol": r.tol, "passed": r.passed}
-            for name, r in sorted(agg.items())
-        },
-    }
-    ok = all(r.passed for r in agg.values())
-    report["passed"] = ok
-    _emit(_json(report), args.output)
-    if not ok:
-        failing = [name for name, r in agg.items() if not r.passed]
-        print(f"verification failed: {', '.join(sorted(failing))}", file=sys.stderr)
+    report = numdiff.verify_pipeline(pts, params, rng, tol_scale=args.tol)
+    doc = {"schema": SCHEMA_VERSION, "n": params.n, "a": params.a, "seed": args.seed,
+           "points": args.points, "checks": report.to_dict(), "passed": report.passed}
+    _emit(_json(doc), args.output)
+    if not report.passed:
+        failing = [c.name for c in report.checks if not c.passed]
+        print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
         return 1
     return 0
 

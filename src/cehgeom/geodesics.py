@@ -491,8 +491,10 @@ def zero_section_geodesic(
     t_end: Optional[float] = None,
     tol: float = 1e-12,
 ) -> FSTrajectory:
-    """Integrate the Fubini-Study flow on the zero section, starting in the
-    first affine chart, hopping charts when ``|zeta|`` grows large.
+    """Integrate the Fubini-Study flow on the zero section from ``zeta0`` in
+    the first affine chart, hopping charts when ``|zeta|`` grows large.  A
+    start with ``max |zeta0| > 1`` is first moved into the chart of its
+    largest slot.
 
     The acceleration is the contraction of the rotationally symmetric
     connection with the round projective profile (the cubic coefficient of
@@ -514,16 +516,27 @@ def zero_section_geodesic(
         raise DomainError(
             f"base coordinates have dimension {m}, expected n-1={params.n - 1}"
         )
+    start = ChartPoint(1, 0, zeta0)
+    chart, zeta, v = 1, zeta0, v0
+    if np.abs(zeta0).max() > 1:  # start where every |zeta| <= 1
+        chart = start.slots[int(np.argmax(np.abs(zeta0)))]
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                zeta, v = _hop(start, v0, chart)
+            except FloatingPointError as exc:
+                raise DomainError(f"start energy cannot be computed in double "
+                                  f"precision: hop to chart {chart}: {exc}") from None
     if t_end is None:
-        t_end = (4.0 * math.pi * math.sqrt(params.a)
-                 / math.sqrt(fs_energy(zeta0, v0, params)))
+        e0 = fs_energy(zeta, v, params)
+        if not e0 >= np.finfo(float).tiny:
+            raise DomainError(f"start energy {float(e0)!r} is below the smallest "
+                              "normal double: pass t_end")
+        t_end = 4.0 * math.pi * math.sqrt(params.a) / math.sqrt(e0)
     _check_run(t_end, tol)
     if not t_end > 0:
         raise DomainError(f"integration time t_end must be positive, got {t_end!r}")
 
-    start = ChartPoint(1, 0, zeta0)
-    chart = 1
-    state = _pack(zeta0, v0)
+    state = _pack(zeta, v)
     t0 = 0.0
     left_start = False
     period = None

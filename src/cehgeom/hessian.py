@@ -107,7 +107,11 @@ def hessian_blocks(z, params: GeometryParams) -> np.ndarray:
     """Assembled ``2n x 2n`` real symmetric Hessian in ``(x..., y...)``
     order at lifts ``(..., n)``, shape ``(..., 2n, 2n)``."""
     z = _checked(z)[0]
-    spec = hessian_spectrum(z, params)
+    return _assemble(z, hessian_spectrum(z, params))
+
+
+def _assemble(z, spec: HessianSpectrum) -> np.ndarray:
+    # lambda1 (1 + A v (x) v + B w (x) w) at validated lifts z
     ca, cb, lam = (np.asarray(c)[..., None, None] for c in
                    (spec.coef_a, spec.coef_b, spec.lambda1))
     v = np.concatenate([z.real, z.imag], axis=-1)

@@ -42,14 +42,17 @@ one clears it by three orders of magnitude).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import curvature as _curvature
-from .tensors import _one_point, metric
-from .profiles import GeometryParams, potential, radius_sq
+from . import hessian as _hessian
+from . import volform as _volform
+from .tensors import _one_point, check_point, homothety_residual, metric, metric_inverse
+from .profiles import GeometryParams, potential, radius_sq, roots_of_unity_sum
 
 __all__ = [
     "FDConfig",
@@ -180,22 +183,17 @@ def fd_metric_from_potential(
     return complex_hessian(lambda w: potential(radius_sq(w), params), z, cfg)
 
 
-def fd_christoffel(
-    metric_fn: Callable, z, cfg: FDConfig = FD_FIRST,
-    metric_inv: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def fd_christoffel(metric_fn: Callable, z, cfg: FDConfig = FD_FIRST) -> np.ndarray:
     """Connection from first derivatives of the metric.
 
-    ``Gamma^lam_{mu alpha} = g_{mu nubar, alpha} g^{nubar lam}``; the inverse
-    is taken numerically from ``metric_fn`` unless supplied.  Output is
-    indexed ``[lam, mu, alpha]``.
+    ``Gamma^lam_{mu alpha} = g_{mu nubar, alpha} g^{nubar lam}``, the inverse
+    taken numerically from ``metric_fn``.  Output is indexed
+    ``[lam, mu, alpha]``.
     """
     z = np.asarray(z, dtype=complex)
-    if metric_inv is None:
-        metric_inv = np.linalg.inv(metric_fn(z))
     dg = wirtinger_partial(metric_fn, z, range(z.size), cfg=cfg)  # [alpha, mu, nu]
     # [alpha, mu, lam] -> [lam, mu, alpha]
-    return np.transpose(dg @ metric_inv, (2, 1, 0))
+    return np.transpose(dg @ np.linalg.inv(metric_fn(z)), (2, 1, 0))
 
 
 def fd_riemann(
@@ -243,7 +241,8 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    """Residuals of the six derivative-chain and algebraic identities."""
+    """Worst residual of each identity of the certification suite, sorted
+    by check name."""
 
     checks: list = field(default_factory=list)
 
@@ -252,10 +251,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return {c.name: c for c in self.checks}[name]
 
     def to_dict(self) -> dict:
         return {
@@ -264,83 +260,86 @@ class VerificationReport:
         }
 
 
-#: default tolerances; algebraic identities vs identities through stencils
-TOL_ALGEBRAIC = 1e-12
+#: tolerances; ``tol_scale`` multiplies all but the exact zero of positivity
 TOL_FD_METRIC = 1e-6
 TOL_FD_CHRISTOFFEL = 1e-6
 TOL_FD_RIEMANN = 1e-5
 TOL_FD_RICCI = 1e-5
+TOL_ALGEBRAIC = 1e-12
 TOL_KRETSCHMANN_REL = 1e-9
+TOL_INVERSE = 1e-12
+TOL_HERMITIAN = 1e-14
+TOL_MU_N = 1e-14
+TOL_POSITIVITY = 0.0
+TOL_HOMOTHETY = 1e-12
+TOL_VOLFORM = 1e-12
+TOL_NABLA_EPSILON = 1e-13
+TOL_SPECTRUM = 1e-6
+TOL_ROOTS_OF_UNITY = 1e-12
+
+
+def _point_checks(z, params: GeometryParams, alpha: float):
+    """``(name, residual, tolerance)`` of each check at one lift; ``alpha``
+    is the homothety factor."""
+    n = params.n
+    maxabs = lambda x: np.abs(x).max()
+    g_field = lambda w: metric(w, params)
+    gamma_field = lambda w: _curvature.christoffel_ceh(w, params)
+    g, gamma = g_field(z), gamma_field(z)
+    ginv = metric_inverse(z, params)
+    riem = _curvature.riemann(z, params)
+    spec = _hessian.hessian_spectrum(z, params)
+    k = _curvature.kretschmann_radial(radius_sq(z), params)
+    k_contr = _curvature.kretschmann_contracted(z, params)
+    eigs = np.sort(np.linalg.eigvalsh(_hessian._assemble(z, spec)))
+    rotated = metric(np.exp(2j * np.pi / n) * z, params)
+    nabla_eps = _volform.covariant_derivative_epsilon(z, params, christoffel=gamma)
+    volform_norm = _volform.volform_norm_sq(z, params) * math.factorial(n)
+    yield ("metric_vs_potential",
+           maxabs(g - fd_metric_from_potential(z, params)), TOL_FD_METRIC)
+    yield ("christoffel_vs_metric",
+           maxabs(gamma - fd_christoffel(g_field, z)), TOL_FD_CHRISTOFFEL)
+    yield ("riemann_vs_christoffel",
+           maxabs(riem - fd_riemann(gamma_field, g_field, z)), TOL_FD_RIEMANN)
+    yield "ricci_log_det", maxabs(fd_ricci_log_det(g_field, z)), TOL_FD_RICCI
+    yield "det_unity", abs(np.linalg.det(g).real - 1.0), TOL_ALGEBRAIC
+    yield "kretschmann_consistency", abs(k_contr - k) / abs(k), TOL_KRETSCHMANN_REL
+    yield "inverse_identity", maxabs(g @ ginv - np.eye(n)), TOL_INVERSE
+    yield "hermiticity", maxabs(g - g.conj().T), TOL_HERMITIAN
+    yield "mu_n_invariance", maxabs(rotated - g), TOL_MU_N
+    yield "metric_positivity", -np.linalg.eigvalsh(g).min(), TOL_POSITIVITY
+    yield "homothety", homothety_residual(z, alpha, params), TOL_HOMOTHETY
+    yield "volform_norm", abs(volform_norm - 1.0), TOL_VOLFORM
+    yield "nabla_epsilon", maxabs(nabla_eps), TOL_NABLA_EPSILON
+    yield "hessian_spectrum", maxabs(eigs - spec.multiset(n)), TOL_SPECTRUM
 
 
 def verify_pipeline(
-    z,
-    params: GeometryParams,
-    cfg: FDConfig = FD_FIRST,
-    metric_fn: Optional[Callable] = None,
-    tol_scale: float = 1.0,
+    points, params: GeometryParams, rng, tol_scale: float = 1.0
 ) -> VerificationReport:
-    """Certify the full derivative chain at one point.
+    """Certify every closed form at a stack of lifts ``(..., n)``; a single
+    lift is a stack of one.
 
-    Checks, in order: the metric is the mixed Hessian of the potential, the
-    connection is ``g_{,alpha} g^{-1}``, the curvature is ``-dbar Gamma``
-    lowered, the Ricci tensor from ``-d dbar log det g`` vanishes, the
-    determinant is one, and the curvature-norm scalar from brute-force
-    contraction matches its closed form.
-
-    ``metric_fn`` replaces the metric *field* consumed by the stencils and
-    algebraic checks (fault injection for negative controls).  It is
-    batched, ``(K, n) -> (K, n, n)``, and every stencil point goes through
-    it; the closed-form connection and curvature stay canonical comparison
-    targets.
+    At each point, four identities through the FD stencils (potential ->
+    metric -> connection -> curvature, and ``-d dbar log det g = 0``) and
+    ten algebraic ones, with a homothety factor drawn from ``rng``; then the
+    roots-of-unity sum at eight ``(alpha, k)`` drawn from ``rng``.  Each
+    check keeps its worst residual; the report is sorted by name.
     """
-    z, _ = _one_point(z)
-    if metric_fn is None:
-        metric_fn = lambda w: metric(w, params)
-    second = FDConfig(step=max(cfg.step, FD_SECOND.step), scheme="central4")
+    points = check_point(points)
+    worst: dict = {}
 
-    checks = []
+    def fold(name, residual, tol):
+        residual = float(residual)
+        if name not in worst or residual > worst[name].residual:
+            worst[name] = CheckResult(name, residual, tol * tol_scale if tol else tol)
 
-    g = metric_fn(z)
-    g_fd = fd_metric_from_potential(z, params, second)
-    checks.append(
-        CheckResult("metric_vs_potential", float(np.abs(g - g_fd).max()),
-                    TOL_FD_METRIC * tol_scale)
-    )
-
-    gamma = _curvature.christoffel_ceh(z, params)
-    gamma_fd = fd_christoffel(metric_fn, z, cfg)
-    checks.append(
-        CheckResult("christoffel_vs_metric", float(np.abs(gamma - gamma_fd).max()),
-                    TOL_FD_CHRISTOFFEL * tol_scale)
-    )
-
-    riem = _curvature.riemann(z, params)
-    riem_fd = fd_riemann(
-        lambda w: _curvature.christoffel_ceh(w, params), metric_fn, z, cfg
-    )
-    checks.append(
-        CheckResult("riemann_vs_christoffel", float(np.abs(riem - riem_fd).max()),
-                    TOL_FD_RIEMANN * tol_scale)
-    )
-
-    ric_fd = fd_ricci_log_det(metric_fn, z, second)
-    checks.append(
-        CheckResult("ricci_log_det", float(np.abs(ric_fd).max()),
-                    TOL_FD_RICCI * tol_scale)
-    )
-
-    det = np.linalg.det(g).real
-    checks.append(
-        CheckResult("det_unity", float(abs(det - 1.0)), TOL_ALGEBRAIC * tol_scale)
-    )
-
-    k_closed = _curvature.kretschmann_radial(radius_sq(z), params)
-    k_contr = _curvature.kretschmann_contracted(z, params)
-    checks.append(
-        CheckResult("kretschmann_consistency",
-                    float(abs(k_contr - k_closed) / abs(k_closed)),
-                    TOL_KRETSCHMANN_REL * tol_scale)
-    )
-
-    return VerificationReport(checks)
+    for z in points.reshape(-1, points.shape[-1]):
+        for check in _point_checks(z, params, float(rng.uniform(0.5, 2.0))):
+            fold(*check)
+    for _ in range(8):
+        alpha = complex(rng.uniform(1.5, 5.0), rng.uniform(-1.0, 1.0))
+        k = int(rng.integers(2, 13))
+        residual = abs(roots_of_unity_sum(alpha, k) - 1.0 / (alpha**k - 1.0))
+        fold("roots_of_unity", residual, TOL_ROOTS_OF_UNITY)
+    return VerificationReport([worst[name] for name in sorted(worst)])

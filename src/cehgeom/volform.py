@@ -12,15 +12,13 @@ only ``lam = mk`` survives in the k-th term, so the sum collapses to the
 trace, ``nabla_alpha eps = -Gamma^lam_{lam alpha} eps``, and parallelism is
 the vanishing of that trace.  It cancels exactly for the Ricci-flat
 profile (and does not for other rotationally symmetric profiles, which makes
-a useful negative control).  The dense symbol :func:`levi_civita` costs
-``n^n`` memory and is kept for small ``n`` only.  The norm and the trace
-take lifts ``(..., n)``, one value or ``(..., n)`` coefficient per lift.
+a useful negative control).  The norm and the trace take lifts
+``(..., n)``, one value or ``(..., n)`` coefficient per lift.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
 
 import numpy as np
 
@@ -30,34 +28,10 @@ from .tensors import check_point, metric
 from .profiles import GeometryParams
 
 __all__ = [
-    "levi_civita",
     "volform_norm_sq",
     "covariant_derivative_epsilon",
     "chart_pullback_volform",
 ]
-
-#: dense storage grows as n^n; beyond this the tensor has no business in memory
-_MAX_DENSE_N = 5
-
-
-def levi_civita(n: int) -> np.ndarray:
-    """Dense rank-``n`` Levi-Civita array with ``eps[0,1,...,n-1] = 1``."""
-    if not 1 <= n <= _MAX_DENSE_N:
-        raise ValueError(
-            f"dense Levi-Civita supported for 1 <= n <= {_MAX_DENSE_N}, got {n}"
-        )
-    eps = np.zeros((n,) * n)
-    for perm in permutations(range(n)):
-        sign = 1
-        p = list(perm)
-        for i in range(n):  # parity by counting transpositions
-            while p[i] != i:
-                j = p[i]
-                p[i], p[j] = p[j], p[i]
-                sign = -sign
-        eps[perm] = sign
-    return eps
-
 
 def volform_norm_sq(z, params: GeometryParams):
     """Squared norm of the holomorphic volume form, ``det(metric)/n!``, one

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cehgeom import cli
+from cehgeom import cli, numdiff
 from cehgeom.cli import main, parse_chart, parse_complex, parse_point
 
 
@@ -108,6 +108,19 @@ def test_verify_dimension_sweep(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--n", "4", "--a", "0.5",
                          "--points", "2")
     assert rc == 0
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    # a corrupted closed form: the roots-of-unity sum over k + 1 roots
+    exact = numdiff.roots_of_unity_sum
+    monkeypatch.setattr(numdiff, "roots_of_unity_sum",
+                        lambda alpha, k: exact(alpha, k + 1))
+    rc, out, err = run_cli(capsys, "verify", "--n", "2", "--points", "1")
+    doc = json.loads(out)
+    assert rc == 1 and doc["passed"] is False
+    assert [k for k, c in doc["checks"].items() if not c["passed"]] == [
+        "roots_of_unity"]
+    assert err == "verification failed: roots_of_unity\n"
 
 
 def test_verify_rejects_n1(capsys):

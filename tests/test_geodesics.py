@@ -423,6 +423,42 @@ def test_zero_section_higher_dimension_period():
     assert run.period == pytest.approx(np.pi, rel=1e-11)
 
 
+def _fs_period(zeta, v, a):
+    # pi sqrt(a) / speed, the speed from the chart-1 energy at 60 digits
+    import mpmath
+
+    with mpmath.workdps(60):
+        z, w = ([mpmath.mpc(c.real, c.imag) for c in x] for x in (zeta, v))
+        s = 1 + sum(abs(c) ** 2 for c in z)
+        zv = abs(sum(mpmath.conj(c) * d for c, d in zip(z, w))) ** 2
+        e = a * (s * sum(abs(d) ** 2 for d in w) - zv) / s**2
+        return float(mpmath.pi * mpmath.sqrt(a) / mpmath.sqrt(e))
+
+
+@pytest.mark.parametrize("zeta0,dzeta0", [
+    ([1e10], [1]),
+    ([1e10, 0.3 + 0.2j], [1, 0.5j]),
+    ([0.5, -2e10j], [0.2 + 1j, 0.7]),
+])
+def test_zero_section_far_start(zeta0, dzeta0):
+    # in chart 1 the energy (1+|zeta|^2)|v|^2 - |<zeta, v>|^2 cancels to 0;
+    # the run starts in the chart of the largest slot instead
+    zeta0, dzeta0 = np.array(zeta0, dtype=complex), np.array(dzeta0, dtype=complex)
+    p = GeometryParams(zeta0.size + 1, 1.0)
+    run = zero_section_geodesic(zeta0, dzeta0, p)
+    assert run.chart[0] == 2 + int(np.argmax(np.abs(zeta0)))
+    assert run.period == pytest.approx(_fs_period(zeta0, dzeta0, p.a), rel=1e-11)
+
+
+@pytest.mark.parametrize("big,match", [
+    (1e100, "start energy 0.0 is below"),
+    (1e160, "start energy cannot be computed"),
+])
+def test_zero_section_start_energy_out_of_range(params2, big, match):
+    with pytest.raises(DomainError, match=match):
+        zero_section_geodesic(np.array([big + 0j]), np.array([1 + 0j]), params2)
+
+
 def test_zero_section_requires_direction(params2):
     with pytest.raises(Exception):
         zero_section_geodesic(np.zeros(1, dtype=complex), np.zeros(1), params2)

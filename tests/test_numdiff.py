@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cehgeom import (
     radius_sq,
     verify_pipeline,
 )
+from cehgeom import curvature, hessian, numdiff, tensors, volform
 from cehgeom.numdiff import (
     FD_FIRST,
     FD_SECOND,
@@ -23,6 +26,15 @@ from cehgeom.numdiff import (
 )
 
 from conftest import seeded_points
+
+#: every check of the certification suite
+CHECKS = (
+    "metric_vs_potential", "christoffel_vs_metric", "riemann_vs_christoffel",
+    "ricci_log_det", "det_unity", "kretschmann_consistency",
+    "inverse_identity", "hermiticity", "mu_n_invariance", "metric_positivity",
+    "homothety", "volform_norm", "nabla_epsilon", "hessian_spectrum",
+    "roots_of_unity",
+)
 
 
 # --- oracle: the nested per-point stencil ----------------------------------------
@@ -159,9 +171,19 @@ def test_fdconfig_validation():
 @pytest.mark.parametrize("n", [2, 3])
 def test_pipeline_passes(n):
     p = GeometryParams(n, 1.0)
-    for z in seeded_points(5, n, 1.0):
-        report = verify_pipeline(z, p)
-        assert report.passed, report.to_dict()
+    report = verify_pipeline(seeded_points(5, n, 1.0), p, np.random.default_rng(0))
+    assert report.passed, report.to_dict()
+
+
+def test_pipeline_keeps_worst_point():
+    # a stack (2, 2, n) folds to the worst residual of its lifts; the checks
+    # that draw from the rng are left out
+    p = GeometryParams(3, 0.8)
+    zs = seeded_points(4, 3, p.a, seed=11)
+    stack = verify_pipeline(zs.reshape(2, 2, 3), p, np.random.default_rng(0))
+    singles = [verify_pipeline(z, p, np.random.default_rng(0)) for z in zs]
+    for name in set(CHECKS) - {"homothety", "roots_of_unity"}:
+        assert stack[name].residual == max(r[name].residual for r in singles), name
 
 
 def test_pipeline_near_flat_control():
@@ -172,23 +194,24 @@ def test_pipeline_near_flat_control():
 
     assert np.abs(christoffel_ceh(z, p)).max() < 1e-6
     assert np.abs(riemann(z, p)).max() < 1e-6
-    report = verify_pipeline(z, p)
+    report = verify_pipeline(z, p, np.random.default_rng(0))
     assert report["christoffel_vs_metric"].passed
     assert report["riemann_vs_christoffel"].passed
 
 
-def test_pipeline_corrupted_metric_fails():
+def test_pipeline_corrupted_metric_fails(monkeypatch):
     # +1e-3 on one entry: the det and Ricci checks must both detect it;
     # probe at u ~ a, where log det responds strongly to the perturbation
     p = GeometryParams(2, 1.0)
     z = seeded_points(1, 2, 1.0, seed=7)[0]
 
-    def corrupted(w):
-        g = metric(w, p).copy()
+    def corrupted(w, params):
+        g = metric(w, params).copy()
         g[..., 0, 0] += 1e-3
         return g
 
-    report = verify_pipeline(z, p, metric_fn=corrupted)
+    monkeypatch.setattr(numdiff, "metric", corrupted)
+    report = verify_pipeline(z, p, np.random.default_rng(0))
     assert not report["det_unity"].passed
     assert not report["ricci_log_det"].passed
     assert not report.passed
@@ -196,16 +219,9 @@ def test_pipeline_corrupted_metric_fails():
 
 def test_pipeline_report_mapping(params2):
     z = seeded_points(1, 2, 1.0, seed=2)[0]
-    report = verify_pipeline(z, params2)
+    report = verify_pipeline(z, params2, np.random.default_rng(0))
     d = report.to_dict()
-    assert set(d) == {
-        "metric_vs_potential",
-        "christoffel_vs_metric",
-        "riemann_vs_christoffel",
-        "ricci_log_det",
-        "det_unity",
-        "kretschmann_consistency",
-    }
+    assert list(d) == sorted(CHECKS)
     with pytest.raises(KeyError):
         report["nope"]
 
@@ -277,19 +293,94 @@ def test_stencil_rejects_flattening_field():
         complex_hessian(lambda w: np.vdot(w, w).real, z)
 
 
-def test_pipeline_corrupted_field_off_point_fails():
+def test_pipeline_corrupted_field_off_point_fails(monkeypatch):
     # g(z) stays exact, the field is wrong away from z: only checks that
-    # differentiate metric_fn can see it
+    # differentiate the metric field can see it
     p = GeometryParams(2, 1.0)
     z = seeded_points(1, 2, 1.0, seed=7)[0]
     u0 = radius_sq(z)
 
-    def corrupted(w):
+    def corrupted(w, params):
         bump = 1e-3 * (radius_sq(w) - u0)
-        return metric(w, p) + bump[..., None, None] * np.eye(2)
+        return metric(w, params) + bump[..., None, None] * np.eye(2)
 
-    assert np.array_equal(corrupted(z), metric(z, p))
-    report = verify_pipeline(z, p, metric_fn=corrupted)
+    assert np.array_equal(corrupted(z, p), metric(z, p))
+    monkeypatch.setattr(numdiff, "metric", corrupted)
+    report = verify_pipeline(z, p, np.random.default_rng(0))
     assert not report["christoffel_vs_metric"].passed
     assert not report["ricci_log_det"].passed
     assert report["det_unity"].passed
+
+
+# --- negative controls: one corrupted closed form per algebraic check -------------
+# (roots_of_unity: tests/test_cli.py, through the exit code).  Each corruption is small enough that every other check still passes, so the
+# suite names exactly the closed form at fault.
+
+def _failing(n=2, seed=7):
+    p = GeometryParams(n, 1.0)
+    z = seeded_points(1, n, p.a, seed=seed)[0]
+    report = verify_pipeline(z, p, np.random.default_rng(0))
+    return [c.name for c in report.checks if not c.passed]
+
+
+def test_uncorrupted_controls_pass():
+    assert _failing() == [] and _failing(n=3) == []
+
+
+def test_inverse_identity_sees_wrong_inverse(monkeypatch):
+    exact = tensors.metric_inverse
+    monkeypatch.setattr(numdiff, "metric_inverse", lambda z, p: 1.001 * exact(z, p))
+    assert _failing() == ["inverse_identity"]
+
+
+def test_hermiticity_sees_skew_part(monkeypatch):
+    # i 1e-13 on the diagonal: far below every other tolerance
+    monkeypatch.setattr(numdiff, "metric",
+                        lambda z, p: metric(z, p) + 1e-13j * np.eye(p.n))
+    assert _failing() == ["hermiticity"]
+
+
+def test_mu_n_invariance_sees_phase_dependence(monkeypatch):
+    # exact to second order at z0, off by 1e-9 at the rotated lift
+    z0 = seeded_points(1, 3, 1.0, seed=7)[0]
+
+    def corrupted(z, p):
+        bump = 1e-9 * radius_sq(z - z0)
+        return metric(z, p) + np.asarray(bump)[..., None, None] * np.eye(p.n)
+
+    monkeypatch.setattr(numdiff, "metric", corrupted)
+    assert _failing(n=3) == ["mu_n_invariance"]
+
+
+def test_homothety_sees_dropped_scale(monkeypatch):
+    # the metric of scale a evaluated at a = 1
+    exact = tensors.metric
+    monkeypatch.setattr(tensors, "metric",
+                        lambda z, p: exact(z, GeometryParams(p.n, 1.0)))
+    assert _failing() == ["homothety"]
+
+
+def test_volform_norm_sees_wrong_determinant(monkeypatch):
+    monkeypatch.setattr(volform, "metric", lambda z, p: 1.001 * metric(z, p))
+    assert _failing() == ["volform_norm"]
+
+
+def test_nabla_epsilon_sees_connection_trace(monkeypatch):
+    # Gamma^lam_{mu alpha} + 1e-9 delta^lam_mu: a trace the stencils cannot
+    # see at their tolerances
+    exact = curvature.christoffel_ceh
+    monkeypatch.setattr(curvature, "christoffel_ceh",
+                        lambda z, p: exact(z, p) + 1e-9 * np.eye(p.n)[:, :, None])
+    assert _failing() == ["nabla_epsilon"]
+
+
+def test_hessian_spectrum_sees_wrong_eigenvalue(monkeypatch):
+    exact = hessian.hessian_spectrum
+
+    def corrupted(z, p):
+        spec = exact(z, p)
+        return dataclasses.replace(spec, lambda2=spec.lambda2 * (1 + 1e-3))
+
+    monkeypatch.setattr(hessian, "hessian_spectrum", corrupted)
+    assert _failing() == ["hessian_spectrum"]
+

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -13,13 +14,35 @@ from cehgeom import (
     covariant_derivative_epsilon,
     fs_profile,
     integrate,
-    levi_civita,
     radius_sq,
     volform_norm_sq,
 )
 from cehgeom.charts import chart_jacobian
 
 from conftest import seeded_points
+
+#: dense storage grows as n^n; beyond this the tensor has no business in memory
+_MAX_DENSE_N = 5
+
+
+def levi_civita(n: int) -> np.ndarray:
+    """Dense rank-``n`` Levi-Civita array with ``eps[0,1,...,n-1] = 1``: the
+    oracle for the trace form of the volume form's covariant derivative."""
+    if not 1 <= n <= _MAX_DENSE_N:
+        raise ValueError(
+            f"dense Levi-Civita supported for 1 <= n <= {_MAX_DENSE_N}, got {n}"
+        )
+    eps = np.zeros((n,) * n)
+    for perm in permutations(range(n)):
+        sign = 1
+        p = list(perm)
+        for i in range(n):  # parity by counting transpositions
+            while p[i] != i:
+                j = p[i]
+                p[i], p[j] = p[j], p[i]
+                sign = -sign
+        eps[perm] = sign
+    return eps
 
 
 def test_levi_civita_small():
