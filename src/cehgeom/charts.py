@@ -134,25 +134,30 @@ def quotient_to_chart(w, i: int) -> ChartPoint:
     return ChartPoint(i=i, z=complex(wi**n), zeta=zeta)
 
 
+def _base_chart(w, dw, j: int):
+    """Chart-``j`` base coordinates of a homogeneous base point ``w`` and
+    velocities of its tangents ``dw`` (shape ``(..., n)``): divide by ``w_j``
+    and drop slot ``j``.  No fiber power is formed."""
+    n = w.size
+    if not 1 <= j <= n:
+        raise ChartError(f"chart index {j} out of range 1..{n}")
+    wj = w[j - 1]
+    if wj == 0:
+        raise ChartError(f"point not in chart {j}: w_{j} = 0")
+    keep = np.arange(n) != j - 1
+    zeta = w[keep] / wj
+    return zeta, (dw[..., keep] - dw[..., j - 1, None] * zeta) / wj
+
+
 def transition(p: ChartPoint, j: int) -> ChartPoint:
     """The same point of the total space in chart ``j``.
 
     Works for ``z = 0`` too: the fiber coordinate transforms by the bundle
     cocycle ``z' = z zeta_j^n`` and the base projectively, no roots needed.
     """
-    n = p.n
-    if not 1 <= j <= n:
-        raise ChartError(f"chart index {j} out of range 1..{n}")
-    if j == p.i:
-        return p
-    pos_j = p.slots.index(j)
-    zj = p.zeta[pos_j]
-    if zj == 0:
-        raise ChartError(f"point not in chart {j}: zeta_{j} = 0")
-    new_zeta = np.empty(n - 1, dtype=complex)
-    for pos, k in enumerate(k for k in range(1, n + 1) if k != j):
-        new_zeta[pos] = 1.0 / zj if k == p.i else p.zeta[p.slots.index(k)] / zj
-    return ChartPoint(i=j, z=complex(p.z) * zj**n, zeta=new_zeta)
+    w = np.insert(p.zeta, p.i - 1, 1.0)  # homogeneous base point
+    zeta, _ = _base_chart(w, np.zeros_like(w), j)
+    return ChartPoint(i=j, z=complex(p.z) * w[j - 1] ** p.n, zeta=zeta)
 
 
 def transition_jacobian(p: ChartPoint, j: int) -> np.ndarray:
@@ -161,21 +166,13 @@ def transition_jacobian(p: ChartPoint, j: int) -> np.ndarray:
     n = p.n
     if j == p.i:
         return np.eye(n, dtype=complex)
-    pos_j = p.slots.index(j)
-    zj = p.zeta[pos_j]
-    if zj == 0:
-        raise ChartError(f"point not in chart {j}: zeta_{j} = 0")
-    new_slots = [k for k in range(1, n + 1) if k != j]
+    w = np.insert(p.zeta, p.i - 1, 1.0)
+    # the old base directions, as homogeneous tangents
+    _, base = _base_chart(w, np.delete(np.eye(n), p.i - 1, axis=0), j)
     jac = np.zeros((n, n), dtype=complex)
-    jac[0, 0] = zj**n                      # dz'/dz
-    jac[0, 1 + pos_j] = n * complex(p.z) * zj ** (n - 1)
-    for pos, k in enumerate(new_slots):
-        if k == p.i:
-            jac[1 + pos, 1 + pos_j] = -1.0 / zj**2
-        else:
-            pos_k = p.slots.index(k)
-            jac[1 + pos, 1 + pos_k] = 1.0 / zj
-            jac[1 + pos, 1 + pos_j] = -p.zeta[pos_k] / zj**2
+    jac[1:, 1:] = base.T
+    jac[0, 0] = w[j - 1] ** n                      # dz'/dz
+    jac[0, 1 + p.slots.index(j)] = n * complex(p.z) * w[j - 1] ** (n - 1)
     return jac
 
 

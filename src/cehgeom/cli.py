@@ -301,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n", type=int, default=2, help="complex dimension (>= 2)")
         p.add_argument("--a", type=float, default=1.0, help="scale parameter (> 0)")
-        p.add_argument("--seed", type=int, default=42, help="RNG seed")
         p.add_argument("--output", default=None, help="write output to this path")
 
     p_eval = sub.add_parser("eval", help="evaluate the full tensor bundle at a point")
@@ -314,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the invariant suite at random points")
     common(p_verify)
     p_verify.add_argument("--points", type=int, default=20, help="number of points")
+    p_verify.add_argument("--seed", type=int, default=42, help="RNG seed")
     p_verify.add_argument(
         "--tol", type=float, default=1.0,
         help="scale factor applied to every check tolerance",

@@ -100,7 +100,7 @@ def christoffel_ceh(z, params: GeometryParams) -> np.ndarray:
     ``Gamma^lam_{mu alpha} = -(phi/u) (zbar_mu delta^lam_alpha
     + zbar_alpha delta^lam_mu - (n+1) zbar_alpha zbar_mu z^lam / u)``.
     """
-    z, u = _checked(z)
+    z, u = _checked(z, params)
     return _rot_sym_connection(z, u, radial_profile(u, params))
 
 
@@ -112,7 +112,7 @@ def riemann(z, params: GeometryParams) -> np.ndarray:
     the anti-holomorphic pair ``nu <-> beta``; Hermitian in the sense
     ``R[..., m, n, a, b] = conj(R[..., n, m, b, a])``.
     """
-    z, u = _checked(z)
+    z, u = _checked(z, params)
     n = params.n
     prof = radial_profile(u, params)
     g = metric(z, params)
@@ -142,7 +142,7 @@ def ricci(z, params: GeometryParams) -> np.ndarray:
     inspected.  The independent route through ``-d dbar log det g`` lives in
     :func:`cehgeom.numdiff.fd_ricci_log_det`.
     """
-    z = _checked(z)[0]
+    z = _checked(z, params)[0]
     ginv = metric_inverse(z, params)
     return np.einsum("...na,...mnab->...mb", ginv, riemann(z, params))
 
@@ -163,7 +163,7 @@ def kretschmann_radial(u, params: GeometryParams):
 
 def kretschmann(z, params: GeometryParams):
     """Squared curvature norm at lifts ``(..., n)``, one value per lift."""
-    return kretschmann_radial(_checked(z)[1], params)
+    return kretschmann_radial(_checked(z, params)[1], params)
 
 
 #: contraction order of :func:`kretschmann_contracted`; the greedy path
@@ -176,7 +176,7 @@ def kretschmann_contracted(z, params: GeometryParams):
     """Brute-force curvature norm at lifts ``(..., n)``: contract the
     Riemann tensor with itself, every index raised explicitly with the
     inverse metric."""
-    z = _checked(z)[0]
+    z = _checked(z, params)[0]
     r = riemann(z, params)
     ginv = metric_inverse(z, params)
     val = np.einsum("...mnab,...rscd,...sm,...nr,...da,...bc->...", r, r,

@@ -11,9 +11,10 @@ connection with the velocity, so straight lines are recovered at infinity
 and radial rays are preserved.  The Ricci-flat and the zero-section
 (Fubini-Study) flows share that contraction, :func:`_acceleration`, and
 their energies share one Hermitian form over whole trajectories.  The
-zero-section flow changes affine chart through :mod:`cehgeom.charts`: the
-base point by :func:`~cehgeom.charts.transition` and the velocity by the
-base block of :func:`~cehgeom.charts.transition_jacobian`, both at ``z = 0``.
+zero-section flow lives in the affine chart of its largest homogeneous
+coordinate; its start, its chart hops and its return target in each chart
+are one map on homogeneous coordinates (:mod:`cehgeom.charts`: divide by
+the chart's slot and drop it), which forms no fiber power.
 
 Neither flow asks ``solve_ivp`` for dense output; what they report between
 the solver's steps comes from its own event location.  Both share one
@@ -62,8 +63,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import hyp2f1
 
-from .charts import ChartError, ChartPoint, transition, transition_jacobian
-from .charts import zero_section_restriction
+from .charts import _base_chart, zero_section_restriction
 from .tensors import _one_point, metric
 from .profiles import DomainError, GeometryParams, _phi
 
@@ -90,8 +90,8 @@ U_MIN_FACTOR = 1e-8
 #: tolerance below ``100 eps`` to it, so a smaller request is refused
 TOL_FLOOR = 100 * float(np.finfo(float).eps)
 
-#: |zeta|^2 at which the base integrator hops to a neighbouring chart
-_CHART_ESCAPE_SQ = 9.0
+#: largest |zeta_k|^2 at which the zero-section flow hops to that slot's chart
+_CHART_ESCAPE_SQ = 2.25
 
 #: distance from the start, in chart units (times sqrt(a) on the quotient
 #: chart), beyond which the next closest approach may be the flow's return
@@ -179,7 +179,7 @@ def geodesic_rhs(z, v, params: GeometryParams) -> np.ndarray:
     Equals ``-Gamma^lam_{mu alpha} v^mu v^alpha`` for the closed-form
     connection, contracted analytically.
     """
-    z, _ = _one_point(z)
+    z, _ = _one_point(z, params)
     return _ceh_acceleration(z, np.asarray(v, dtype=complex), params)
 
 
@@ -229,19 +229,6 @@ def _unpack(y, n):
     buffer, never of ``y``."""
     c = np.ascontiguousarray(y[_layout(n)[1]].T).view(complex).T
     return c[:n], c[n:]
-
-
-def _crossing(level: float, direction: int, n: int):
-    """Terminal ``solve_ivp`` event where ``|z|^2`` of a packed state of
-    ``n`` complex coordinates crosses ``level`` in ``direction``."""
-
-    def event(t, y, *_):
-        z, _ = _unpack(y, n)
-        return np.vdot(z, z).real - level
-
-    event.terminal = True
-    event.direction = direction
-    return event
 
 
 def _return_events(target, scale: float, sign: float):
@@ -327,8 +314,14 @@ def integrate(
         z, v = _unpack(y, n)
         return _pack(v, _ceh_acceleration(z, v, params))
 
+    def cutoff(t, y):  # u falls to the inner cutoff
+        z, _ = _unpack(y, n)
+        return np.vdot(z, z).real - U_MIN_FACTOR * params.a
+
     def turning(t, y):
         return y[: 2 * n] @ y[2 * n :]  # Re <z, v>
+
+    cutoff.terminal, cutoff.direction = True, -1
 
     sol = solve_ivp(
         rhs,
@@ -337,8 +330,7 @@ def integrate(
         method="DOP853",
         rtol=tol,
         atol=tol * 1e-2,
-        events=[_crossing(U_MIN_FACTOR * params.a, -1, n), turning,
-                *_return_events(y0, scale, sign)],
+        events=[cutoff, turning, *_return_events(y0, scale, sign)],
     )
     crits = []
     for t_c, y_c in zip(sol.t_events[1], sol.y_events[1]):
@@ -479,11 +471,6 @@ def _fs_rhs(t, y, m):
     return _pack(v, _acceleration(zeta, v, k, 0.0))
 
 
-def _hop(p: ChartPoint, v, j: int):
-    """Zero-section point ``p`` and base velocity ``v`` in chart ``j``."""
-    return transition(p, j).zeta, transition_jacobian(p, j)[1:, 1:] @ v
-
-
 def zero_section_geodesic(
     zeta0,
     dzeta0,
@@ -492,9 +479,10 @@ def zero_section_geodesic(
     tol: float = 1e-12,
 ) -> FSTrajectory:
     """Integrate the Fubini-Study flow on the zero section from ``zeta0`` in
-    the first affine chart, hopping charts when ``|zeta|`` grows large.  A
-    start with ``max |zeta0| > 1`` is first moved into the chart of its
-    largest slot.
+    the first affine chart, always in the chart of the largest homogeneous
+    coordinate: the start ``(1, zeta0)`` in the chart of its first largest
+    entry, and a hop to slot ``k``'s chart when ``|zeta_k|`` rises through
+    1.5, so that every piece starts with all ``|zeta_k| <= 1``, in any n.
 
     The acceleration is the contraction of the rotationally symmetric
     connection with the round projective profile (the cubic coefficient of
@@ -516,16 +504,9 @@ def zero_section_geodesic(
         raise DomainError(
             f"base coordinates have dimension {m}, expected n-1={params.n - 1}"
         )
-    start = ChartPoint(1, 0, zeta0)
-    chart, zeta, v = 1, zeta0, v0
-    if np.abs(zeta0).max() > 1:  # start where every |zeta| <= 1
-        chart = start.slots[int(np.argmax(np.abs(zeta0)))]
-        with np.errstate(over="raise", invalid="raise"):
-            try:
-                zeta, v = _hop(start, v0, chart)
-            except FloatingPointError as exc:
-                raise DomainError(f"start energy cannot be computed in double "
-                                  f"precision: hop to chart {chart}: {exc}") from None
+    w0, dw0 = np.insert(zeta0, 0, 1.0), np.insert(v0, 0, 0.0)
+    chart = int(np.argmax(np.abs(w0))) + 1
+    zeta, v = _base_chart(w0, dw0, chart)
     if t_end is None:
         e0 = fs_energy(zeta, v, params)
         if not e0 >= np.finfo(float).tiny:
@@ -536,28 +517,22 @@ def zero_section_geodesic(
     if not t_end > 0:
         raise DomainError(f"integration time t_end must be positive, got {t_end!r}")
 
+    def escape(t, y, m):  # the largest |zeta_k|^2 rises through the bound
+        return np.max(y[:m] ** 2 + y[m : 2 * m] ** 2) - _CHART_ESCAPE_SQ
+
+    escape.terminal, escape.direction = True, 1
     state = _pack(zeta, v)
-    t0 = 0.0
-    left_start = False
-    period = None
-    nfev = 0
-
-    ts_all, zs_all, vs_all, ch_all = [], [], [], []
-    escape = _crossing(_CHART_ESCAPE_SQ, 1, m)
-
+    t0, t_away, period, nfev = 0.0, math.inf, None, 0
+    ts_all, ys_all, ch_all = [], [], []
     while t0 < t_end:
         events = [escape]
-        target = None
-        try:
-            target = _pack(*_hop(start, v0, chart))
-        except ChartError:  # the start point lies outside this chart
-            left_start = True
-        else:
+        if w0[chart - 1] != 0:  # the start lies in this chart
+            target = _pack(*_base_chart(w0, dw0, chart))
             closest, away = _return_events(target, 1.0, 1)
-            left_start = left_start or away(t0, state) > 0
-            events.append(closest)
-            if not left_start:
-                events.append(away)
+            # only the first piece needs `away`: it hops once some |zeta_k|
+            # has risen from <= 1 to sqrt(_CHART_ESCAPE_SQ), so by then it has
+            # been sqrt(_CHART_ESCAPE_SQ) - 1 = 0.5 > _AWAY from the start
+            events += [closest, away] if t0 == 0.0 else [closest]
         sol = solve_ivp(
             _fs_rhs,
             (t0, t_end),
@@ -569,36 +544,27 @@ def zero_section_geodesic(
             events=events,
         )
         nfev += sol.nfev
-        zs, vs = _unpack(sol.y, m)
         ts_all.append(sol.t)
-        zs_all.append(zs.T)
-        vs_all.append(vs.T)
+        ys_all.append(sol.y)
         ch_all.append(np.full(sol.t.size, chart))
 
-        if target is not None:
-            if left_start:
-                t_away = -math.inf
-            elif sol.t_events[2].size:
+        if len(events) > 1:
+            if t0 == 0.0 and sol.t_events[2].size:  # the first piece
                 t_away = sol.t_events[2][0]
-                left_start = True
-            else:
-                t_away = math.inf
             period = _first_return(sol.t_events[1], sol.y_events[1], t_away,
                                    target, 1.0, 1)
             if period is not None:
                 break
-
         if sol.status != 1:
             break
-        # chart boundary: hop to the slot of largest |zeta|
+        # chart boundary: hop to the slot of the largest homogeneous coordinate
         zz, vv = _unpack(sol.y_events[0][0], m)
-        p = ChartPoint(chart, 0, zz)
-        chart = p.slots[int(np.argmax(np.abs(zz)))]
-        state = _pack(*_hop(p, vv, chart))
-        t0 = sol.t_events[0][0]
+        w, dw = np.insert(zz, chart - 1, 1.0), np.insert(vv, chart - 1, 0.0)
+        chart = int(np.argmax(np.abs(w))) + 1
+        state = _pack(*_base_chart(w, dw, chart))
+        t0, t_away = sol.t_events[0][0], -math.inf
 
-    zeta = np.vstack(zs_all)
-    dzeta = np.vstack(vs_all)
+    zeta, dzeta = (x.T for x in _unpack(np.hstack(ys_all), m))
     return FSTrajectory(
         t=np.concatenate(ts_all), zeta=zeta, dzeta=dzeta,
         chart=np.concatenate(ch_all), energy=fs_energy(zeta, dzeta, params),

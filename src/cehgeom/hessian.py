@@ -106,7 +106,7 @@ class HessianSpectrum:
 def hessian_blocks(z, params: GeometryParams) -> np.ndarray:
     """Assembled ``2n x 2n`` real symmetric Hessian in ``(x..., y...)``
     order at lifts ``(..., n)``, shape ``(..., 2n, 2n)``."""
-    z = _checked(z)[0]
+    z = _checked(z, params)[0]
     return _assemble(z, hessian_spectrum(z, params))
 
 
@@ -123,7 +123,7 @@ def _assemble(z, spec: HessianSpectrum) -> np.ndarray:
 def hessian_spectrum(z, params: GeometryParams) -> HessianSpectrum:
     """Closed-form spectrum of :func:`hessian_blocks` at lifts ``(..., n)``,
     one value of each field per lift."""
-    z, u = _checked(z)
+    z, u = _checked(z, params)
     psi, dp, d2p, ups = _psi_jet(u, params, "hessian_spectrum")
     return HessianSpectrum(
         lambda1=2.0 * dp,

@@ -17,17 +17,18 @@ of values ``(K, *shape)``, as the closed forms in :mod:`cehgeom.tensors`,
 :mod:`cehgeom.curvature` and :func:`cehgeom.profiles.potential` do.
 :func:`wirtinger_partial` is the one stencil: it assembles every
 central-difference point of its base points and indices into one array and
-calls the field once.  A Hessian nests it, one field call per row ``mu``:
-the outer stencil's points each carry an inner stencil over every ``nu``.
-A first derivative along one index takes 2 offsets in each of the x and y
-directions (central2) or 4 (central4).  Per stage:
+calls the field once.  A Hessian nests it and also calls the field once:
+the outer stencil over every row ``mu`` hands all its points to an inner
+stencil over every ``nu``.  A first derivative along one index takes 2
+offsets in each of the x and y directions (central2) or 4 (central4).  Per
+stage:
 
     stage                                         points    field calls
     fd_christoffel, fd_riemann (central2)         4 n       1
-    fd_metric_from_potential, fd_ricci_log_det    64 n^2    n, of 64 n each
+    fd_metric_from_potential, fd_ricci_log_det    64 n^2    1
         (central4 mixed Hessian)
 
-so one field call holds at most 64 n points and memory grows as n^3 field
+so one field call holds at most 64 n^2 points and memory grows as n^4 field
 entries for a matrix-valued field.
 
 Step rule: the step at a base point ``z`` is ``step * max(1, |z|)``; in a
@@ -51,7 +52,7 @@ import numpy as np
 from . import curvature as _curvature
 from . import hessian as _hessian
 from . import volform as _volform
-from .tensors import _one_point, check_point, homothety_residual, metric, metric_inverse
+from .tensors import _checked, _one_point, homothety_residual, metric, metric_inverse
 from .profiles import GeometryParams, potential, radius_sq, roots_of_unity_sum
 
 __all__ = [
@@ -154,36 +155,36 @@ def wirtinger_partial(
 
 def complex_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
     """Mixed Hessian ``H[mu, nu] = d_mu dbar_nu field`` of a batched field
-    at one point, shape ``(n, n, *shape)``; one field call per row ``mu``."""
+    at one point, shape ``(n, n, *shape)``; one field call of ``64 n^2``
+    points (central4)."""
     return _nested_hessian(field_fn, z, True, cfg)
 
 
 def holomorphic_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
     """Pure Hessian ``H[mu, nu] = d_mu d_nu field`` of a batched field at one
-    point, shape ``(n, n, *shape)``; one field call per row ``mu``."""
+    point, shape ``(n, n, *shape)``; one field call of ``64 n^2`` points
+    (central4)."""
     return _nested_hessian(field_fn, z, False, cfg)
 
 
 def _nested_hessian(field_fn, z, conjugate, cfg):
-    # the inner derivative is taken at every outer stencil point w, with
-    # w's own step, for all nu at once
+    # the inner derivative is taken at every outer stencil point w, of
+    # every row mu, with w's own step, for all nu at once
     nus = range(np.size(z))
 
     def row_field(w):
         return wirtinger_partial(field_fn, w, nus, conjugate=conjugate, cfg=cfg)
 
-    return np.stack([wirtinger_partial(row_field, z, mu, cfg=cfg) for mu in nus])
+    return wirtinger_partial(row_field, z, nus, cfg=cfg)
 
 
-def fd_metric_from_potential(
-    z, params: GeometryParams, cfg: FDConfig = FD_SECOND
-) -> np.ndarray:
+def fd_metric_from_potential(z, params: GeometryParams) -> np.ndarray:
     """Metric recovered as the mixed Hessian of the Kahler potential."""
-    z, _ = _one_point(z)
-    return complex_hessian(lambda w: potential(radius_sq(w), params), z, cfg)
+    z, _ = _one_point(z, params)
+    return complex_hessian(lambda w: potential(radius_sq(w), params), z)
 
 
-def fd_christoffel(metric_fn: Callable, z, cfg: FDConfig = FD_FIRST) -> np.ndarray:
+def fd_christoffel(metric_fn: Callable, z) -> np.ndarray:
     """Connection from first derivatives of the metric.
 
     ``Gamma^lam_{mu alpha} = g_{mu nubar, alpha} g^{nubar lam}``, the inverse
@@ -191,14 +192,12 @@ def fd_christoffel(metric_fn: Callable, z, cfg: FDConfig = FD_FIRST) -> np.ndarr
     ``[lam, mu, alpha]``.
     """
     z = np.asarray(z, dtype=complex)
-    dg = wirtinger_partial(metric_fn, z, range(z.size), cfg=cfg)  # [alpha, mu, nu]
+    dg = wirtinger_partial(metric_fn, z, range(z.size))  # [alpha, mu, nu]
     # [alpha, mu, lam] -> [lam, mu, alpha]
     return np.transpose(dg @ np.linalg.inv(metric_fn(z)), (2, 1, 0))
 
 
-def fd_riemann(
-    christoffel_fn: Callable, metric_fn: Callable, z, cfg: FDConfig = FD_FIRST
-) -> np.ndarray:
+def fd_riemann(christoffel_fn: Callable, metric_fn: Callable, z) -> np.ndarray:
     """Curvature from the anti-holomorphic derivative of a connection field.
 
     ``R^lam_{mu betabar alpha} = - dbar_beta Gamma^lam_{mu alpha}``, then the
@@ -208,20 +207,18 @@ def fd_riemann(
     z = np.asarray(z, dtype=complex)
     g = metric_fn(z)
     dgamma = -wirtinger_partial(
-        christoffel_fn, z, range(z.size), conjugate=True, cfg=cfg
+        christoffel_fn, z, range(z.size), conjugate=True
     )  # [beta, lam, mu, alpha]
     return np.einsum("blma,ln->mnab", dgamma, g)
 
 
-def fd_ricci_log_det(
-    metric_fn: Callable, z, cfg: FDConfig = FD_SECOND
-) -> np.ndarray:
+def fd_ricci_log_det(metric_fn: Callable, z) -> np.ndarray:
     """Ricci tensor as ``-d dbar log det g``, entirely from the metric field."""
 
     def log_det(w):
         return np.log(np.linalg.det(metric_fn(w)).real)
 
-    return -complex_hessian(log_det, z, cfg)
+    return -complex_hessian(log_det, z)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +323,7 @@ def verify_pipeline(
     roots-of-unity sum at eight ``(alpha, k)`` drawn from ``rng``.  Each
     check keeps its worst residual; the report is sorted by name.
     """
-    points = check_point(points)
+    points = _checked(points, params)[0]
     worst: dict = {}
 
     def fold(name, residual, tol):

@@ -49,11 +49,16 @@ __all__ = [
 _MIN_RADIUS_FACTOR = 1e-3
 
 
-def _checked(z):
-    """Validated lifts ``z`` of shape ``(..., n)`` and their radii ``|z|^2``."""
+def _checked(z, params: GeometryParams = None):
+    """Validated lifts ``z`` of shape ``(..., n)`` and their radii ``|z|^2``;
+    with ``params``, each lift must have ``params.n`` coordinates."""
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0:
         z = z[None]
+    if params is not None and z.shape[-1] != params.n:
+        raise DomainError(
+            f"lift has {z.shape[-1]} coordinates, params have n={params.n}"
+        )
     u = radius_sq(z)
     if not _all(u > 0):
         _reject(z, u)
@@ -88,9 +93,9 @@ def check_point(z) -> np.ndarray:
     return _checked(z)[0]
 
 
-def _one_point(z):
+def _one_point(z, params: GeometryParams = None):
     """A single validated lift, as a 1-d vector, and its radius ``|z|^2``."""
-    z, u = _checked(z)
+    z, u = _checked(z, params)
     if z.ndim != 1:
         raise DomainError(f"point must be a complex vector, got shape {z.shape}")
     return z, u
@@ -122,7 +127,7 @@ def metric(z, params: GeometryParams) -> np.ndarray:
 
     Hermitian positive definite with ``det g = 1`` identically.
     """
-    z, u = _checked(z)
+    z, u = _checked(z, params)
     prof = radial_profile(u, params)
     return _rank_one_update(z, u, prof.e_psi, -prof.phi)
 
@@ -149,7 +154,7 @@ def metric_inverse(z, params: GeometryParams) -> np.ndarray:
     ``z`` (unconjugated, Euclidean-lowered) is an eigenvector with eigenvalue
     ``e^-psi / (1 - phi)``; directions orthogonal to it get ``e^-psi``.
     """
-    z, u = _checked(z)
+    z, u = _checked(z, params)
     prof = radial_profile(u, params)
     return _rank_one_update(z, u, 1.0 / prof.e_psi, prof.phi / prof.one_minus_phi)
 
@@ -177,7 +182,7 @@ def homothety_residual(z, alpha: float, params: GeometryParams):
     """
     if not alpha > 0:
         raise DomainError(f"homothety factor must be positive, got {alpha!r}")
-    z = _checked(z)[0]
+    z = _checked(z, params)[0]
     g_scaled = metric(alpha * z, GeometryParams(params.n, alpha**2 * params.a))
     return np.abs(g_scaled - metric(z, params)).max(axis=(-2, -1))
 

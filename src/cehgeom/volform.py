@@ -24,7 +24,7 @@ import numpy as np
 
 from .charts import ChartPoint, _check_dim
 from .curvature import christoffel_ceh
-from .tensors import check_point, metric
+from .tensors import _checked, metric
 from .profiles import GeometryParams
 
 __all__ = [
@@ -50,7 +50,7 @@ def covariant_derivative_epsilon(
     Zero for the Ricci-flat connection; pass ``christoffel`` (indexed
     ``[..., lam, mu, alpha]``) to probe other connections.
     """
-    z = check_point(z)
+    z = _checked(z, params)[0]
     gamma = christoffel_ceh(z, params) if christoffel is None else christoffel
     return -np.trace(gamma, axis1=-3, axis2=-2)
 

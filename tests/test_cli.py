@@ -128,6 +128,19 @@ def test_verify_rejects_n1(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["scan", "--quantity", "psi", "--u-min", "0.1", "--u-max", "1"],
+    ["eval", "--point=1+0i,0+0i"],
+    ["geodesic", "--point=1+0i,0+0i", "--velocity=0+0i,1+0i", "--t-end", "1"],
+])
+def test_seed_only_on_verify(capsys, command):
+    # no other command draws random numbers
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_verify_deterministic_bytes(capsys, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):

@@ -415,6 +415,18 @@ def test_zero_section_energy_conserved_across_charts(params2):
     assert np.abs(run.energy - run.energy[0]).max() < 1e-9
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_zero_section_period_spread_direction(n):
+    # dzeta0 = (1, ..., 1) spreads the flow over every slot; each piece still
+    # starts with all |zeta_k| <= 1, whatever n
+    p = GeometryParams(n, 1.0)
+    zeta0, dzeta0 = np.zeros(n - 1, dtype=complex), np.ones(n - 1, dtype=complex)
+    run = zero_section_geodesic(zeta0, dzeta0, p)
+    expected = np.pi / np.sqrt(fs_energy(zeta0, dzeta0, p))
+    assert np.abs(run.zeta).max() <= np.sqrt(geodesics._CHART_ESCAPE_SQ) * (1 + 1e-9)
+    assert run.period == pytest.approx(expected, rel=1e-11)
+
+
 def test_zero_section_higher_dimension_period():
     p = GeometryParams(3, 1.0)
     v0 = np.array([0.6 + 0.2j, -0.3 + 0.7j])
@@ -439,10 +451,14 @@ def _fs_period(zeta, v, a):
     ([1e10], [1]),
     ([1e10, 0.3 + 0.2j], [1, 0.5j]),
     ([0.5, -2e10j], [0.2 + 1j, 0.7]),
+    ([0.3 + 0.2j, 0.3 + 0.2j, 1e40, 0.3 + 0.2j, 0.3 + 0.2j, 0.3 + 0.2j, 0.3 + 0.2j],
+     [0.2, 0.33 + 0.5j, 0.47, 0.6 + 0.5j, 0.73, 0.87 + 0.5j, 1.0]),
+    ([0.3 + 0.2j, 1e100, 0.3 + 0.2j], [0.2 + 0.5j, 0.6, 1.0 + 0.5j]),
 ])
 def test_zero_section_far_start(zeta0, dzeta0):
     # in chart 1 the energy (1+|zeta|^2)|v|^2 - |<zeta, v>|^2 cancels to 0;
-    # the run starts in the chart of the largest slot instead
+    # the run starts in the chart of the largest slot instead.  At n = 8,
+    # 1e40 a fiber power zeta_j^n would overflow; the base map forms none
     zeta0, dzeta0 = np.array(zeta0, dtype=complex), np.array(dzeta0, dtype=complex)
     p = GeometryParams(zeta0.size + 1, 1.0)
     run = zero_section_geodesic(zeta0, dzeta0, p)
@@ -452,9 +468,10 @@ def test_zero_section_far_start(zeta0, dzeta0):
 
 @pytest.mark.parametrize("big,match", [
     (1e100, "start energy 0.0 is below"),
-    (1e160, "start energy cannot be computed"),
+    (1e160, "start energy 0.0 is below"),
 ])
 def test_zero_section_start_energy_out_of_range(params2, big, match):
+    # the start's velocity in its own chart, of size 1/big^2, underflows
     with pytest.raises(DomainError, match=match):
         zero_section_geodesic(np.array([big + 0j]), np.array([1 + 0j]), params2)
 

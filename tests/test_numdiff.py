@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cehgeom import (
+    DomainError,
     GeometryParams,
     christoffel_ceh,
     metric,
@@ -217,6 +218,13 @@ def test_pipeline_corrupted_metric_fails(monkeypatch):
     assert not report.passed
 
 
+def test_pipeline_rejects_lift_of_wrong_length(params2):
+    # a 3-vector under n = 2 params is refused before any check runs
+    with pytest.raises(DomainError, match="lift has 3 coordinates, params have n=2"):
+        verify_pipeline(np.array([1 + 0.5j, 0.3, 0.2j]), params2,
+                        np.random.default_rng(0))
+
+
 def test_pipeline_report_mapping(params2):
     z = seeded_points(1, 2, 1.0, seed=2)[0]
     report = verify_pipeline(z, params2, np.random.default_rng(0))
@@ -281,7 +289,7 @@ def test_hessian_one_field_call_per_row(params3):
         return potential(radius_sq(w), params3)
 
     complex_hessian(field, z)
-    assert calls == [8 * 8 * 3] * 3
+    assert calls == [64 * 3**2]  # one call for every row of the Hessian
 
 
 def test_stencil_rejects_flattening_field():

@@ -14,6 +14,7 @@ from cehgeom import (
     radial_profile,
     radius_sq,
 )
+from cehgeom import curvature, geodesics, hessian, numdiff, volform
 from cehgeom.tensors import random_points
 
 from conftest import seeded_points
@@ -40,6 +41,33 @@ def test_metric_determinant_unity(n):
 def test_metric_zero_vector_rejected(params2):
     with pytest.raises(DomainError):
         metric(np.zeros(2, dtype=complex), params2)
+
+
+def test_metric_rejects_lift_of_wrong_length(params2):
+    with pytest.raises(DomainError, match="lift has 3 coordinates, params have n=2"):
+        metric(np.array([1 + 0.5j, 0.3, 0.2j]), params2)
+    with pytest.raises(DomainError, match="lift has 1 coordinates, params have n=2"):
+        metric(np.ones((4, 1)), params2)
+
+
+@pytest.mark.parametrize("closed_form", [
+    metric_inverse,
+    curvature.christoffel_ceh,
+    curvature.riemann,
+    curvature.ricci,
+    curvature.kretschmann,
+    curvature.kretschmann_contracted,
+    hessian.hessian_blocks,
+    hessian.hessian_spectrum,
+    volform.volform_norm_sq,
+    volform.covariant_derivative_epsilon,
+    lambda z, p: homothety_residual(z, 1.5, p),
+    lambda z, p: geodesics.geodesic_rhs(z, z, p),
+    numdiff.fd_metric_from_potential,
+])
+def test_closed_forms_reject_lift_of_wrong_length(params3, closed_form):
+    with pytest.raises(DomainError, match="lift has 2 coordinates, params have n=3"):
+        closed_form(np.array([1 + 0.5j, 0.3]), params3)
 
 
 def test_metric_hermitian_positive(params3):
