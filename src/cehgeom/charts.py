@@ -149,6 +149,20 @@ def _base_chart(w, dw, j: int):
     return zeta, (dw[..., keep] - dw[..., j - 1, None] * zeta) / wj
 
 
+def _cocycle(z, w, j: int, k: int) -> complex:
+    """``z w_j^k`` for the fiber cocycle ``z' = z w_j^n`` into chart ``j`` and
+    its derivatives: exactly 0 for ``z = 0``, a ``ChartError`` where it
+    overflows."""
+    if z == 0:
+        return 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = complex(z) * w[j - 1] ** k
+    if not np.isfinite(out):
+        raise ChartError(f"fiber cocycle overflows into chart {j}: "
+                         f"|w_{j}| = {float(abs(w[j - 1]))!r}")
+    return complex(out)
+
+
 def transition(p: ChartPoint, j: int) -> ChartPoint:
     """The same point of the total space in chart ``j``.
 
@@ -157,7 +171,7 @@ def transition(p: ChartPoint, j: int) -> ChartPoint:
     """
     w = np.insert(p.zeta, p.i - 1, 1.0)  # homogeneous base point
     zeta, _ = _base_chart(w, np.zeros_like(w), j)
-    return ChartPoint(i=j, z=complex(p.z) * w[j - 1] ** p.n, zeta=zeta)
+    return ChartPoint(i=j, z=_cocycle(p.z, w, j, p.n), zeta=zeta)
 
 
 def transition_jacobian(p: ChartPoint, j: int) -> np.ndarray:
@@ -171,8 +185,8 @@ def transition_jacobian(p: ChartPoint, j: int) -> np.ndarray:
     _, base = _base_chart(w, np.delete(np.eye(n), p.i - 1, axis=0), j)
     jac = np.zeros((n, n), dtype=complex)
     jac[1:, 1:] = base.T
-    jac[0, 0] = w[j - 1] ** n                      # dz'/dz
-    jac[0, 1 + p.slots.index(j)] = n * complex(p.z) * w[j - 1] ** (n - 1)
+    jac[0, 0] = _cocycle(1.0, w, j, n)              # dz'/dz
+    jac[0, 1 + p.slots.index(j)] = _cocycle(n * complex(p.z), w, j, n - 1)
     return jac
 
 

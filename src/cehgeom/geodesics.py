@@ -16,18 +16,18 @@ coordinate; its start, its chart hops and its return target in each chart
 are one map on homogeneous coordinates (:mod:`cehgeom.charts`: divide by
 the chart's slot and drop it), which forms no fiber power.
 
-Neither flow asks ``solve_ivp`` for dense output; what they report between
-the solver's steps comes from its own event location.  Both share one
-return rule (:func:`_return_events`, :func:`_first_return`): each local
-minimum of the distance to the start (a zero of ``Re <z - z0, v>``, rising
-in the direction of integration) is an event, and the first one after the
-flow has been ``0.3`` away whose state revisits the start within ``1e-6``
-is the closing time.  Distances and tolerances are in chart units, times
-``sqrt(a)`` on the quotient chart, so the rule commutes with the homothety
-``z -> alpha z``, ``a -> alpha^2 a``.  The Ricci-flat flow also locates the
-turning points of ``u``, the zeros of ``Re <z, v>``.  Both flows keep
-their state packed as ``[Re z, Im z, Re v, Im v]`` and move it to and from
-complex ``(z, v)`` through one cached index map per dimension.
+Both flows call ``solve_ivp`` one way (:func:`_solve`), without dense
+output; what they report between steps comes from its event location.
+They share one return rule (:func:`_return_rule`): each local minimum of
+the distance to the start (a zero of ``Re <z - z0, v>`` rising in the
+direction of integration, the start itself excepted) is an event, and the
+first closest approach to the start that revisits it within ``1e-6`` is
+the closing time.  Distances and tolerances are in chart units, times
+``sqrt(a)`` on the quotient chart, so the rule commutes with the
+homothety ``z -> alpha z``, ``a -> alpha^2 a``.  The Ricci-flat flow also
+locates the turning points of ``u``, the zeros of ``Re <z, v>``.  Both
+flows keep their state packed as ``[Re z, Im z, Re v, Im v]`` and move it
+to and from complex ``(z, v)`` through one cached index map per dimension.
 
 The squared distance from radius ``u`` to the zero section is
 
@@ -92,10 +92,6 @@ TOL_FLOOR = 100 * float(np.finfo(float).eps)
 
 #: largest |zeta_k|^2 at which the zero-section flow hops to that slot's chart
 _CHART_ESCAPE_SQ = 2.25
-
-#: distance from the start, in chart units (times sqrt(a) on the quotient
-#: chart), beyond which the next closest approach may be the flow's return
-_AWAY = 0.3
 
 # classifications / terminations
 CONSTANT = "constant"
@@ -231,48 +227,43 @@ def _unpack(y, n):
     return c[:n], c[n:]
 
 
-def _return_events(target, scale: float, sign: float):
-    """Non-terminal ``solve_ivp`` events against the packed start ``target``
-    for a run in the time direction ``sign``: ``closest``, each local
-    minimum of the distance to the start (a zero of ``Re <z - z0, v>``
-    rising with time), and ``away``, the distance rising through
-    ``_AWAY * scale`` in the direction of integration.  At the start itself
-    ``closest`` takes the sign it has just after it, so the start is no
-    crossing."""
-    h = target.size // 2  # the position block [Re z, Im z]
-    base = target[:h]
-    radius = _AWAY * scale
+def _return_rule(target, scale: float, sign: float):
+    """The return rule against the packed start ``target`` for a run in the
+    time direction ``sign``, as ``(closest, first_return)``.
 
-    def closest(t, y, *_):
-        d = y[:h] - base
-        return d @ y[h:] if d.any() else sign
-
-    def away(t, y, *_):
-        d = y[:h] - base
-        return d @ d - radius * radius
-
-    closest.direction = sign
-    away.direction = 1
-    return closest, away
-
-
-def _first_return(times, states, t_away, target, scale: float, sign: float):
-    """Time elapsed to the first ``closest`` event (``times``, packed
-    ``states``) that comes after ``t_away`` in the direction ``sign`` and
-    whose state revisits ``target`` within ``1e-6 scale`` in position and
-    ``1e-6 max(scale, |v0|)`` in velocity, or None."""
+    ``closest`` is a non-terminal ``solve_ivp`` event at each local minimum
+    of the distance to the start, a zero of ``Re <z - z0, v>`` rising with
+    time.  At the start itself it takes the sign it has just after it, so
+    the start is no crossing.  ``first_return(times, states)`` reads the
+    ``closest`` events (``times``, packed ``states``) and gives the time
+    elapsed to the first whose state revisits ``target`` within
+    ``1e-6 scale`` in position and ``1e-6 max(scale, |v0|)`` in velocity,
+    or None."""
     m = target.size // 4
     z0, v0 = _unpack(target, m)
-    for t_c, y_c in zip(times, states):
-        if sign * (t_c - t_away) <= 0:
-            continue
-        z_c, v_c = _unpack(y_c, m)
-        if (
-            np.linalg.norm(z_c - z0) < 1e-6 * scale
-            and np.linalg.norm(v_c - v0) < 1e-6 * max(scale, np.linalg.norm(v0))
-        ):
-            return abs(float(t_c))
-    return None
+    base, v_tol = target[: 2 * m], 1e-6 * max(scale, np.linalg.norm(v0))
+
+    def closest(t, y, *_):
+        d = y[: 2 * m] - base  # the position block [Re z, Im z]
+        return d @ y[2 * m :] if d.any() else sign
+
+    def first_return(times, states):
+        for t_c, y_c in zip(times, states):
+            z_c, v_c = _unpack(y_c, m)
+            if (np.linalg.norm(z_c - z0) < 1e-6 * scale
+                    and np.linalg.norm(v_c - v0) < v_tol):
+                return abs(float(t_c))
+        return None
+
+    closest.direction = sign
+    return closest, first_return
+
+
+def _solve(rhs, span, y0, tol: float, events, args=()):
+    """The one ``solve_ivp`` call of both flows: DOP853 at relative
+    tolerance ``tol`` and absolute ``tol * 1e-2``, no dense output."""
+    return solve_ivp(rhs, span, y0, method="DOP853", rtol=tol,
+                     atol=tol * 1e-2, events=events, args=args)
 
 
 def _check_run(t_end: float, tol: float) -> None:
@@ -299,8 +290,9 @@ def integrate(
     ``1/u`` factors and crossing the zero section belongs to the chart
     machinery, not this integrator.  The solver locates the turning points
     of ``u`` (zeros of ``Re <z, v>`` after the start) and the first return
-    to the start (:func:`_first_return`, away radius ``0.3 sqrt(a)``) as
-    non-terminal events; it keeps no dense output.
+    to the start (:func:`_return_rule`: the first closest approach to the
+    start that revisits it, within ``1e-6 sqrt(a)``) as non-terminal
+    events; it keeps no dense output.
     """
     n = params.n
     if state.z.size != n:
@@ -308,7 +300,6 @@ def integrate(
     _check_run(t_end, tol)
     y0 = _pack(state.z, state.v)
     sign = 1.0 if t_end >= 0 else -1.0
-    scale = math.sqrt(params.a)
 
     def rhs(t, y):
         z, v = _unpack(y, n)
@@ -323,15 +314,8 @@ def integrate(
 
     cutoff.terminal, cutoff.direction = True, -1
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-        events=[cutoff, turning, *_return_events(y0, scale, sign)],
-    )
+    closest, first_return = _return_rule(y0, math.sqrt(params.a), sign)
+    sol = _solve(rhs, (0.0, float(t_end)), y0, tol, [cutoff, turning, closest])
     crits = []
     for t_c, y_c in zip(sol.t_events[1], sol.y_events[1]):
         if t_c != 0.0:  # a tangential launch is no interior turning point
@@ -340,8 +324,7 @@ def integrate(
                 t=float(t_c), u=float(np.vdot(z_c, z_c).real),
                 uddot=_uddot_closed_form(z_c, v_c, params),
             ))
-    t_away = sol.t_events[3][0] if sol.t_events[3].size else sign * math.inf
-    period = _first_return(sol.t_events[2], sol.y_events[2], t_away, y0, scale, sign)
+    period = first_return(sol.t_events[2], sol.y_events[2])
 
     zs, vs = _unpack(sol.y, n)
     zs, vs = zs.T, vs.T
@@ -489,7 +472,7 @@ def zero_section_geodesic(
     that profile vanishes identically, leaving ``2 <zeta,v> v/(1+|zeta|^2)``).
     The period is found by the integrator's own event location, in every
     chart that contains the start point, against the initial state moved
-    into that chart, by the return rule of :func:`_first_return` in chart
+    into that chart, by the return rule of :func:`_return_rule` in chart
     units.  At unit speed in ``a * g_FS`` the closing time of every
     geodesic is ``pi sqrt(a)``.
     """
@@ -522,37 +505,22 @@ def zero_section_geodesic(
 
     escape.terminal, escape.direction = True, 1
     state = _pack(zeta, v)
-    t0, t_away, period, nfev = 0.0, math.inf, None, 0
+    t0, period, nfev = 0.0, None, 0
     ts_all, ys_all, ch_all = [], [], []
     while t0 < t_end:
-        events = [escape]
+        events, first_return = [escape], None
         if w0[chart - 1] != 0:  # the start lies in this chart
             target = _pack(*_base_chart(w0, dw0, chart))
-            closest, away = _return_events(target, 1.0, 1)
-            # only the first piece needs `away`: it hops once some |zeta_k|
-            # has risen from <= 1 to sqrt(_CHART_ESCAPE_SQ), so by then it has
-            # been sqrt(_CHART_ESCAPE_SQ) - 1 = 0.5 > _AWAY from the start
-            events += [closest, away] if t0 == 0.0 else [closest]
-        sol = solve_ivp(
-            _fs_rhs,
-            (t0, t_end),
-            state,
-            args=(m,),
-            method="DOP853",
-            rtol=tol,
-            atol=tol * 1e-2,
-            events=events,
-        )
+            closest, first_return = _return_rule(target, 1.0, 1.0)
+            events.append(closest)
+        sol = _solve(_fs_rhs, (t0, t_end), state, tol, events, args=(m,))
         nfev += sol.nfev
         ts_all.append(sol.t)
         ys_all.append(sol.y)
         ch_all.append(np.full(sol.t.size, chart))
 
-        if len(events) > 1:
-            if t0 == 0.0 and sol.t_events[2].size:  # the first piece
-                t_away = sol.t_events[2][0]
-            period = _first_return(sol.t_events[1], sol.y_events[1], t_away,
-                                   target, 1.0, 1)
+        if first_return is not None:
+            period = first_return(sol.t_events[1], sol.y_events[1])
             if period is not None:
                 break
         if sol.status != 1:
@@ -562,7 +530,7 @@ def zero_section_geodesic(
         w, dw = np.insert(zz, chart - 1, 1.0), np.insert(vv, chart - 1, 0.0)
         chart = int(np.argmax(np.abs(w))) + 1
         state = _pack(*_base_chart(w, dw, chart))
-        t0, t_away = sol.t_events[0][0], -math.inf
+        t0 = sol.t_events[0][0]
 
     zeta, dzeta = (x.T for x in _unpack(np.hstack(ys_all), m))
     return FSTrajectory(

@@ -17,19 +17,20 @@ of values ``(K, *shape)``, as the closed forms in :mod:`cehgeom.tensors`,
 :mod:`cehgeom.curvature` and :func:`cehgeom.profiles.potential` do.
 :func:`wirtinger_partial` is the one stencil: it assembles every
 central-difference point of its base points and indices into one array and
-calls the field once.  A Hessian nests it and also calls the field once:
-the outer stencil over every row ``mu`` hands all its points to an inner
-stencil over every ``nu``.  A first derivative along one index takes 2
-offsets in each of the x and y directions (central2) or 4 (central4).  Per
-stage:
+calls the field once.  A Hessian nests it: the outer stencil over every
+row ``mu`` hands its points to an inner stencil over every ``nu``, in
+equal chunks of whole outer points that make at most 4096 = 64 * 8^2
+field points a call.  A first derivative along one index takes 2 offsets
+in each of the x and y directions (central2) or 4 (central4).  Per stage:
 
     stage                                         points    field calls
     fd_christoffel, fd_riemann (central2)         4 n       1
-    fd_metric_from_potential, fd_ricci_log_det    64 n^2    1
+    fd_metric_from_potential, fd_ricci_log_det    64 n^2    1 for n <= 8
         (central4 mixed Hessian)
 
-so one field call holds at most 64 n^2 points and memory grows as n^4 field
-entries for a matrix-valued field.
+Above n = 8 the Hessian makes ``ceil(8n / (512 // n))`` calls (2 at n = 9,
+4 at n = 16), so one field call holds at most 4096 points for n <= 512 and
+its memory no longer grows as n^4 field entries.
 
 Step rule: the step at a base point ``z`` is ``step * max(1, |z|)``; in a
 Hessian each inner derivative uses ``step * max(1, |w|)`` at its own outer
@@ -155,25 +156,35 @@ def wirtinger_partial(
 
 def complex_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
     """Mixed Hessian ``H[mu, nu] = d_mu dbar_nu field`` of a batched field
-    at one point, shape ``(n, n, *shape)``; one field call of ``64 n^2``
-    points (central4)."""
+    at one point, shape ``(n, n, *shape)``; ``64 n^2`` field points
+    (central4), at most 4096 a call."""
     return _nested_hessian(field_fn, z, True, cfg)
 
 
 def holomorphic_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
     """Pure Hessian ``H[mu, nu] = d_mu d_nu field`` of a batched field at one
-    point, shape ``(n, n, *shape)``; one field call of ``64 n^2`` points
-    (central4)."""
+    point, shape ``(n, n, *shape)``; ``64 n^2`` field points (central4), at
+    most 4096 a call."""
     return _nested_hessian(field_fn, z, False, cfg)
+
+
+#: most field points in one call of a nested Hessian: 64 n^2 at n = 8
+_MAX_FIELD_POINTS = 4096
 
 
 def _nested_hessian(field_fn, z, conjugate, cfg):
     # the inner derivative is taken at every outer stencil point w, of
-    # every row mu, with w's own step, for all nu at once
+    # every row mu, with w's own step, for all nu at once; the outer points
+    # go in equal chunks of at most `size`, each w making `per_w` points
     nus = range(np.size(z))
+    per_w = 2 * len(nus) * len(_SCHEMES[cfg.scheme][1])
+    size = max(1, _MAX_FIELD_POINTS // per_w)
 
     def row_field(w):
-        return wirtinger_partial(field_fn, w, nus, conjugate=conjugate, cfg=cfg)
+        return np.concatenate([
+            wirtinger_partial(field_fn, chunk, nus, conjugate=conjugate, cfg=cfg)
+            for chunk in np.array_split(w, -(-len(w) // size))
+        ])
 
     return wirtinger_partial(row_field, z, nus, cfg=cfg)
 

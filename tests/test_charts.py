@@ -124,6 +124,21 @@ def test_transition_rejects_missing_overlap():
         transition(p, 2)
 
 
+def test_transition_cocycle_at_a_huge_target_slot():
+    # n = 8, a zero-section point whose slot 3 is 1e40 in chart 1: w_3^8 is
+    # 1e320, yet z' = 0 exactly; where the cocycle is needed and overflows
+    # (the Jacobian's fiber row, or z != 0) it is a ChartError, not inf/nan
+    zeta = np.zeros(7, dtype=complex)
+    zeta[1] = 1e40
+    q = transition(ChartPoint(i=1, z=0.0, zeta=zeta), 3)
+    assert q.i == 3 and q.z == 0
+    assert_allclose(q.zeta, [1e-40, 0, 0, 0, 0, 0, 0], rtol=1e-15)
+    with pytest.raises(ChartError, match="overflows"):
+        transition_jacobian(ChartPoint(i=1, z=0.0, zeta=zeta), 3)
+    with pytest.raises(ChartError, match="overflows"):
+        transition(ChartPoint(i=1, z=1.0, zeta=zeta), 3)
+
+
 def test_transition_agrees_with_quotient_route(params2, rng):
     for _ in range(10):
         p = rand_chart_point(rng, 2)

@@ -329,6 +329,7 @@ def test_classify_sees_a_closed_orbit(monkeypatch, t_max):
         (1.0, [1, 0], [0, 1]),
         (1.0, [0.6 + 0.2j, 0.3j], [0.1j, 0.7]),
         (1e-4, [1e-2, 0], [0, 1e-2]),
+        (1.0, [0.1, 0], [0, 0.1]),  # an orbit of radius 0.1 sqrt(a)
     ]
     for a, z0, v0 in starts:
         state = GeodesicState(np.array(z0, dtype=complex), np.array(v0, dtype=complex))
@@ -339,45 +340,50 @@ def test_classify_sees_a_closed_orbit(monkeypatch, t_max):
 
 def _closest_without_start_rule(monkeypatch):
     # the plain Re <z - z0, v>, which is exactly 0 at the start
-    real = geodesics._return_events
+    real = geodesics._return_rule
 
-    def events(target, scale, sign):
-        closest, away = real(target, scale, sign)
+    def rule(target, scale, sign):
+        closest, first_return = real(target, scale, sign)
         h = target.size // 2
 
         def plain(t, y, *_):
             return (y[:h] - target[:h]) @ y[h:]
 
         plain.direction = closest.direction
-        return plain, away
+        return plain, first_return
 
-    monkeypatch.setattr(geodesics, "_return_events", events)
+    monkeypatch.setattr(geodesics, "_return_rule", rule)
 
 
 @pytest.mark.parametrize("t_max", [10.0, -10.0])
 def test_start_is_no_closest_approach(monkeypatch, params2, t_max):
-    # the start is no crossing of the closest event, so the first step
-    # builds no interpolant for it: 3 fewer right-hand-side calls with
-    # DOP853, and the same samples to the bit
+    # negative control of the start rule, the one guard against reading
+    # the start as the return: without it both flows close at t = 0.  With
+    # it the start is no crossing of the closest event, so the first step
+    # builds no interpolant for it (3 fewer right-hand-side calls with
+    # DOP853) and the samples are the same to the bit
     state = GeodesicState(np.array([1.0 + 0j, 0.5j]), np.array([0.3 + 0.2j, 0.4]))
     y0 = geodesics._pack(state.z, state.v)
-    closest, _ = geodesics._return_events(y0, 1.0, np.sign(t_max))
+    closest, _ = geodesics._return_rule(y0, 1.0, np.sign(t_max))
     assert closest(0.0, y0) == np.sign(t_max)
     new = integrate(state, t_max, params2)
     assert 0.0 not in new.sol.t_events[2]
     zeta0, dzeta0 = np.array([0.3 - 0.2j]), np.array([0.5 + 1j])
     fs = zero_section_geodesic(zeta0, dzeta0, params2)
+    assert fs.period > 0
 
     _closest_without_start_rule(monkeypatch)
     old = integrate(state, t_max, params2)
-    assert old.sol.t_events[2][0] == 0.0
+    assert old.sol.t_events[2][0] == 0.0 and old.period == 0.0
     assert new.sol.nfev == old.sol.nfev - 3
     assert np.array_equal(new.t, old.t) and np.array_equal(new.z, old.z)
-    assert np.array_equal(new.v, old.v) and new.period == old.period
+    assert np.array_equal(new.v, old.v)
     fs_old = zero_section_geodesic(zeta0, dzeta0, params2)
-    assert fs.nfev == fs_old.nfev - 3
-    assert np.array_equal(fs.t, fs_old.t) and np.array_equal(fs.zeta, fs_old.zeta)
-    assert fs.period == fs_old.period is not None
+    assert fs_old.period == 0.0
+    k = fs_old.t.size  # the plain run stops after its first piece
+    assert np.array_equal(fs.t[:k], fs_old.t)
+    assert np.array_equal(fs.zeta[:k], fs_old.zeta)
+    assert np.array_equal(fs.dzeta[:k], fs_old.dzeta)
 
 
 # --- zero-section flow --------------------------------------------------------------

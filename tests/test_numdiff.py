@@ -292,6 +292,26 @@ def test_hessian_one_field_call_per_row(params3):
     assert calls == [64 * 3**2]  # one call for every row of the Hessian
 
 
+@pytest.mark.parametrize("n, chunks", [(8, [4096]), (9, [2592, 2592]),
+                                        (16, [4096] * 4)])
+def test_hessian_field_calls_hold_at_most_4096_points(monkeypatch, n, chunks):
+    # the outer stencil's points reach the field in equal chunks: one call
+    # up to n = 8, and the same Hessian as one call would give, to the bit
+    p = GeometryParams(n, 1.0)
+    z = seeded_points(1, n, p.a, seed=n)[0]
+    calls = []
+
+    def field(w):
+        calls.append(len(w))
+        return potential(radius_sq(w), p)
+
+    h = complex_hessian(field, z)
+    assert calls == chunks and sum(calls) == 64 * n * n
+    monkeypatch.setattr(numdiff, "_MAX_FIELD_POINTS", 64 * n * n)
+    assert np.array_equal(h, complex_hessian(field, z))
+    assert calls[len(chunks):] == [64 * n * n]
+
+
 def test_stencil_rejects_flattening_field():
     # np.vdot folds a (K, n) stack into one number
     z = np.array([0.3 + 1.1j, -0.8 + 0.2j])
