@@ -151,15 +151,20 @@ def _base_chart(w, dw, j: int):
 
 def _cocycle(z, w, j: int, k: int) -> complex:
     """``z w_j^k`` for the fiber cocycle ``z' = z w_j^n`` into chart ``j`` and
-    its derivatives: exactly 0 for ``z = 0``, a ``ChartError`` where it
-    overflows."""
+    its derivatives: exactly 0 for ``z = 0``, a ``ChartError`` where the
+    product overflows."""
     if z == 0:
         return 0j
+    wj = w[j - 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = complex(z) * w[j - 1] ** k
+        out = complex(z) * wj**k
+        if not np.isfinite(out):  # w_j^k alone may overflow: scale out 2^(e k)
+            e = np.frexp(max(abs(wj.real), abs(wj.imag)))[1]
+            out = complex(z) * (np.ldexp(wj.real, -e) + 1j * np.ldexp(wj.imag, -e))**k
+            out = np.ldexp(out.real, e * k) + 1j * np.ldexp(out.imag, e * k)
     if not np.isfinite(out):
         raise ChartError(f"fiber cocycle overflows into chart {j}: "
-                         f"|w_{j}| = {float(abs(w[j - 1]))!r}")
+                         f"|w_{j}| = {float(abs(wj))!r}")
     return complex(out)
 
 

@@ -22,7 +22,10 @@ They share one return rule (:func:`_return_rule`): each local minimum of
 the distance to the start (a zero of ``Re <z - z0, v>`` rising in the
 direction of integration, the start itself excepted) is an event, and the
 first closest approach to the start that revisits it within ``1e-6`` is
-the closing time.  Distances and tolerances are in chart units, times
+the closing time.  The zero-section flow stops at each closest approach:
+its run ends at the return, and an approach that is no return resumes the
+piece in the same chart from the event state; the Ricci-flat flow runs on
+to ``t_end``.  Distances and tolerances are in chart units, times
 ``sqrt(a)`` on the quotient chart, so the rule commutes with the
 homothety ``z -> alpha z``, ``a -> alpha^2 a``.  The Ricci-flat flow also
 locates the turning points of ``u``, the zeros of ``Re <z, v>``.  Both
@@ -227,25 +230,26 @@ def _unpack(y, n):
     return c[:n], c[n:]
 
 
-def _return_rule(target, scale: float, sign: float):
+def _return_rule(target, scale: float, sign: float, resume=None):
     """The return rule against the packed start ``target`` for a run in the
     time direction ``sign``, as ``(closest, first_return)``.
 
     ``closest`` is a non-terminal ``solve_ivp`` event at each local minimum
     of the distance to the start, a zero of ``Re <z - z0, v>`` rising with
-    time.  At the start itself it takes the sign it has just after it, so
-    the start is no crossing.  ``first_return(times, states)`` reads the
-    ``closest`` events (``times``, packed ``states``) and gives the time
-    elapsed to the first whose state revisits ``target`` within
-    ``1e-6 scale`` in position and ``1e-6 max(scale, |v0|)`` in velocity,
-    or None."""
+    time.  At the start itself, and at the time ``resume`` where a run
+    restarts from a closest approach it has read, it takes the sign it has
+    just after that point, so neither is a crossing.
+    ``first_return(times, states)`` reads the ``closest`` events
+    (``times``, packed ``states``) and gives the time elapsed to the first
+    whose state revisits ``target`` within ``1e-6 scale`` in position and
+    ``1e-6 max(scale, |v0|)`` in velocity, or None."""
     m = target.size // 4
     z0, v0 = _unpack(target, m)
     base, v_tol = target[: 2 * m], 1e-6 * max(scale, np.linalg.norm(v0))
 
     def closest(t, y, *_):
         d = y[: 2 * m] - base  # the position block [Re z, Im z]
-        return d @ y[2 * m :] if d.any() else sign
+        return d @ y[2 * m :] if d.any() and t != resume else sign
 
     def first_return(times, states):
         for t_c, y_c in zip(times, states):
@@ -426,8 +430,8 @@ class FSTrajectory:
 
     ``chart`` holds the 1-based chart index valid at each sample; ``zeta``
     and ``dzeta`` are expressed in that chart.  ``period`` is the detected
-    closing time, if any, and ``nfev`` the number of right-hand-side calls
-    summed over the chart pieces.
+    closing time, if any, and the last sample when there is one; ``nfev`` is
+    the number of right-hand-side calls summed over the chart pieces.
     """
 
     t: np.ndarray
@@ -473,8 +477,10 @@ def zero_section_geodesic(
     The period is found by the integrator's own event location, in every
     chart that contains the start point, against the initial state moved
     into that chart, by the return rule of :func:`_return_rule` in chart
-    units.  At unit speed in ``a * g_FS`` the closing time of every
-    geodesic is ``pi sqrt(a)``.
+    units.  Its ``closest`` event is terminal there: the run ends at the
+    return, and an approach that is no return resumes the piece in the same
+    chart from the event state.  At unit speed in ``a * g_FS`` the closing
+    time of every geodesic is ``pi sqrt(a)``.
     """
     zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=complex))
     v0 = np.atleast_1d(np.asarray(dzeta0, dtype=complex))
@@ -505,32 +511,38 @@ def zero_section_geodesic(
 
     escape.terminal, escape.direction = True, 1
     state = _pack(zeta, v)
-    t0, period, nfev = 0.0, None, 0
+    t0, resume, period, nfev = 0.0, None, None, 0
     ts_all, ys_all, ch_all = [], [], []
     while t0 < t_end:
         events, first_return = [escape], None
         if w0[chart - 1] != 0:  # the start lies in this chart
             target = _pack(*_base_chart(w0, dw0, chart))
-            closest, first_return = _return_rule(target, 1.0, 1.0)
+            closest, first_return = _return_rule(target, 1.0, 1.0, resume)
+            closest.terminal = True
             events.append(closest)
         sol = _solve(_fs_rhs, (t0, t_end), state, tol, events, args=(m,))
         nfev += sol.nfev
-        ts_all.append(sol.t)
-        ys_all.append(sol.y)
-        ch_all.append(np.full(sol.t.size, chart))
+        skip = int(resume is not None)  # its first sample ends the last piece
+        ts_all.append(sol.t[skip:])
+        ys_all.append(sol.y[:, skip:])
+        ch_all.append(np.full(sol.t.size - skip, chart))
 
-        if first_return is not None:
+        if sol.status != 1:
+            break
+        if first_return is not None and sol.t_events[1].size:
             period = first_return(sol.t_events[1], sol.y_events[1])
             if period is not None:
                 break
-        if sol.status != 1:
-            break
+            # a closest approach that is no return: resume in this chart
+            t0 = resume = sol.t_events[1][0]
+            state = sol.y_events[1][0]
+            continue
         # chart boundary: hop to the slot of the largest homogeneous coordinate
         zz, vv = _unpack(sol.y_events[0][0], m)
         w, dw = np.insert(zz, chart - 1, 1.0), np.insert(vv, chart - 1, 0.0)
         chart = int(np.argmax(np.abs(w))) + 1
         state = _pack(*_base_chart(w, dw, chart))
-        t0 = sol.t_events[0][0]
+        t0, resume = sol.t_events[0][0], None
 
     zeta, dzeta = (x.T for x in _unpack(np.hstack(ys_all), m))
     return FSTrajectory(

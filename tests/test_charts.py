@@ -137,6 +137,15 @@ def test_transition_cocycle_at_a_huge_target_slot():
         transition_jacobian(ChartPoint(i=1, z=0.0, zeta=zeta), 3)
     with pytest.raises(ChartError, match="overflows"):
         transition(ChartPoint(i=1, z=1.0, zeta=zeta), 3)
+    # w_3^8 overflows but z w_3^8 does not: z' = 1e-300 * 1e320 = 1e20
+    q = transition(ChartPoint(i=1, z=1e-300, zeta=zeta), 3)
+    assert q.z == pytest.approx(1e20, rel=1e-15)
+    # and it is the product's form where that is finite, times 2^(-1000 + 8*140)
+    zeta[1] = 0.6 + 0.8j
+    ref = transition(ChartPoint(i=1, z=1.0, zeta=zeta), 3).z
+    zeta[1] *= 2.0**140
+    q = transition(ChartPoint(i=1, z=2.0**-1000, zeta=zeta), 3)
+    assert q.z == 2.0**120 * ref
 
 
 def test_transition_agrees_with_quotient_route(params2, rng):

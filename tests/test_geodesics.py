@@ -342,8 +342,8 @@ def _closest_without_start_rule(monkeypatch):
     # the plain Re <z - z0, v>, which is exactly 0 at the start
     real = geodesics._return_rule
 
-    def rule(target, scale, sign):
-        closest, first_return = real(target, scale, sign)
+    def rule(target, scale, sign, resume=None):
+        closest, first_return = real(target, scale, sign, resume)
         h = target.size // 2
 
         def plain(t, y, *_):
@@ -380,10 +380,11 @@ def test_start_is_no_closest_approach(monkeypatch, params2, t_max):
     assert np.array_equal(new.v, old.v)
     fs_old = zero_section_geodesic(zeta0, dzeta0, params2)
     assert fs_old.period == 0.0
-    k = fs_old.t.size  # the plain run stops after its first piece
-    assert np.array_equal(fs.t[:k], fs_old.t)
-    assert np.array_equal(fs.zeta[:k], fs_old.zeta)
-    assert np.array_equal(fs.dzeta[:k], fs_old.dzeta)
+    # the plain run's terminal closest event stops it at t = 0: both of its
+    # samples are the start, the first sample of the run with the start rule
+    assert np.array_equal(fs_old.t, [0.0, 0.0]) and fs.t[0] == 0.0
+    assert np.array_equal(fs_old.zeta, fs.zeta[[0, 0]])
+    assert np.array_equal(fs_old.dzeta, fs.dzeta[[0, 0]])
 
 
 # --- zero-section flow --------------------------------------------------------------
@@ -547,6 +548,63 @@ def test_zero_section_period_sweep(radius):
         expected = np.pi * np.sqrt(p.a / fs_energy(zeta0, dzeta0, p))
         assert run.period is not None, (k, zeta0, dzeta0)
         assert run.period == pytest.approx(expected, rel=1e-11)
+
+
+def _non_terminal_closest(monkeypatch):
+    # every event after the chart escape, the closest event, left
+    # non-terminal: the piece runs on past the return to its chart boundary
+    real = geodesics._solve
+
+    def solve(rhs, span, y0, tol, events, args=()):
+        for event in events[1:]:
+            event.terminal = False
+        return real(rhs, span, y0, tol, events, args)
+
+    monkeypatch.setattr(geodesics, "_solve", solve)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_zero_section_stops_at_return(monkeypatch, n):
+    # from zeta = 0 the first closest approach in chart 1 is the return: the
+    # run ends on it, with the period a non-terminal event would give
+    p = GeometryParams(n, 1.3)
+    zeta0 = np.zeros(n - 1, dtype=complex)
+    dzeta0 = np.linspace(1.0, 0.4, n - 1) + 0.3j
+    dzeta0 /= np.sqrt(fs_energy(zeta0, dzeta0, p))
+    run = zero_section_geodesic(zeta0, dzeta0, p)
+    assert run.t[-1] == run.period and run.chart[-1] == 1
+    assert np.linalg.norm(run.zeta[-1] - zeta0) < 1e-6
+
+    _non_terminal_closest(monkeypatch)
+    full = zero_section_geodesic(zeta0, dzeta0, p)
+    assert full.t[-1] > full.period
+    assert run.period == full.period
+    assert run.nfev <= 0.8 * full.nfev
+
+
+def test_zero_section_resumes_after_non_return(monkeypatch):
+    # a Lissajous orbit, frequencies 1 and 3, passes closest to its start
+    # three times before it closes at 2 pi: each time the chart-1 piece
+    # stops and resumes from the event state, in the same chart
+    def lissajous(t, y, m):
+        zeta, v = geodesics._unpack(y, m)
+        return geodesics._pack(v, -np.array([1.0, 9.0]) * zeta)
+
+    calls = []
+    real = geodesics._solve
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "_fs_rhs", lissajous)
+    monkeypatch.setattr(geodesics, "_solve", spy)
+    run = zero_section_geodesic(np.array([0.5, 0.3]), np.array([0.0, 0.9]),
+                                GeometryParams(3, 1.0), t_end=20.0)
+    assert run.period == pytest.approx(2 * np.pi, rel=1e-11)
+    assert len(calls) == 4 and np.all(run.chart == 1)
+    assert np.all(np.diff(run.t) > 0)  # no sample repeated at a resume point
+    assert run.t[-1] == run.period
 
 
 def test_state_rejects_non_finite_velocity():
