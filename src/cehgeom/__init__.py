@@ -50,7 +50,6 @@ from .charts import (
 from .geodesics import (
     GeodesicState,
     Trajectory,
-    classify_closed,
     energy,
     geodesic_rhs,
     integrate,

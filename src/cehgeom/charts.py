@@ -124,20 +124,15 @@ def quotient_to_chart(w, i: int) -> ChartPoint:
     group, so the result is independent of the chosen lift.
     """
     w, _ = _one_point(w)
-    n = w.size
-    if not 1 <= i <= n:
-        raise ChartError(f"chart index {i} out of range 1..{n}")
-    wi = w[i - 1]
-    if wi == 0:
-        raise ChartError(f"point has w_{i} = 0, not in chart {i}")
-    zeta = np.array([w[k - 1] / wi for k in range(1, n + 1) if k != i])
-    return ChartPoint(i=i, z=complex(wi**n), zeta=zeta)
+    zeta, _ = _base_chart(w, np.zeros_like(w), i)
+    return ChartPoint(i=i, z=_cocycle(1.0, w, i, w.size), zeta=zeta)
 
 
 def _base_chart(w, dw, j: int):
     """Chart-``j`` base coordinates of a homogeneous base point ``w`` and
     velocities of its tangents ``dw`` (shape ``(..., n)``): divide by ``w_j``
-    and drop slot ``j``.  No fiber power is formed."""
+    and drop slot ``j``.  No fiber power is formed.  The one division by a
+    slot: a ``ChartError`` where ``w_j = 0`` or a result is not finite."""
     n = w.size
     if not 1 <= j <= n:
         raise ChartError(f"chart index {j} out of range 1..{n}")
@@ -145,26 +140,32 @@ def _base_chart(w, dw, j: int):
     if wj == 0:
         raise ChartError(f"point not in chart {j}: w_{j} = 0")
     keep = np.arange(n) != j - 1
-    zeta = w[keep] / wj
-    return zeta, (dw[..., keep] - dw[..., j - 1, None] * zeta) / wj
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta = w[keep] / wj
+        dzeta = (dw[..., keep] - dw[..., j - 1, None] * zeta) / wj
+    if not (np.isfinite(zeta).all() and np.isfinite(dzeta).all()):
+        raise ChartError(f"point not in chart {j}: its coordinates overflow "
+                         f"there, |w_{j}| = {float(abs(wj))!r}")
+    return zeta, dzeta
 
 
 def _cocycle(z, w, j: int, k: int) -> complex:
     """``z w_j^k`` for the fiber cocycle ``z' = z w_j^n`` into chart ``j`` and
     its derivatives: exactly 0 for ``z = 0``, a ``ChartError`` where the
-    product overflows."""
+    product overflows, or underflows to 0 for ``z != 0``."""
     if z == 0:
         return 0j
     wj = w[j - 1]
     with np.errstate(over="ignore", invalid="ignore"):
         out = complex(z) * wj**k
-        if not np.isfinite(out):  # w_j^k alone may overflow: scale out 2^(e k)
+        # w_j^k alone may overflow or underflow: scale out 2^(e k)
+        if not np.isfinite(out) or out == 0:
             e = np.frexp(max(abs(wj.real), abs(wj.imag)))[1]
             out = complex(z) * (np.ldexp(wj.real, -e) + 1j * np.ldexp(wj.imag, -e))**k
             out = np.ldexp(out.real, e * k) + 1j * np.ldexp(out.imag, e * k)
-    if not np.isfinite(out):
-        raise ChartError(f"fiber cocycle overflows into chart {j}: "
-                         f"|w_{j}| = {float(abs(wj))!r}")
+    if not np.isfinite(out) or out == 0:
+        raise ChartError(f"fiber cocycle {'overflows' if out else 'underflows'} "
+                         f"into chart {j}: |w_{j}| = {float(abs(wj))!r}")
     return complex(out)
 
 

@@ -226,12 +226,9 @@ def cmd_geodesic(args) -> int:
     if not np.any(v0):
         t, zs, vs = np.zeros(1), z0[None], v0[None]
         us, es = np.array([radius_sq(z0)]), np.zeros(1)
-        classification = geodesics.CONSTANT
+        classification = "constant"  # no run: the geodesic is the point
     else:
-        report = geodesics.classify_closed(
-            state, args.t_end, params, tol=args.tol
-        )
-        traj = report.trajectory
+        traj = geodesics.integrate(state, args.t_end, params, tol=args.tol)
         idx = np.arange(len(traj.t))
         if args.samples and args.samples < len(idx):
             idx = np.unique(
@@ -239,7 +236,7 @@ def cmd_geodesic(args) -> int:
             )
         t, zs, vs = traj.t[idx], traj.z[idx], traj.v[idx]
         us, es = traj.u[idx], traj.energy[idx]
-        classification = report.classification
+        classification = traj.classification
 
     mus = range(1, params.n + 1)
     header = ["t", *(f"{p}_z{mu}" for mu in mus for p in ("re", "im")),

@@ -17,18 +17,17 @@ are one map on homogeneous coordinates (:mod:`cehgeom.charts`: divide by
 the chart's slot and drop it), which forms no fiber power.
 
 Both flows call ``solve_ivp`` one way (:func:`_solve`), without dense
-output; what they report between steps comes from its event location.
-They share one return rule (:func:`_return_rule`): each local minimum of
-the distance to the start (a zero of ``Re <z - z0, v>`` rising in the
-direction of integration, the start itself excepted) is an event, and the
-first closest approach to the start that revisits it within ``1e-6`` is
+output, and share one return rule (:func:`_return_rule`): each local
+minimum of the distance to the start (a zero of ``Re <z - z0, v>`` rising
+in the direction of integration, the start itself excepted) is an event,
+and the first closest approach that revisits the start within ``1e-6`` is
 the closing time.  The zero-section flow stops at each closest approach:
 its run ends at the return, and an approach that is no return resumes the
-piece in the same chart from the event state; the Ricci-flat flow runs on
-to ``t_end``.  Distances and tolerances are in chart units, times
-``sqrt(a)`` on the quotient chart, so the rule commutes with the
-homothety ``z -> alpha z``, ``a -> alpha^2 a``.  The Ricci-flat flow also
-locates the turning points of ``u``, the zeros of ``Re <z, v>``.  Both
+piece in the same chart.  The Ricci-flat flow runs on to ``t_end``, also
+locates the turning points of ``u`` (zeros of ``Re <z, v>``) and returns
+the run with its verdict (:class:`Trajectory`).  Distances and tolerances
+are in chart units, times ``sqrt(a)`` on the quotient chart, so the rule
+commutes with the homothety ``z -> alpha z``, ``a -> alpha^2 a``.  Both
 flows keep their state packed as ``[Re z, Im z, Re v, Im v]`` and move it
 to and from complex ``(z, v)`` through one cached index map per dimension.
 
@@ -66,7 +65,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import hyp2f1
 
-from .charts import _base_chart, zero_section_restriction
+from .charts import ChartError, _base_chart, zero_section_restriction
 from .tensors import _one_point, metric
 from .profiles import DomainError, GeometryParams, _phi
 
@@ -75,13 +74,11 @@ __all__ = [
     "Trajectory",
     "ArcLength",
     "CriticalPoint",
-    "ClosedGeodesicReport",
     "FSTrajectory",
     "geodesic_rhs",
     "energy",
     "integrate",
     "radial_arclength",
-    "classify_closed",
     "fs_energy",
     "zero_section_geodesic",
 ]
@@ -96,12 +93,10 @@ TOL_FLOOR = 100 * float(np.finfo(float).eps)
 #: largest |zeta_k|^2 at which the zero-section flow hops to that slot's chart
 _CHART_ESCAPE_SQ = 2.25
 
-# classifications / terminations
-CONSTANT = "constant"
+# classifications of a run
 ESCAPES = "escapes"
 RETURNS = "returns_to_start"
 HIT_CUTOFF = "hit_inner_cutoff"
-COMPLETED = "completed"
 
 
 @dataclass(frozen=True)
@@ -132,13 +127,14 @@ class CriticalPoint:
 
 @dataclass
 class Trajectory:
-    """Time-ordered samples of one geodesic run.
+    """Time-ordered samples of one geodesic run and its verdict.
 
-    ``termination`` is ``completed`` (reached ``t_end``) or
-    ``hit_inner_cutoff``.  ``critical_points`` are the interior turning
-    points of ``u(t)`` and ``period`` the time to the first return to the
-    start, or None, both located as solver events.  ``sol`` is the
-    ``solve_ivp`` result, without an interpolant.
+    ``classification`` is ``returns_to_start`` when the run recorded a first
+    return to the start at time ``period`` (never seen off the zero
+    section), else ``hit_inner_cutoff`` when the inner cutoff stopped it,
+    else ``escapes``.  ``critical_points`` are the interior turning points
+    of ``u(t)`` with their closed-form ``uddot``; both are solver events.
+    ``sol`` is the ``solve_ivp`` result, without an interpolant.
     """
 
     t: np.ndarray
@@ -146,7 +142,7 @@ class Trajectory:
     v: np.ndarray
     u: np.ndarray
     energy: np.ndarray
-    termination: str
+    classification: str
     critical_points: list
     period: Optional[float]
     sol: object = field(default=None, repr=False)
@@ -271,8 +267,9 @@ def _solve(rhs, span, y0, tol: float, events, args=()):
 
 
 def _check_run(t_end: float, tol: float) -> None:
-    if not math.isfinite(t_end):
-        raise DomainError(f"integration time t_end must be finite, got {t_end!r}")
+    if not (math.isfinite(t_end) and t_end != 0):
+        what = "finite" if t_end else "finite and nonzero"
+        raise DomainError(f"integration time t_end must be {what}, got {t_end!r}")
     if not TOL_FLOOR <= tol < math.inf:
         raise DomainError(
             f"integrator tolerance tol must be finite and at least "
@@ -288,7 +285,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate the flow over ``[0, t_end]``, forward or backward in time,
     with an adaptive embedded Runge-Kutta scheme (DOP853) at relative
-    tolerance ``tol``.
+    tolerance ``tol``, and classify the run (:class:`Trajectory`).  A zero
+    velocity is refused: its geodesic is a constant point.
 
     Terminates early when ``u`` falls to ``1e-8 a``: the connection has
     ``1/u`` factors and crossing the zero section belongs to the chart
@@ -301,6 +299,8 @@ def integrate(
     n = params.n
     if state.z.size != n:
         raise DomainError(f"state has dimension {state.z.size}, params n={n}")
+    if not np.any(state.v):
+        raise DomainError("geodesic run needs a nonzero velocity")
     _check_run(t_end, tol)
     y0 = _pack(state.z, state.v)
     sign = 1.0 if t_end >= 0 else -1.0
@@ -335,7 +335,8 @@ def integrate(
     us = np.einsum("km,km->k", zs, np.conj(zs)).real
     return Trajectory(
         t=sol.t, z=zs, v=vs, u=us, energy=energy(zs, vs, params),
-        termination=HIT_CUTOFF if sol.status == 1 else COMPLETED,
+        classification=(RETURNS if period is not None
+                        else HIT_CUTOFF if sol.status == 1 else ESCAPES),
         critical_points=crits, period=period, sol=sol,
     )
 
@@ -387,39 +388,6 @@ def radial_arclength(u: float, params: GeometryParams) -> ArcLength:
     return ArcLength(psi=d * d, distance=d)
 
 
-@dataclass
-class ClosedGeodesicReport:
-    classification: str
-    trajectory: Optional[Trajectory]
-    critical_points: list
-
-
-def classify_closed(
-    state: GeodesicState,
-    t_max: float,
-    params: GeometryParams,
-    tol: float = 1e-10,
-) -> ClosedGeodesicReport:
-    """Run the flow over ``[0, t_max]`` and classify the trajectory.
-
-    ``returns_to_start`` when the run records a first return to the start
-    (``Trajectory.period``; never observed off the zero section), else
-    ``hit_inner_cutoff`` or ``escapes``.  The critical points are the run's
-    interior turning points of ``u(t)``, each with the nonnegative
-    closed-form ``uddot`` certificate.
-    """
-    if not np.any(state.v):
-        return ClosedGeodesicReport(CONSTANT, None, [])
-    traj = integrate(state, t_max, params, tol=tol)
-    if traj.period is not None:
-        classification = RETURNS
-    elif traj.termination == HIT_CUTOFF:
-        classification = HIT_CUTOFF
-    else:
-        classification = ESCAPES
-    return ClosedGeodesicReport(classification, traj, traj.critical_points)
-
-
 # ---------------------------------------------------------------------------
 # zero-section (Fubini-Study) flow
 # ---------------------------------------------------------------------------
@@ -462,7 +430,6 @@ def zero_section_geodesic(
     zeta0,
     dzeta0,
     params: GeometryParams,
-    t_end: Optional[float] = None,
     tol: float = 1e-12,
 ) -> FSTrajectory:
     """Integrate the Fubini-Study flow on the zero section from ``zeta0`` in
@@ -475,12 +442,13 @@ def zero_section_geodesic(
     connection with the round projective profile (the cubic coefficient of
     that profile vanishes identically, leaving ``2 <zeta,v> v/(1+|zeta|^2)``).
     The period is found by the integrator's own event location, in every
-    chart that contains the start point, against the initial state moved
+    chart in which the start can be written, against the initial state moved
     into that chart, by the return rule of :func:`_return_rule` in chart
     units.  Its ``closest`` event is terminal there: the run ends at the
     return, and an approach that is no return resumes the piece in the same
     chart from the event state.  At unit speed in ``a * g_FS`` the closing
-    time of every geodesic is ``pi sqrt(a)``.
+    time of every geodesic is ``pi sqrt(a)``; the run is bounded by four
+    periods at the start energy, which it reaches only if it never returns.
     """
     zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=complex))
     v0 = np.atleast_1d(np.asarray(dzeta0, dtype=complex))
@@ -496,15 +464,13 @@ def zero_section_geodesic(
     w0, dw0 = np.insert(zeta0, 0, 1.0), np.insert(v0, 0, 0.0)
     chart = int(np.argmax(np.abs(w0))) + 1
     zeta, v = _base_chart(w0, dw0, chart)
-    if t_end is None:
-        e0 = fs_energy(zeta, v, params)
-        if not e0 >= np.finfo(float).tiny:
-            raise DomainError(f"start energy {float(e0)!r} is below the smallest "
-                              "normal double: pass t_end")
-        t_end = 4.0 * math.pi * math.sqrt(params.a) / math.sqrt(e0)
+    e0 = float(fs_energy(zeta, v, params))
+    normal = e0 >= np.finfo(float).tiny
+    t_end = 4.0 * math.pi * math.sqrt(params.a) / math.sqrt(e0) if normal else 0.0
+    if not 0.0 < t_end < math.inf:  # four periods
+        raise DomainError(f"start energy {e0!r} is below the smallest normal double "
+                          "or gives no finite bound of four periods")
     _check_run(t_end, tol)
-    if not t_end > 0:
-        raise DomainError(f"integration time t_end must be positive, got {t_end!r}")
 
     def escape(t, y, m):  # the largest |zeta_k|^2 rises through the bound
         return np.max(y[:m] ** 2 + y[m : 2 * m] ** 2) - _CHART_ESCAPE_SQ
@@ -515,8 +481,11 @@ def zero_section_geodesic(
     ts_all, ys_all, ch_all = [], [], []
     while t0 < t_end:
         events, first_return = [escape], None
-        if w0[chart - 1] != 0:  # the start lies in this chart
+        try:  # the return target: the start, written in this chart
             target = _pack(*_base_chart(w0, dw0, chart))
+        except ChartError:  # no return rule where the start cannot be written
+            pass
+        else:
             closest, first_return = _return_rule(target, 1.0, 1.0, resume)
             closest.terminal = True
             events.append(closest)

@@ -54,7 +54,9 @@ from . import curvature as _curvature
 from . import hessian as _hessian
 from . import volform as _volform
 from .tensors import _checked, _one_point, homothety_residual, metric, metric_inverse
-from .profiles import GeometryParams, potential, radius_sq, roots_of_unity_sum
+from .profiles import (
+    DomainError, GeometryParams, potential, radius_sq, roots_of_unity_sum,
+)
 
 __all__ = [
     "FDConfig",
@@ -333,7 +335,11 @@ def verify_pipeline(
     ten algebraic ones, with a homothety factor drawn from ``rng``; then the
     roots-of-unity sum at eight ``(alpha, k)`` drawn from ``rng``.  Each
     check keeps its worst residual; the report is sorted by name.
+    ``tol_scale`` must be positive and finite.
     """
+    if not 0 < tol_scale < math.inf:
+        raise DomainError(f"tolerance scale tol_scale must be positive and finite, "
+                          f"got {tol_scale!r}")
     points = _checked(points, params)[0]
     worst: dict = {}
 

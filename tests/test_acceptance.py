@@ -14,7 +14,6 @@ from cehgeom import (
     chart_to_quotient,
     christoffel_ceh,
     christoffel_rot_sym,
-    classify_closed,
     covariant_derivative_epsilon,
     fs_profile,
     fubini_study,
@@ -193,10 +192,10 @@ def test_criterion_07_geodesics():
     for t_max in (50.0, -50.0):
         for z0, v0 in zip(seeded_points(100, 2, 1.0, seed=61),
                           seeded_points(100, 2, 1.0, seed=62)):
-            rep = classify_closed(GeodesicState(z0, v0), t_max, p, tol=1e-9)
-            if rep.classification == RETURNS:
+            traj = integrate(GeodesicState(z0, v0), t_max, p, tol=1e-9)
+            if traj.classification == RETURNS:
                 returns += 1
-            for cp in rep.critical_points:
+            for cp in traj.critical_points:
                 worst_udd = min(worst_udd, cp.uddot)
                 n_crit += 1
     report(7, "returns_to_start count over 100 launches, forward and backward",

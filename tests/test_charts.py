@@ -148,6 +148,41 @@ def test_transition_cocycle_at_a_huge_target_slot():
     assert q.z == 2.0**120 * ref
 
 
+def test_transition_refuses_coordinates_it_cannot_write():
+    # slot 2 is 1e-300 in chart 1: in chart 2 the base ratio 1e300/1e-300
+    # overflows, and a fiber z w_j^n = 1e-300 * 1e-600 underflows to 0,
+    # which would put a point off the zero section onto it
+    with pytest.raises(ChartError, match="not in chart 2: its coordinates overflow"):
+        transition(ChartPoint(i=1, z=0.5, zeta=np.array([1e-300, 1e300])), 2)
+    with pytest.raises(ChartError, match="fiber cocycle underflows into chart 2"):
+        transition(ChartPoint(i=1, z=1e-300, zeta=np.array([1e-300])), 2)
+    with pytest.raises(ChartError, match="fiber cocycle underflows into chart 2"):
+        transition_jacobian(ChartPoint(i=1, z=1.0, zeta=np.array([1e-110, 0.5])), 2)
+    # a zero-section point stays exactly on it, and a tiny factor w_j^k
+    # with a huge fiber is scaled, not rounded to 0: 1e300 * (1e-200)^2
+    q = transition(ChartPoint(i=1, z=0.0, zeta=np.array([1e-300])), 2)
+    assert q.z == 0 and q.zeta[0] == pytest.approx(1e300, rel=1e-15)
+    q = transition(ChartPoint(i=1, z=1e300, zeta=np.array([1e-200])), 2)
+    assert q.z == pytest.approx(1e-100, rel=1e-14)
+
+
+def test_quotient_to_chart_through_the_base_map(rng):
+    # the same zeta as the per-slot quotient w_k / w_i, to the bit, and a
+    # ChartError where that quotient overflows or w_i^n underflows
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        w = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3, n)
+        i = int(rng.integers(1, n + 1))
+        p = quotient_to_chart(w, i)
+        ref = np.array([w[k] / w[i - 1] for k in range(n) if k != i - 1])
+        assert p.zeta.tobytes() == ref.tobytes()
+        assert p.z == w[i - 1] ** n
+    with pytest.raises(ChartError, match="not in chart 1: its coordinates overflow"):
+        quotient_to_chart(np.array([1e-300, 1e100]), 1)
+    with pytest.raises(ChartError, match="fiber cocycle underflows into chart 1"):
+        quotient_to_chart(np.array([1e-120, 1e-120, 1e-120]), 1)
+
+
 def test_transition_agrees_with_quotient_route(params2, rng):
     for _ in range(10):
         p = rand_chart_point(rng, 2)

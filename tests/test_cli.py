@@ -123,6 +123,16 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert err == "verification failed: roots_of_unity\n"
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_verify_tol_out_of_range_exits_2(capsys, tol):
+    # exit 1 is kept for failed checks: a scale that no check can pass, or
+    # one json cannot write, is a usage error before any output
+    rc, out, err = run_cli(capsys, "verify", "--n", "2", "--points", "1", "--tol", tol)
+    assert rc == 2 and out == ""
+    assert err == ("error: tolerance scale tol_scale must be positive and finite, "
+                   f"got {float(tol)!r}\n")
+
+
 def test_verify_rejects_n1(capsys):
     rc, _, err = run_cli(capsys, "verify", "--n", "1", "--points", "2")
     assert rc == 2
@@ -211,6 +221,16 @@ def test_geodesic_samples_below_one_exit_2(capsys, samples):
                            "--t-end", "1", "--samples", samples)
     assert rc == 2 and out == ""
     assert err == f"error: need samples >= 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("t_end", ["0", "-0"])
+def test_geodesic_zero_time_exits_2(capsys, t_end):
+    # a run of no time: two rows of the start and "escapes" before the check
+    rc, out, err = run_cli(capsys, "geodesic", "--n", "2", "--point=1+0i,0+0i",
+                           "--velocity=0+0i,1+0i", "--t-end", t_end)
+    assert rc == 2 and out == ""
+    assert err == ("error: integration time t_end must be finite and nonzero, "
+                   f"got {float(t_end)!r}\n")
 
 
 # --- scan ------------------------------------------------------------------------

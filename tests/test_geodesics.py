@@ -9,7 +9,6 @@ from cehgeom import (
     GeometryParams,
     GeodesicState,
     christoffel_ceh,
-    classify_closed,
     energy,
     geodesic_rhs,
     integrate,
@@ -20,7 +19,6 @@ from cehgeom import (
 )
 from cehgeom import geodesics
 from cehgeom.geodesics import (
-    CONSTANT,
     ESCAPES,
     HIT_CUTOFF,
     RETURNS,
@@ -135,7 +133,7 @@ def test_radial_ray_stays_radial(params2):
     z0 = np.array([0.6 + 0.8j, 0j]) * 1.3
     state = GeodesicState(z0, 0.5 * z0)  # v parallel to z, positive ratio
     traj = integrate(state, 5.0, params2, tol=1e-10)
-    assert traj.termination == "completed"
+    assert traj.classification == ESCAPES
     args = np.angle(traj.z[:, 0])
     assert np.abs(args - args[0]).max() < 1e-9
     assert np.abs(traj.z[:, 1]).max() < 1e-12
@@ -162,7 +160,7 @@ def test_inner_cutoff_termination(params2):
     z0 = np.array([1.0 + 0j, 0j])
     state = GeodesicState(z0, -5.0 * z0)
     traj = integrate(state, 10.0, params2, tol=1e-10)
-    assert traj.termination == HIT_CUTOFF
+    assert traj.classification == HIT_CUTOFF
     assert traj.u[-1] < 2e-8
 
 
@@ -279,17 +277,19 @@ def test_radial_distance_grows_linearly(params2):
 # --- closed-geodesic dichotomy ----------------------------------------------------
 
 def test_classify_constant(params2):
+    # a zero velocity is no run: the CLI writes its constant row itself
     state = GeodesicState(np.array([1.0, 0.0]), np.zeros(2))
-    assert classify_closed(state, 10.0, params2).classification == CONSTANT
+    with pytest.raises(DomainError, match="nonzero velocity"):
+        integrate(state, 10.0, params2)
 
 
 def test_classify_never_returns(params2):
     zs = seeded_points(20, 2, 1.0, seed=11)
     vs = seeded_points(20, 2, 1.0, seed=12)
     for z0, v0 in zip(zs, vs):
-        rep = classify_closed(GeodesicState(z0, v0), 20.0, params2, tol=1e-9)
-        assert rep.classification in (ESCAPES, HIT_CUTOFF)
-        assert rep.classification != RETURNS
+        traj = integrate(GeodesicState(z0, v0), 20.0, params2, tol=1e-9)
+        assert traj.classification in (ESCAPES, HIT_CUTOFF)
+        assert traj.period is None
 
 
 def test_uddot_certificate_at_critical_points(params2):
@@ -300,9 +300,9 @@ def test_uddot_certificate_at_critical_points(params2):
     for t_max in (20.0, -50.0):
         found = 0
         for z0, v0 in zip(zs, vs):
-            rep = classify_closed(GeodesicState(z0, v0), t_max, params2, tol=1e-9)
-            assert rep.classification != RETURNS
-            for cp in rep.critical_points:
+            traj = integrate(GeodesicState(z0, v0), t_max, params2, tol=1e-9)
+            assert traj.classification != RETURNS
+            for cp in traj.critical_points:
                 assert cp.uddot >= -1e-9
                 assert 0 < cp.t / t_max < 1
                 found += 1
@@ -314,9 +314,9 @@ def test_tangential_launch_has_no_turning_point(params2, t_max):
     # Re <z0, v0> = 0 exactly: u is least at the start, which is no interior
     # critical point, and u has no other
     state = GeodesicState(np.array([1.0 + 0j, 0j]), np.array([1j, 0.2 + 0j]))
-    rep = classify_closed(state, t_max, params2)
-    assert rep.classification == ESCAPES
-    assert rep.critical_points == []
+    traj = integrate(state, t_max, params2)
+    assert traj.classification == ESCAPES
+    assert traj.critical_points == []
 
 
 @pytest.mark.parametrize("t_max", [20.0, -20.0])
@@ -333,9 +333,9 @@ def test_classify_sees_a_closed_orbit(monkeypatch, t_max):
     ]
     for a, z0, v0 in starts:
         state = GeodesicState(np.array(z0, dtype=complex), np.array(v0, dtype=complex))
-        rep = classify_closed(state, t_max, GeometryParams(2, a))
-        assert rep.classification == RETURNS, (a, z0)
-        assert abs(rep.trajectory.period - 2 * np.pi) < 1e-9
+        traj = integrate(state, t_max, GeometryParams(2, a))
+        assert traj.classification == RETURNS, (a, z0)
+        assert abs(traj.period - 2 * np.pi) < 1e-9
 
 
 def _closest_without_start_rule(monkeypatch):
@@ -489,9 +489,11 @@ def test_zero_section_requires_direction(params2):
 
 
 @pytest.mark.parametrize("zeta0,dzeta0,kwargs,bad", [
-    ([0j], [1 + 0j], {"t_end": 0.0}, "t_end"),
-    ([0j], [1 + 0j], {"t_end": -1.0}, "t_end"),
-    ([0j], [1 + 0j], {"t_end": np.nan}, "t_end"),
+    # a start energy that overflows gives a run bound of 0: the energy is
+    # refused, not a t_end the caller never passed
+    ([0j], [1e200 + 0j], {}, "start energy inf is below"),
+    ([0j], [1 + 0j], {"tol": np.nan}, "tol"),
+    ([np.inf + 0j], [1 + 0j], {}, "zeta0"),
     ([0j], [1 + 0j], {"tol": -1.0}, "tol"),
     ([np.nan + 0j], [1 + 0j], {}, "zeta0"),
     ([0j], [np.inf + 0j], {}, "dzeta0"),
@@ -499,6 +501,24 @@ def test_zero_section_requires_direction(params2):
 def test_zero_section_rejects_bad_run(params2, zeta0, dzeta0, kwargs, bad):
     with pytest.raises(DomainError, match=bad):
         zero_section_geodesic(np.array(zeta0), np.array(dzeta0), params2, **kwargs)
+
+
+def test_zero_section_bound_overflow_blames_the_energy():
+    # a normal start energy whose four periods overflow: 4 pi sqrt(a/e0)
+    p = GeometryParams(2, 1.7e308)
+    with pytest.raises(DomainError, match="no finite bound of four periods"):
+        zero_section_geodesic(np.array([0j]), np.array([1.3e-308 + 0j]), p)
+
+
+@pytest.mark.parametrize("t_end,bad", [
+    (0.0, "finite and nonzero"), (-0.0, "finite and nonzero"),
+    (np.inf, "finite"), (-np.inf, "finite"), (np.nan, "finite"),
+])
+def test_integrate_refuses_empty_or_unbounded_run(params2, t_end, bad):
+    # t_end = 0 would give two samples of the start and call that escaping
+    state = GeodesicState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(DomainError, match=f"t_end must be {bad}, got"):
+        integrate(state, t_end, params2)
 
 
 @pytest.mark.parametrize("tol", [1e-20, 0.5 * TOL_FLOOR, np.nextafter(TOL_FLOOR, 0)])
@@ -516,7 +536,7 @@ def test_flows_run_at_tolerance_floor(params2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate(state, 0.1, params2, tol=TOL_FLOOR)
-    assert traj.termination == "completed"
+    assert traj.classification == ESCAPES
 
 
 def test_zero_section_nfev_counts_rhs_calls(monkeypatch, params3):
@@ -600,11 +620,22 @@ def test_zero_section_resumes_after_non_return(monkeypatch):
     monkeypatch.setattr(geodesics, "_fs_rhs", lissajous)
     monkeypatch.setattr(geodesics, "_solve", spy)
     run = zero_section_geodesic(np.array([0.5, 0.3]), np.array([0.0, 0.9]),
-                                GeometryParams(3, 1.0), t_end=20.0)
+                                GeometryParams(3, 1.0))
     assert run.period == pytest.approx(2 * np.pi, rel=1e-11)
     assert len(calls) == 4 and np.all(run.chart == 1)
     assert np.all(np.diff(run.t) > 0)  # no sample repeated at a resume point
     assert run.t[-1] == run.period
+
+
+def test_zero_section_start_outside_a_chart_gets_no_return_rule():
+    # slot 2 of the start is 1e-310: in chart 2 the start's coordinates
+    # overflow, so the pieces there carry no return rule (and raise no
+    # warning); the run closes back in chart 1
+    p = GeometryParams(3, 1.0)
+    zeta0, dzeta0 = np.array([1e-310, 0.3 + 0j]), np.array([1.0 + 0j, 0.2j])
+    run = zero_section_geodesic(zeta0, dzeta0, p)
+    assert set(run.chart) == {1, 2} and run.chart[-1] == 1
+    assert run.period == pytest.approx(_fs_period(zeta0, dzeta0, p.a), rel=1e-11)
 
 
 def test_state_rejects_non_finite_velocity():

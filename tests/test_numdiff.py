@@ -412,3 +412,62 @@ def test_hessian_spectrum_sees_wrong_eigenvalue(monkeypatch):
     monkeypatch.setattr(hessian, "hessian_spectrum", corrupted)
     assert _failing() == ["hessian_spectrum"]
 
+
+
+# --- negative controls: one corrupted input per FD-oracle check ---------------------
+# Each corrupts what its check certifies by a relative eps, at three seeded
+# points at least 0.75 sqrt(a) out, and names the exact set of failing
+# checks for every n.  eps is chosen where detection holds for all n: at
+# n = 4 the absolute TOL_FD_CHRISTOFFEL misses a 1e-4 relative error of the
+# small connection there.
+
+def _fd_failing(n, a=1.3):
+    p = GeometryParams(n, a)
+    zs = seeded_points(40, n, a, seed=3)
+    zs = zs[np.linalg.norm(zs, axis=1) >= 0.75 * np.sqrt(a)][:3]
+    report = verify_pipeline(zs, p, np.random.default_rng(0))
+    return [c.name for c in report.checks if not c.passed]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fd_controls_uncorrupted_pass(n):
+    assert _fd_failing(n) == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_metric_vs_potential_sees_scaled_potential(monkeypatch, n):
+    exact = numdiff.potential
+    monkeypatch.setattr(numdiff, "potential", lambda u, p: exact(u, p) * (1 + 1e-4))
+    assert _fd_failing(n) == ["metric_vs_potential"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_christoffel_vs_metric_sees_scaled_connection(monkeypatch, n):
+    # the FD curvature differentiates the same connection field
+    exact = curvature.christoffel_ceh
+    monkeypatch.setattr(curvature, "christoffel_ceh",
+                        lambda z, p: exact(z, p) * (1 + 1e-2))
+    assert _fd_failing(n) == ["christoffel_vs_metric", "riemann_vs_christoffel"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_riemann_vs_christoffel_sees_scaled_curvature(monkeypatch, n):
+    # the Kretschmann contraction reads the same closed form
+    exact = curvature.riemann
+    monkeypatch.setattr(curvature, "riemann", lambda z, p: exact(z, p) * (1 + 1e-2))
+    assert _fd_failing(n) == ["kretschmann_consistency", "riemann_vs_christoffel"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ricci_log_det_sees_non_flat_metric_field(monkeypatch, n):
+    # the metric field it differentiates times 1 + 1e-4 u/a: log det g gains
+    # n log(1 + 1e-4 u/a), whose complex Hessian is no longer 0
+    exact = numdiff.fd_ricci_log_det
+
+    def corrupted(metric_fn, z):
+        def field(w):
+            return metric_fn(w) * (1 + 1e-4 * radius_sq(w) / 1.3)[..., None, None]
+        return exact(field, z)
+
+    monkeypatch.setattr(numdiff, "fd_ricci_log_det", corrupted)
+    assert _fd_failing(n) == ["ricci_log_det"]
