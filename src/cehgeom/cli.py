@@ -153,10 +153,11 @@ def _reim(c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _tensor_bundle(z: np.ndarray, params: GeometryParams) -> dict:
+    g = tensors.metric(z, params)  # validates z: an overflowing |z|^2 is refused
     u = radius_sq(z)
     return {
         "u": u,
-        "metric": tensors.metric(z, params),
+        "metric": g,
         "metric_inverse": tensors.metric_inverse(z, params),
         "christoffel": curvature.christoffel_ceh(z, params),
         "riemann": curvature.riemann(z, params),

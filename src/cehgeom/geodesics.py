@@ -30,6 +30,11 @@ are in chart units, times ``sqrt(a)`` on the quotient chart, so the rule
 commutes with the homothety ``z -> alpha z``, ``a -> alpha^2 a``.  Both
 flows keep their state packed as ``[Re z, Im z, Re v, Im v]`` and move it
 to and from complex ``(z, v)`` through one cached index map per dimension.
+scipy is imported where it runs, so ``import cehgeom`` loads none of it:
+``solve_ivp`` here is a forwarder that imports ``scipy.integrate`` on its
+first call, and :func:`_sqrt_psi` imports ``hyp2f1``.  The forwarder stays
+a module attribute that :func:`_solve` looks up at each call, so rebinding
+``geodesics.solve_ivp`` counts or inspects every solver call of both flows.
 
 The squared distance from radius ``u`` to the zero section is
 
@@ -62,8 +67,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import hyp2f1
 
 from .charts import ChartError, _base_chart, zero_section_restriction
 from .tensors import _one_point, metric
@@ -259,6 +262,13 @@ def _return_rule(target, scale: float, sign: float, resume=None):
     return closest, first_return
 
 
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
+
 def _solve(rhs, span, y0, tol: float, events, args=()):
     """The one ``solve_ivp`` call of both flows: DOP853 at relative
     tolerance ``tol`` and absolute ``tol * 1e-2``, no dense output."""
@@ -357,6 +367,8 @@ def _sqrt_psi(u, n: int, a: float):
     # = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)) < 0.
     # ``u`` is a radius (float arithmetic) or an array of radii >= 0, each
     # entry evaluated on its own branch only: the other's power overflows.
+    from scipy.special import hyp2f1
+
     beta = (n - 1.0) / (2.0 * n)
 
     def inner(u):

@@ -49,6 +49,7 @@ __all__ = [
 _MIN_RADIUS_FACTOR = 1e-3
 
 
+@np.errstate(over="ignore")  # a |z|^2 that overflows is inf, refused below
 def _checked(z, params: GeometryParams = None):
     """Validated lifts ``z`` of shape ``(..., n)`` and their radii ``|z|^2``;
     with ``params``, each lift must have ``params.n`` coordinates."""
@@ -60,17 +61,23 @@ def _checked(z, params: GeometryParams = None):
             f"lift has {z.shape[-1]} coordinates, params have n={params.n}"
         )
     u = radius_sq(z)
-    if not _all(u > 0):
-        _reject(z, u)
+    ok = (u > 0) & (u < np.inf)
+    if not _all(ok):
+        _reject(z, u, ok)
     return z, u
 
 
-def _reject(z, u):
-    row = np.unravel_index(np.flatnonzero(~(np.ravel(u) > 0))[0], np.shape(u))
+def _reject(z, u, ok):
+    row = np.unravel_index(np.flatnonzero(~np.ravel(ok))[0], np.shape(u))
     where = f" (lift {tuple(map(int, row))} of the stack)" if z.ndim > 1 else ""
     w = z[row]
     if not np.isfinite(w).all():
         raise DomainError(f"point must be finite{where}, got {w!r}")
+    if u[row] == np.inf:
+        raise DomainError(
+            f"|z|^2 overflows in double precision at the lift with max "
+            f"|z^mu| = {float(np.abs(w).max())!r}{where}"
+        )
     if np.any(w != 0):
         raise DomainError(
             f"|z|^2 underflows to 0 in double precision at the nonzero lift "
@@ -88,7 +95,7 @@ def check_point(z) -> np.ndarray:
     DomainError
         If a lift is the zero vector (the quotient chart excludes the
         origin), is not finite, or is nonzero with ``|z|^2`` below the
-        smallest double.
+        smallest double or above the largest.
     """
     return _checked(z)[0]
 

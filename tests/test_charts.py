@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from cehgeom import (
     ChartError,
     ChartPoint,
+    DomainError,
     GeometryParams,
     chart_to_quotient,
     fubini_study,
@@ -181,6 +182,9 @@ def test_quotient_to_chart_through_the_base_map(rng):
         quotient_to_chart(np.array([1e-300, 1e100]), 1)
     with pytest.raises(ChartError, match="fiber cocycle underflows into chart 1"):
         quotient_to_chart(np.array([1e-120, 1e-120, 1e-120]), 1)
+    # a lift whose |z|^2 overflows is no point, in any chart
+    with pytest.raises(DomainError, match=r"\|z\|\^2 overflows"):
+        quotient_to_chart(np.array([1e-300, 1e300]), 1)
 
 
 def test_transition_agrees_with_quotient_route(params2, rng):

@@ -395,21 +395,80 @@ def test_geodesic_tolerance_below_floor_exits_2(capsys):
     assert "tol" in err and "2.220446049250313e-14" in err
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this ``src/``."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"),
+            os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 @pytest.mark.parametrize("option", ["--t-end", "--tol"])
 def test_nan_flow_option_exits_2_without_hanging(option):
     # a NaN time span or tolerance can keep solve_ivp stepping forever, so
     # the run is bounded by a subprocess timeout rather than trusted to end
-    path = [str(Path(__file__).resolve().parents[1] / "src"),
-            os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "cehgeom.cli", "geodesic", "--point=1+0i,0+0i",
          "--velocity=0+1i,0.2+0i", option, "nan"],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_src_env(),
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert option.lstrip("-").replace("-", "_") in proc.stderr
+
+
+# the scipy subpackages a command loads on top of the steps before it, in
+# one interpreter and in this order: the closed forms load no scipy, the
+# radial distance psi loads scipy.special and a flow run scipy.integrate
+_IMPORT_BUDGET = [
+    ((), ["import"]),
+    ((), ["scan", "--quantity", "kretschmann", "--u-min", "0.1", "--u-max", "10"]),
+    ((), ["scan", "--quantity", "fprime", "--u-min", "0.1", "--u-max", "10"]),
+    ((), ["eval", "--n", "3", "--chart=2:0:0.5+0.1i:-1+0i"]),
+    ((), ["geodesic", "--point=1+0i,0+0i", "--velocity=0+0i,0+0i"]),
+    (("special",), ["verify", "--n", "2", "--points", "1"]),
+    ((), ["eval", "--point=1+0i,0.5-0.5i"]),
+    ((), ["eval", "--chart=1:0.5+0i:0.3+0i"]),
+    ((), ["scan", "--quantity", "psi", "--u-min", "0.1", "--u-max", "10"]),
+    ((), ["scan", "--quantity", "spectrum", "--u-min", "0.1", "--u-max", "10"]),
+    (("integrate",), ["geodesic", "--point=1+0i,0+0i", "--velocity=0+1i,0.2+0i"]),
+]
+
+_WALK = """
+import json, os, sys
+import numpy as np
+def step(argv):
+    if argv == ["zero-section"]:
+        from cehgeom import GeometryParams, geodesics
+        geodesics.zero_section_geodesic(np.zeros(1, complex), np.ones(1, complex),
+                                        GeometryParams(2, 1.0))
+    elif argv != ["import"]:
+        import cehgeom.cli
+        assert cehgeom.cli.main([*argv, "--output", os.devnull]) == 0, argv
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import cehgeom
+print(json.dumps([step(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def _walk(steps) -> list:
+    """The scipy modules loaded after each step, walked in one interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _WALK, json.dumps(steps)],
+                          capture_output=True, text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_load_scipy_only_where_they_run_it():
+    loaded = _walk([argv for _, argv in _IMPORT_BUDGET])
+    budget = set()
+    for (adds, argv), mods in zip(_IMPORT_BUDGET, loaded, strict=True):
+        budget.update(adds)
+        step = " ".join(argv)
+        if not budget:
+            assert mods == [], step
+        assert {m for m in ("special", "integrate") if f"scipy.{m}" in mods} == budget, step
+    # the zero-section flow, which has no command, is the other flow run
+    assert "scipy.integrate" in _walk([["import"], ["zero-section"]])[1]
 
 
 def test_underflowing_lift_is_not_the_zero_vector(capsys):
@@ -419,6 +478,18 @@ def test_underflowing_lift_is_not_the_zero_vector(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "underflows" in err and "zero vector" not in err
     assert "traceback" not in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--point=1e200+0i,0+0i"],
+    ["geodesic", "--point=1e200+0i,0+0i", "--velocity=0+1i,0+0i"],
+])
+def test_overflowing_lift_is_refused_by_name(capsys, argv):
+    # |z|^2 = 1e400 overflows: the lift is refused before any arithmetic on it
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: |z|^2 overflows in double precision at the lift " \
+                  "with max |z^mu| = 1e+200\n"
 
 
 def test_arithmetic_error_names_command_and_parameters(capsys):

@@ -554,6 +554,31 @@ def test_zero_section_nfev_counts_rhs_calls(monkeypatch, params3):
     assert run.nfev == len(calls) > 0
 
 
+def test_flows_call_the_solver_module_attribute(monkeypatch, params3):
+    # the per-layer nfev counts rebind geodesics.solve_ivp: integrate calls
+    # it once, the zero-section flow once per chart piece, and each run is
+    # made of those calls' samples alone
+    sols = []
+    real = geodesics.solve_ivp
+
+    def counting(*args, **kwargs):
+        sols.append(real(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(geodesics, "solve_ivp", counting)
+    z0, v0 = seeded_points(2, 3, params3.a, seed=7)
+    traj = integrate(GeodesicState(z0, v0), 5.0, params3)
+    assert len(sols) == 1 and sols[0] is traj.sol
+
+    sols.clear()
+    run = zero_section_geodesic(np.zeros(2, dtype=complex),
+                                np.array([1.0 + 0.5j, -0.3j]), params3)
+    pieces = 1 + np.count_nonzero(np.diff(run.chart))
+    assert pieces > 1 and len(sols) == pieces
+    assert run.nfev == sum(sol.nfev for sol in sols)
+    assert np.array_equal(np.concatenate([sol.t for sol in sols]), run.t)
+
+
 @pytest.mark.parametrize("radius", [0.5, 1.5])
 def test_zero_section_period_sweep(radius):
     # 30 seeded starts per radius, n = 2..5, each closing at pi sqrt(a)/speed

@@ -15,7 +15,7 @@ from cehgeom import (
     radius_sq,
 )
 from cehgeom import curvature, geodesics, hessian, numdiff, volform
-from cehgeom.tensors import random_points
+from cehgeom.tensors import check_point, random_points
 
 from conftest import seeded_points
 
@@ -48,6 +48,20 @@ def test_metric_rejects_lift_of_wrong_length(params2):
         metric(np.array([1 + 0.5j, 0.3, 0.2j]), params2)
     with pytest.raises(DomainError, match="lift has 1 coordinates, params have n=2"):
         metric(np.ones((4, 1)), params2)
+
+
+def test_metric_rejects_overflowing_lift():
+    # |z|^2 = 2e400 is no radius: refused with the overflow named, and with
+    # no RuntimeWarning on the way (the suite turns warnings into errors)
+    with pytest.raises(DomainError, match=r"\|z\|\^2 overflows .* = 1e\+200$"):
+        metric([1e200, 1e200], GeometryParams(2, 1))
+    with pytest.raises(DomainError, match=r"overflows .* \(lift \(1,\) of the stack\)"):
+        metric([[1, 0.5j], [1e200, 1e200]], GeometryParams(2, 1))
+    with pytest.raises(DomainError, match="point must be finite"):
+        metric([np.inf, 0], GeometryParams(2, 1))
+    # the largest lifts whose radius is representable still go through
+    assert np.isfinite(radius_sq(np.array([9e153, 9e153])))
+    check_point(np.array([9e153, 9e153]))
 
 
 @pytest.mark.parametrize("closed_form", [
