@@ -11,10 +11,7 @@ from .profiles import (
     DomainError,
     GeometryParams,
     RadialProfile,
-    euclidean_profile,
     f_prime,
-    f_second,
-    fs_profile,
     potential,
     radial_profile,
     radius_sq,
@@ -24,13 +21,11 @@ from .tensors import (
     fubini_study,
     homothety_residual,
     metric,
-    metric_from_profile,
     metric_inverse,
     random_points,
 )
 from .curvature import (
     christoffel_ceh,
-    christoffel_rot_sym,
     kretschmann,
     kretschmann_contracted,
     kretschmann_radial,

@@ -45,7 +45,6 @@ __all__ = [
     "quotient_to_chart",
     "transition",
     "transition_jacobian",
-    "chart_jacobian",
     "pullback_metric",
     "zero_section_restriction",
 ]
@@ -196,24 +195,6 @@ def transition_jacobian(p: ChartPoint, j: int) -> np.ndarray:
     return jac
 
 
-def chart_jacobian(p: ChartPoint, params: GeometryParams) -> np.ndarray:
-    """Jacobian ``dw^mu / d(z, zeta)`` of the blow-down map, for ``z != 0``.
-
-    Its determinant is the constant ``1/n``.
-    """
-    _check_dim(p, params)
-    if p.z == 0:
-        raise ChartError("blow-down Jacobian needs z != 0")
-    n = p.n
-    root = complex(p.z) ** (1.0 / n)
-    jac = np.zeros((n, n), dtype=complex)
-    jac[p.i - 1, 0] = root / (n * p.z)
-    for pos, k in enumerate(p.slots):
-        jac[k - 1, 0] = root * p.zeta[pos] / (n * p.z)
-        jac[k - 1, 1 + pos] = root
-    return jac
-
-
 @dataclass(frozen=True)
 class PullbackMetric:
     """Hermitian blocks of the pulled-back metric in chart coordinates
@@ -237,16 +218,6 @@ class PullbackMetric:
         h[1:, 0] = np.conj(self.block_zzeta)
         h[1:, 1:] = self.block_zetazeta
         return h
-
-    def real_form(self) -> np.ndarray:
-        """Riemannian metric on the underlying 2n real coordinates, ordered
-        ``(Re z, Im z, Re zeta_1, Im zeta_1, ...)``."""
-        h = self.matrix()
-        n = h.shape[0]
-        s, t = h.real, h.imag
-        big = np.block([[s, t], [-t, s]])
-        perm = np.arange(2 * n).reshape(2, n).T.reshape(-1)
-        return big[np.ix_(perm, perm)]
 
 
 def pullback_metric(p: ChartPoint, params: GeometryParams) -> PullbackMetric:

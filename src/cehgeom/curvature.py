@@ -9,12 +9,12 @@ the lower pair.  For any rotationally symmetric potential they reduce to
         + [(phi(1-phi) - u phi') / (u(1-phi))] zbar_mu zbar_alpha z^lam / u,
 
 which needs only ``phi``, ``1 - phi`` and ``phi'`` -- an overall rescaling
-of the metric drops out.  :func:`christoffel_rot_sym` is the one
+of the metric drops out.  ``_rot_sym_connection`` is the one
 implementation; it reads ``1 - phi`` from the profile, whose stable formula
 keeps the coefficient exact near the zero section where ``phi`` rounds
 to 1.  The Ricci-flat profile has ``phi' = -(n/u) phi (1-phi)``, which
-collapses the second coefficient to ``(n+1) phi / u``; :func:`christoffel_ceh`
-is the general form evaluated on that profile.
+collapses the second coefficient to ``(n+1) phi / u``; :func:`christoffel_ceh`,
+the public route, is the general form evaluated on that profile.
 
 The fully lowered curvature tensor ``R_{mu nubar alpha betabar}`` has three
 groups of terms: products of two metrics, bilinear in ``zbar (x) z`` against
@@ -34,13 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import (
-    _check_profile,
-    _checked,
-    hermitian_outer,
-    metric,
-    metric_inverse,
-)
+from .tensors import _checked, _rank_one_update, hermitian_outer, metric_inverse
 from .profiles import (
     DomainError,
     GeometryParams,
@@ -50,7 +44,6 @@ from .profiles import (
 )
 
 __all__ = [
-    "christoffel_rot_sym",
     "christoffel_ceh",
     "riemann",
     "ricci",
@@ -58,23 +51,6 @@ __all__ = [
     "kretschmann_radial",
     "kretschmann_contracted",
 ]
-
-
-def christoffel_rot_sym(z, profile: RadialProfile) -> np.ndarray:
-    """Connection of a general rotationally symmetric Kahler metric.
-
-    ``profile`` carries ``(phi, 1 - phi, phi')`` at ``u = |z|^2`` (checked)
-    for lifts of shape ``(..., n)``; the result has shape ``(..., n, n, n)``,
-    is indexed ``[..., lam, mu, alpha]`` and is symmetric in ``(mu, alpha)``.
-
-    Raises
-    ------
-    DomainError
-        If ``1 - phi <= 0`` (degenerate metric) or ``z`` is the zero vector.
-    """
-    z, u = _checked(z)
-    _check_profile(u, profile)
-    return _rot_sym_connection(z, u, profile)
 
 
 def _rot_sym_connection(z, u, profile: RadialProfile) -> np.ndarray:
@@ -115,7 +91,7 @@ def riemann(z, params: GeometryParams) -> np.ndarray:
     z, u = _checked(z, params)
     n = params.n
     prof = radial_profile(u, params)
-    g = metric(z, params)
+    g = _rank_one_update(z, u, prof.e_psi, -prof.phi)
     w = prof.e_psi ** (-(n - 1))
     # per-lift coefficients, broadcast over the four tensor axes
     pref, c2, c3 = (np.asarray(c)[..., None, None, None, None] for c in (
@@ -142,7 +118,6 @@ def ricci(z, params: GeometryParams) -> np.ndarray:
     inspected.  The independent route through ``-d dbar log det g`` lives in
     :func:`cehgeom.numdiff.fd_ricci_log_det`.
     """
-    z = _checked(z, params)[0]
     ginv = metric_inverse(z, params)
     return np.einsum("...na,...mnab->...mb", ginv, riemann(z, params))
 
@@ -176,7 +151,6 @@ def kretschmann_contracted(z, params: GeometryParams):
     """Brute-force curvature norm at lifts ``(..., n)``: contract the
     Riemann tensor with itself, every index raised explicitly with the
     inverse metric."""
-    z = _checked(z, params)[0]
     r = riemann(z, params)
     ginv = metric_inverse(z, params)
     val = np.einsum("...mnab,...rscd,...sm,...nr,...da,...bc->...", r, r,

@@ -93,6 +93,9 @@ U_MIN_FACTOR = 1e-8
 #: tolerance below ``100 eps`` to it, so a smaller request is refused
 TOL_FLOOR = 100 * float(np.finfo(float).eps)
 
+#: relative integrator tolerance of the zero-section flow
+ZERO_SECTION_TOL = 1e-12
+
 #: largest |zeta_k|^2 at which the zero-section flow hops to that slot's chart
 _CHART_ESCAPE_SQ = 2.25
 
@@ -276,17 +279,6 @@ def _solve(rhs, span, y0, tol: float, events, args=()):
                      atol=tol * 1e-2, events=events, args=args)
 
 
-def _check_run(t_end: float, tol: float) -> None:
-    if not (math.isfinite(t_end) and t_end != 0):
-        what = "finite" if t_end else "finite and nonzero"
-        raise DomainError(f"integration time t_end must be {what}, got {t_end!r}")
-    if not TOL_FLOOR <= tol < math.inf:
-        raise DomainError(
-            f"integrator tolerance tol must be finite and at least "
-            f"100 eps = {TOL_FLOOR!r}, got {tol!r}"
-        )
-
-
 def integrate(
     state: GeodesicState,
     t_end: float,
@@ -311,7 +303,14 @@ def integrate(
         raise DomainError(f"state has dimension {state.z.size}, params n={n}")
     if not np.any(state.v):
         raise DomainError("geodesic run needs a nonzero velocity")
-    _check_run(t_end, tol)
+    if not (math.isfinite(t_end) and t_end != 0):
+        what = "finite" if t_end else "finite and nonzero"
+        raise DomainError(f"integration time t_end must be {what}, got {t_end!r}")
+    if not TOL_FLOOR <= tol < math.inf:
+        raise DomainError(
+            f"integrator tolerance tol must be finite and at least "
+            f"100 eps = {TOL_FLOOR!r}, got {tol!r}"
+        )
     y0 = _pack(state.z, state.v)
     sign = 1.0 if t_end >= 0 else -1.0
 
@@ -438,12 +437,7 @@ def _fs_rhs(t, y, m):
     return _pack(v, _acceleration(zeta, v, k, 0.0))
 
 
-def zero_section_geodesic(
-    zeta0,
-    dzeta0,
-    params: GeometryParams,
-    tol: float = 1e-12,
-) -> FSTrajectory:
+def zero_section_geodesic(zeta0, dzeta0, params: GeometryParams) -> FSTrajectory:
     """Integrate the Fubini-Study flow on the zero section from ``zeta0`` in
     the first affine chart, always in the chart of the largest homogeneous
     coordinate: the start ``(1, zeta0)`` in the chart of its first largest
@@ -482,7 +476,6 @@ def zero_section_geodesic(
     if not 0.0 < t_end < math.inf:  # four periods
         raise DomainError(f"start energy {e0!r} is below the smallest normal double "
                           "or gives no finite bound of four periods")
-    _check_run(t_end, tol)
 
     def escape(t, y, m):  # the largest |zeta_k|^2 rises through the bound
         return np.max(y[:m] ** 2 + y[m : 2 * m] ** 2) - _CHART_ESCAPE_SQ
@@ -501,7 +494,8 @@ def zero_section_geodesic(
             closest, first_return = _return_rule(target, 1.0, 1.0, resume)
             closest.terminal = True
             events.append(closest)
-        sol = _solve(_fs_rhs, (t0, t_end), state, tol, events, args=(m,))
+        sol = _solve(_fs_rhs, (t0, t_end), state, ZERO_SECTION_TOL, events,
+                     args=(m,))
         nfev += sol.nfev
         skip = int(resume is not None)  # its first sample ends the last piece
         ts_all.append(sol.t[skip:])

@@ -18,7 +18,7 @@ The log-sum is real for u > 0 because the branches pair into conjugates;
 
 The closed forms here are written to avoid overflow near ``u = 0`` (where
 ``(a/u)^n`` blows up) by factoring the small ratio out first; the one
-overflow-safe power ``(1 + x^n)^(1/n)`` is ``_root_one_plus_pow``.  Each
+overflow-safe power ``(1 + x^n)^(1/n)`` is ``_root_one_plus_pow``.  The
 profile also carries ``1 - phi`` from its own stable formula, because
 forming it by subtraction loses every digit near the zero section, where
 ``phi`` rounds to 1.
@@ -38,12 +38,9 @@ __all__ = [
     "RadialProfile",
     "radius_sq",
     "f_prime",
-    "f_second",
     "potential",
     "roots_of_unity_sum",
     "radial_profile",
-    "fs_profile",
-    "euclidean_profile",
 ]
 
 
@@ -70,7 +67,7 @@ class RadialProfile:
     """Profile values at one radius: ``e_psi = f'(u)``, ``phi``, ``1 - phi``
     and ``phi'`` (arrays of them at an array of radii).
 
-    ``one_minus_phi`` comes from each profile's own stable formula, never
+    ``one_minus_phi`` comes from a stable formula of its own, never
     from ``1 - phi``.  ``e_psi > 0`` and ``one_minus_phi > 0`` together are
     equivalent to positive definiteness of the rotationally symmetric metric
     they generate.
@@ -135,12 +132,6 @@ def f_prime(u: float, params: GeometryParams) -> float:
     """
     u = _check_u(u, "f_prime")
     return _root_one_plus_pow(params.a / u, params.n)
-
-
-def f_second(u: float, params: GeometryParams) -> float:
-    """Second derivative ``f''(u) = -phi(u) e^psi(u) / u`` (negative)."""
-    u = _check_u(u, "f_second")
-    return -_phi(u, params) * f_prime(u, params) / u
 
 
 def _phi(u: float, params: GeometryParams) -> float:
@@ -214,28 +205,4 @@ def radial_profile(u, params: GeometryParams) -> RadialProfile:
     return RadialProfile(
         u=u, e_psi=f_prime(u, params), phi=phi, one_minus_phi=one_minus_phi,
         phi_prime=-(params.n / u) * phi * one_minus_phi,
-    )
-
-
-def fs_profile(u, scale: float = 1.0) -> RadialProfile:
-    """Profile of the round projective metric, potential ``scale*log(scale+u)``.
-
-    Useful as a rotationally-symmetric control that is *not* Ricci-flat.
-    """
-    if not scale > 0:
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    u = _radii(u)
-    if np.any(u < 0):
-        raise DomainError(f"fs_profile requires u >= 0, got {np.min(u)!r}")
-    s = scale
-    return RadialProfile(
-        u=u, e_psi=s / (s + u), phi=u / (s + u), one_minus_phi=s / (s + u),
-        phi_prime=s / (s + u) ** 2,
-    )
-
-
-def euclidean_profile(u) -> RadialProfile:
-    """Flat-metric profile: ``e^psi = 1``, ``phi = 0``."""
-    return RadialProfile(
-        u=_radii(u), e_psi=1.0, phi=0.0, one_minus_phi=1.0, phi_prime=0.0
     )

@@ -28,18 +28,15 @@ import numpy as np
 from .profiles import (
     DomainError,
     GeometryParams,
-    RadialProfile,
     _all,
     radial_profile,
     radius_sq,
 )
 
 __all__ = [
-    "check_point",
     "hermitian_outer",
     "metric",
     "metric_inverse",
-    "metric_from_profile",
     "fubini_study",
     "homothety_residual",
     "random_points",
@@ -86,20 +83,6 @@ def _reject(z, u, ok):
     raise DomainError(f"zero vector is not a point of the punctured quotient{where}")
 
 
-def check_point(z) -> np.ndarray:
-    """Validate and return lifts ``z`` of shape ``(..., n)`` as a complex
-    array; a single lift is a 1-d vector.
-
-    Raises
-    ------
-    DomainError
-        If a lift is the zero vector (the quotient chart excludes the
-        origin), is not finite, or is nonzero with ``|z|^2`` below the
-        smallest double or above the largest.
-    """
-    return _checked(z)[0]
-
-
 def _one_point(z, params: GeometryParams = None):
     """A single validated lift, as a 1-d vector, and its radius ``|z|^2``."""
     z, u = _checked(z, params)
@@ -137,21 +120,6 @@ def metric(z, params: GeometryParams) -> np.ndarray:
     z, u = _checked(z, params)
     prof = radial_profile(u, params)
     return _rank_one_update(z, u, prof.e_psi, -prof.phi)
-
-
-def _check_profile(u, profile: RadialProfile) -> None:
-    if np.any(np.abs(profile.u - u) > 1e-8 * np.maximum(1.0, u)):
-        raise ValueError(f"profile evaluated at u={profile.u!r} but |z|^2={u!r}")
-
-
-def metric_from_profile(z, profile: RadialProfile) -> np.ndarray:
-    """Rotationally symmetric metric ``e^psi (delta - phi zbar (x) z / u)``.
-
-    ``profile`` must be evaluated at ``u = |z|^2``; this is checked.
-    """
-    z, u = _checked(z)
-    _check_profile(u, profile)
-    return _rank_one_update(z, u, profile.e_psi, -profile.phi)
 
 
 def metric_inverse(z, params: GeometryParams) -> np.ndarray:
@@ -194,17 +162,14 @@ def homothety_residual(z, alpha: float, params: GeometryParams):
     return np.abs(g_scaled - metric(z, params)).max(axis=(-2, -1))
 
 
-def random_points(
-    num: int, params: GeometryParams, rng=None, seed: int = 42
-) -> np.ndarray:
-    """Seeded complex Gaussian lifts, shape ``(num, n)``.
+def random_points(num: int, params: GeometryParams, rng) -> np.ndarray:
+    """Complex Gaussian lifts drawn from the generator ``rng``, shape
+    ``(num, n)``.
 
     Draws with standard deviation ``sqrt(a)`` per real component and rejects
     radii below ``1e-3 sqrt(a)`` so every row is a valid quotient point at a
     scale where curvature is O(1/a).
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     n = params.n
     out = np.empty((num, n), dtype=complex)
     lo = _MIN_RADIUS_FACTOR * np.sqrt(params.a)

@@ -13,9 +13,7 @@ from cehgeom import (
     GeometryParams,
     chart_to_quotient,
     christoffel_ceh,
-    christoffel_rot_sym,
     covariant_derivative_epsilon,
-    fs_profile,
     fubini_study,
     hessian_blocks,
     hessian_spectrum,
@@ -31,7 +29,6 @@ from cehgeom import (
     roots_of_unity_sum,
     zero_section_geodesic,
 )
-from cehgeom.charts import chart_jacobian
 from cehgeom.geodesics import RETURNS, fs_energy
 from cehgeom.numdiff import (
     fd_christoffel,
@@ -39,7 +36,7 @@ from cehgeom.numdiff import (
     fd_ricci_log_det,
     fd_riemann,
 )
-from conftest import seeded_points
+from conftest import chart_jacobian, christoffel_rot_sym, fs_profile, seeded_points
 
 
 def report(num, name, value, bound, ok=None):

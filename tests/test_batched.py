@@ -38,7 +38,7 @@ from cehgeom import (
     volform_norm_sq,
 )
 from cehgeom.geodesics import _sqrt_psi, fs_energy
-from cehgeom.tensors import check_point
+from cehgeom.tensors import _checked
 
 #: agreement of a batched kernel with its per-lift calls, relative to the
 #: largest entry (a few ulp)
@@ -237,11 +237,11 @@ def test_stack_rejects_zero_and_underflowing_rows():
     zs = np.ones((3, 2), dtype=complex)
     zs[1] = 0
     with pytest.raises(DomainError, match=r"zero vector .*lift \(1,\)"):
-        check_point(zs)
+        _checked(zs)
     zs[1] = [1e-200, 0]
     with pytest.raises(DomainError, match="underflows"):
         metric(zs, GeometryParams(2, 1.0))
     with pytest.raises(DomainError, match="underflows"):
-        check_point([1e-200, 0])
+        _checked([1e-200, 0])
     with pytest.raises(DomainError, match="zero vector"):
-        check_point([0, 0])
+        _checked([0, 0])

@@ -5,14 +5,12 @@ from numpy.testing import assert_allclose
 from cehgeom import (
     DomainError,
     GeometryParams,
+    RadialProfile,
     christoffel_ceh,
-    christoffel_rot_sym,
-    euclidean_profile,
-    fs_profile,
+    fubini_study,
     kretschmann,
     kretschmann_contracted,
     kretschmann_radial,
-    metric_from_profile,
     radial_profile,
     radius_sq,
     ricci,
@@ -21,7 +19,7 @@ from cehgeom import (
 from cehgeom.numdiff import fd_christoffel, fd_ricci_log_det, fd_riemann
 from cehgeom.tensors import metric, metric_inverse
 
-from conftest import seeded_points
+from conftest import christoffel_rot_sym, euclidean_profile, fs_profile, seeded_points
 
 
 # --- christoffel_rot_sym ----------------------------------------------------
@@ -33,15 +31,15 @@ def test_rot_sym_euclidean_profile_vanishes(params2):
 
 
 def test_rot_sym_fs_profile_vs_fd():
+    # the profile's metric e^psi (delta - phi zbar (x) z / u) is Fubini-Study
     z = np.array([1.0 + 0j, 0j])
-    prof = fs_profile(radius_sq(z), scale=1.0)
-    gamma = christoffel_rot_sym(z, prof)
-    gamma_fd = fd_christoffel(
-        lambda w: metric_from_profile(w, fs_profile(radius_sq(w), scale=1.0)), z
-    )
-    assert np.abs(gamma - gamma_fd).max() < 1e-6
+    gamma = christoffel_rot_sym(z, fs_profile(radius_sq(z)))
     # the cubic coefficient vanishes for this profile: pure two-term form
     assert gamma[0, 0, 0] == pytest.approx(-2.0 * 0.5, abs=1e-14)  # -(phi/u)*2*zbar
+    for n in (2, 3, 4):
+        for z in seeded_points(3, n, 1.0, seed=n):
+            gamma = christoffel_rot_sym(z, fs_profile(radius_sq(z)))
+            assert np.abs(gamma - fd_christoffel(fubini_study, z)).max() < 1e-6
 
 
 def test_rot_sym_specializes_to_ceh(params3):
@@ -54,17 +52,9 @@ def test_rot_sym_specializes_to_ceh(params3):
 
 def test_rot_sym_degenerate_profile_rejected(params2):
     z = np.array([1.0, 0.0])
-    from cehgeom import RadialProfile
-
     with pytest.raises(DomainError):
         christoffel_rot_sym(z, RadialProfile(
             u=1.0, e_psi=1.0, phi=1.0, one_minus_phi=0.0, phi_prime=0.0))
-
-
-def test_rot_sym_profile_radius_mismatch(params2):
-    z = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        christoffel_rot_sym(z, radial_profile(2.0, params2))
 
 
 # --- christoffel_ceh --------------------------------------------------------

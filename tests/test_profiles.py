@@ -8,13 +8,13 @@ from cehgeom import (
     DomainError,
     GeometryParams,
     f_prime,
-    f_second,
-    fs_profile,
     potential,
     radial_profile,
     radius_sq,
     roots_of_unity_sum,
 )
+
+from conftest import f_second, fs_profile
 
 
 def test_radius_sq_zero_vector_exact():

@@ -10,16 +10,13 @@ from cehgeom import (
     GeometryParams,
     chart_pullback_volform,
     christoffel_ceh,
-    christoffel_rot_sym,
     covariant_derivative_epsilon,
-    fs_profile,
     integrate,
     radius_sq,
     volform_norm_sq,
 )
-from cehgeom.charts import chart_jacobian
 
-from conftest import seeded_points
+from conftest import chart_jacobian, christoffel_rot_sym, fs_profile, seeded_points
 
 #: dense storage grows as n^n; beyond this the tensor has no business in memory
 _MAX_DENSE_N = 5
