@@ -27,9 +27,22 @@ piece in the same chart.  The Ricci-flat flow runs on to ``t_end``, also
 locates the turning points of ``u`` (zeros of ``Re <z, v>``) and returns
 the run with its verdict (:class:`Trajectory`).  Distances and tolerances
 are in chart units, times ``sqrt(a)`` on the quotient chart, so the rule
-commutes with the homothety ``z -> alpha z``, ``a -> alpha^2 a``.  Both
-flows keep their state packed as ``[Re z, Im z, Re v, Im v]`` and move it
-to and from complex ``(z, v)`` through one cached index map per dimension.
+commutes with the homothety ``z -> alpha z``, ``a -> alpha^2 a``.  The
+zero-section flow is homogeneous in the speed and runs at unit chart
+speed: its start velocity is scaled by an exact power of two, and its
+times, velocities and period are scaled back exactly.
+
+Both flows keep their state packed as ``[Re z, Im z, Re v, Im v]``.  That
+order is pinned: scipy's error norm sums the state in it, so any other
+layout moves the step sizes and the output bytes.  A state moves to and
+from complex ``(z, v)`` through one cached index map per dimension, a
+gather and a complex view one way and a concatenation and a gather the
+other.  The solver calls the right-hand sides and events directly, with
+no ``args`` (scipy would wrap each in one more call): ``integrate`` binds
+its maps in closures, and the zero-section flow binds its dimension with
+``functools.partial`` at each run.  The Fubini-Study profile's cubic
+coefficient is 0, and :func:`_acceleration` skips that term.
+
 scipy is imported where it runs, so ``import cehgeom`` loads none of it:
 ``solve_ivp`` here is a forwarder that imports ``scipy.integrate`` on its
 first call, and :func:`_sqrt_psi` imports ``hyp2f1``.  The forwarder stays
@@ -162,8 +175,11 @@ def _acceleration(z, v, k, c):
     """``-Gamma(v, v)`` for the rotationally symmetric connection
     ``Gamma^lam_{mu alpha} = -k (delta^lam_mu zbar_alpha + delta^lam_alpha
     zbar_mu) + c zbar_mu zbar_alpha z^lam``, unvalidated.  ``k = phi/u`` is
-    passed as one number because the Fubini-Study flow passes ``u = 0``."""
+    passed as one number because the Fubini-Study flow passes ``u = 0``.
+    ``c == 0`` (that flow's profile) skips the cubic term, identically 0."""
     ip = np.vdot(z, v)  # sum conj(z) v
+    if c == 0:
+        return (2.0 * k * ip) * v
     return (2.0 * k * ip) * v - (c * ip * ip) * z
 
 
@@ -247,11 +263,14 @@ def _return_rule(target, scale: float, sign: float, resume=None):
     ``1e-6 max(scale, |v0|)`` in velocity, or None."""
     m = target.size // 4
     z0, v0 = _unpack(target, m)
-    base, v_tol = target[: 2 * m], 1e-6 * max(scale, np.linalg.norm(v0))
+    # |v0|^2 overflows only in a chart where the start lies far beyond the
+    # hop bound, out of every piece's reach: its position test refuses it
+    with np.errstate(over="ignore"):
+        base, v_tol = target[: 2 * m], 1e-6 * max(scale, np.linalg.norm(v0))
 
-    def closest(t, y, *_):
+    def closest(t, y):
         d = y[: 2 * m] - base  # the position block [Re z, Im z]
-        return d @ y[2 * m :] if d.any() and t != resume else sign
+        return d.dot(y[2 * m :]) if d.any() and t != resume else sign
 
     def first_return(times, states):
         for t_c, y_c in zip(times, states):
@@ -272,11 +291,13 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
-def _solve(rhs, span, y0, tol: float, events, args=()):
+def _solve(rhs, span, y0, tol: float, events):
     """The one ``solve_ivp`` call of both flows: DOP853 at relative
-    tolerance ``tol`` and absolute ``tol * 1e-2``, no dense output."""
+    tolerance ``tol`` and absolute ``tol * 1e-2``, no dense output.  It
+    passes no ``args``: with any, even ``()``, scipy wraps the right-hand
+    side and every event in one more Python call."""
     return solve_ivp(rhs, span, y0, method="DOP853", rtol=tol,
-                     atol=tol * 1e-2, events=events, args=args)
+                     atol=tol * 1e-2, events=events)
 
 
 def integrate(
@@ -313,17 +334,21 @@ def integrate(
         )
     y0 = _pack(state.z, state.v)
     sign = 1.0 if t_end >= 0 else -1.0
+    to_packed, to_view = _layout(n)
+    to_z, u_min = to_view[: 2 * n], U_MIN_FACTOR * params.a
 
-    def rhs(t, y):
-        z, v = _unpack(y, n)
-        return _pack(v, _ceh_acceleration(z, v, params))
+    def rhs(t, y):  # _unpack and _pack inlined, with this run's index maps
+        zv = y[to_view].view(complex)
+        z, v = zv[:n], zv[n:]
+        acc = _ceh_acceleration(z, v, params)
+        return np.concatenate((v, acc), dtype=complex).view(np.float64)[to_packed]
 
     def cutoff(t, y):  # u falls to the inner cutoff
-        z, _ = _unpack(y, n)
-        return np.vdot(z, z).real - U_MIN_FACTOR * params.a
+        z = y[to_z].view(complex)
+        return np.vdot(z, z).real - u_min
 
     def turning(t, y):
-        return y[: 2 * n] @ y[2 * n :]  # Re <z, v>
+        return y[: 2 * n].dot(y[2 * n :])  # Re <z, v>; @'s ddot, undispatched
 
     cutoff.terminal, cutoff.direction = True, -1
 
@@ -431,10 +456,28 @@ def fs_energy(zeta, dzeta, params: GeometryParams):
 
 
 def _fs_rhs(t, y, m):
-    # round projective profile: phi/u = 1/(1+|zeta|^2), no cubic term
-    zeta, v = _unpack(y, m)
+    # round projective profile: phi/u = 1/(1+|zeta|^2), no cubic term;
+    # _unpack and _pack inlined, with one lookup of the index maps
+    to_packed, to_view = _layout(m)
+    zv = y[to_view].view(complex)
+    zeta, v = zv[:m], zv[m:]
     k = 1.0 / (1.0 + np.vdot(zeta, zeta).real)
-    return _pack(v, _acceleration(zeta, v, k, 0.0))
+    acc = _acceleration(zeta, v, k, 0.0)
+    return np.concatenate((v, acc), dtype=complex).view(np.float64)[to_packed]
+
+
+def _speed_exponent(v) -> int:
+    """``k = round(log2 |v|)`` for a finite nonzero complex vector, from
+    ``v`` scaled by its largest component's binary exponent, so that
+    ``|v|`` itself never under- or overflows."""
+    x = np.concatenate((v.real, v.imag))
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return e + round(math.log2(float(np.linalg.norm(np.ldexp(x, -e)))))
+
+
+def _ldexp(x, k: int):
+    """``x 2^k`` for a complex array, exact wherever no part is subnormal."""
+    return np.ldexp(np.ascontiguousarray(x).view(np.float64), k).view(complex)
 
 
 def zero_section_geodesic(zeta0, dzeta0, params: GeometryParams) -> FSTrajectory:
@@ -455,6 +498,12 @@ def zero_section_geodesic(zeta0, dzeta0, params: GeometryParams) -> FSTrajectory
     chart from the event state.  At unit speed in ``a * g_FS`` the closing
     time of every geodesic is ``pi sqrt(a)``; the run is bounded by four
     periods at the start energy, which it reaches only if it never returns.
+
+    The flow is homogeneous in the speed, and it runs at unit chart speed:
+    the start velocity is scaled by ``2^-k``, ``k = round(log2 |dzeta|)``
+    in the start chart, and the bound by ``2^k``.  Times, velocities and
+    the period are scaled back exactly; a start whose chart speed lies in
+    ``[2^-1/2, 2^1/2]`` runs unscaled.
     """
     zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=complex))
     v0 = np.atleast_1d(np.asarray(dzeta0, dtype=complex))
@@ -477,10 +526,17 @@ def zero_section_geodesic(zeta0, dzeta0, params: GeometryParams) -> FSTrajectory
         raise DomainError(f"start energy {e0!r} is below the smallest normal double "
                           "or gives no finite bound of four periods")
 
-    def escape(t, y, m):  # the largest |zeta_k|^2 rises through the bound
-        return np.max(y[:m] ** 2 + y[m : 2 * m] ** 2) - _CHART_ESCAPE_SQ
+    # run at unit chart speed: velocities scaled by 2^-k, times by 2^k
+    k = _speed_exponent(v)
+    dw0, v, t_end = _ldexp(dw0, -k), _ldexp(v, -k), math.ldexp(t_end, k)
+
+    def escape(t, y):  # the largest |zeta_k|^2 rises through the bound
+        y = y.tolist()
+        sq = max(x * x + w * w for x, w in zip(y[:m], y[m : 2 * m]))
+        return sq - _CHART_ESCAPE_SQ
 
     escape.terminal, escape.direction = True, 1
+    rhs = functools.partial(_fs_rhs, m=m)  # bound per run: _fs_rhs is looked up here
     state = _pack(zeta, v)
     t0, resume, period, nfev = 0.0, None, None, 0
     ts_all, ys_all, ch_all = [], [], []
@@ -494,8 +550,7 @@ def zero_section_geodesic(zeta0, dzeta0, params: GeometryParams) -> FSTrajectory
             closest, first_return = _return_rule(target, 1.0, 1.0, resume)
             closest.terminal = True
             events.append(closest)
-        sol = _solve(_fs_rhs, (t0, t_end), state, ZERO_SECTION_TOL, events,
-                     args=(m,))
+        sol = _solve(rhs, (t0, t_end), state, ZERO_SECTION_TOL, events)
         nfev += sol.nfev
         skip = int(resume is not None)  # its first sample ends the last piece
         ts_all.append(sol.t[skip:])
@@ -520,8 +575,9 @@ def zero_section_geodesic(zeta0, dzeta0, params: GeometryParams) -> FSTrajectory
         t0, resume = sol.t_events[0][0], None
 
     zeta, dzeta = (x.T for x in _unpack(np.hstack(ys_all), m))
+    dzeta = _ldexp(dzeta, k)
     return FSTrajectory(
-        t=np.concatenate(ts_all), zeta=zeta, dzeta=dzeta,
+        t=np.ldexp(np.concatenate(ts_all), -k), zeta=zeta, dzeta=dzeta,
         chart=np.concatenate(ch_all), energy=fs_energy(zeta, dzeta, params),
-        period=period, nfev=nfev,
+        period=None if period is None else math.ldexp(period, -k), nfev=nfev,
     )

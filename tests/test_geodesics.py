@@ -123,8 +123,28 @@ def test_flow_rhs_bitwise_matches_split_merge(monkeypatch, n):
     for y in np.hstack([rng.normal(size=(4 * m, 5)), cols]).T:
         zeta, v = _split_merge_unpack(y, m)
         k = 1.0 / (1.0 + np.vdot(zeta, zeta).real)
-        ref = _split_merge_pack(v, geodesics._acceleration(zeta, v, k, 0.0))
+        # the full contraction, its cubic coefficient c = 0 written out
+        ip = np.vdot(zeta, v)
+        ref = _split_merge_pack(v, (2.0 * k * ip) * v - (0.0 * ip * ip) * zeta)
         assert np.array_equal(fs(0.0, y, *extra), ref)
+
+
+def test_flows_pass_no_solver_args(monkeypatch, params3):
+    # with any args, even (), solve_ivp wraps the right-hand side and every
+    # event in one more Python call
+    seen = []
+    real = geodesics.solve_ivp
+
+    def spy(*args, **kwargs):
+        seen.append("args" in kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "solve_ivp", spy)
+    z0, v0 = seeded_points(2, 3, params3.a, seed=7)
+    integrate(GeodesicState(z0, v0), 2.0, params3)
+    zero_section_geodesic(np.zeros(2, dtype=complex), np.array([1.0 + 0.5j, -0.3j]),
+                          params3)
+    assert len(seen) > 2 and not any(seen)
 
 
 # --- integrate -----------------------------------------------------------------
@@ -473,6 +493,31 @@ def test_zero_section_far_start(zeta0, dzeta0):
     assert run.period == pytest.approx(_fs_period(zeta0, dzeta0, p.a), rel=1e-11)
 
 
+@pytest.mark.parametrize("a", [1e-200, 1.0, 1e200])
+def test_zero_section_runs_at_unit_chart_speed(a):
+    # the flow is homogeneous in the speed: every start runs at unit chart
+    # speed, so a fast or slow start closes on time, raises no warning and
+    # costs what a unit-speed run costs; a start energy out of the double
+    # range is still refused
+    p = GeometryParams(2, a)
+    zeta0, direction = np.zeros(1, dtype=complex), np.array([0.6 + 0.8j])
+    unit = zero_section_geodesic(zeta0, direction, p)
+    tiny = np.finfo(float).tiny
+    for speed in [1e-300, 1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150, 1e154]:
+        dzeta0 = speed * direction
+        if not tiny <= a * speed * speed < np.inf:
+            with pytest.raises(DomainError, match="start energy"):
+                zero_section_geodesic(zeta0, dzeta0, p)
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = zero_section_geodesic(zeta0, dzeta0, p)
+        assert run.period == pytest.approx(_fs_period(zeta0, dzeta0, a), rel=1e-11)
+        assert run.t[-1] == run.period
+        assert run.dzeta[0] == pytest.approx(dzeta0[0], rel=1e-15)
+        assert run.nfev <= 1.1 * unit.nfev, (speed, run.nfev, unit.nfev)
+
+
 @pytest.mark.parametrize("big,match", [
     (1e100, "start energy 0.0 is below"),
     (1e160, "start energy 0.0 is below"),
@@ -599,10 +644,10 @@ def _non_terminal_closest(monkeypatch):
     # non-terminal: the piece runs on past the return to its chart boundary
     real = geodesics._solve
 
-    def solve(rhs, span, y0, tol, events, args=()):
+    def solve(rhs, span, y0, tol, events):
         for event in events[1:]:
             event.terminal = False
-        return real(rhs, span, y0, tol, events, args)
+        return real(rhs, span, y0, tol, events)
 
     monkeypatch.setattr(geodesics, "_solve", solve)
 
