@@ -66,7 +66,6 @@ from .volform import (
 )
 from .numdiff import (
     FDConfig,
-    VerificationReport,
     complex_hessian,
     verify_pipeline,
     wirtinger_partial,

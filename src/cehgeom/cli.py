@@ -201,12 +201,12 @@ def cmd_verify(args) -> int:
         raise DomainError(f"need points >= 1, got {args.points}")
     rng = np.random.default_rng(args.seed)
     pts = tensors.random_points(args.points, params, rng=rng)
-    report = numdiff.verify_pipeline(pts, params, rng, tol_scale=args.tol)
+    checks = numdiff.verify_pipeline(pts, params, rng, tol_scale=args.tol)
+    failing = [name for name, c in checks.items() if not c["passed"]]
     doc = {"schema": SCHEMA_VERSION, "n": params.n, "a": params.a, "seed": args.seed,
-           "points": args.points, "checks": report.to_dict(), "passed": report.passed}
+           "points": args.points, "checks": checks, "passed": not failing}
     _emit(_json(doc), args.output)
-    if not report.passed:
-        failing = [c.name for c in report.checks if not c.passed]
+    if failing:
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
         return 1
     return 0

@@ -56,7 +56,7 @@ __all__ = [
 def _rot_sym_connection(z, u, profile: RadialProfile) -> np.ndarray:
     phi, omp = profile.phi, profile.one_minus_phi
     if not _all(omp > 0.0):
-        raise DomainError(f"degenerate metric: 1 - phi = {np.min(omp)!r} <= 0")
+        raise DomainError(f"degenerate metric: 1 - phi = {float(np.min(omp))!r} <= 0")
     zb = np.conj(z)
     delta = np.eye(z.shape[-1])
     b = (..., None, None, None)

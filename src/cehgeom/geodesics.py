@@ -503,7 +503,8 @@ def zero_section_geodesic(zeta0, dzeta0, params: GeometryParams) -> FSTrajectory
     the start velocity is scaled by ``2^-k``, ``k = round(log2 |dzeta|)``
     in the start chart, and the bound by ``2^k``.  Times, velocities and
     the period are scaled back exactly; a start whose chart speed lies in
-    ``[2^-1/2, 2^1/2]`` runs unscaled.
+    ``[2^-1/2, 2^1/2]`` runs unscaled.  A start is refused only where its
+    energy or its bound of four periods overflows.
     """
     zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=complex))
     v0 = np.atleast_1d(np.asarray(dzeta0, dtype=complex))
@@ -519,16 +520,19 @@ def zero_section_geodesic(zeta0, dzeta0, params: GeometryParams) -> FSTrajectory
     w0, dw0 = np.insert(zeta0, 0, 1.0), np.insert(v0, 0, 0.0)
     chart = int(np.argmax(np.abs(w0))) + 1
     zeta, v = _base_chart(w0, dw0, chart)
-    e0 = float(fs_energy(zeta, v, params))
-    normal = e0 >= np.finfo(float).tiny
-    t_end = 4.0 * math.pi * math.sqrt(params.a) / math.sqrt(e0) if normal else 0.0
-    if not 0.0 < t_end < math.inf:  # four periods
-        raise DomainError(f"start energy {e0!r} is below the smallest normal double "
-                          "or gives no finite bound of four periods")
-
-    # run at unit chart speed: velocities scaled by 2^-k, times by 2^k
-    k = _speed_exponent(v)
-    dw0, v, t_end = _ldexp(dw0, -k), _ldexp(v, -k), math.ldexp(t_end, k)
+    # run at unit chart speed, velocities scaled by 2^-k and times by 2^k; an
+    # energy below the normal range is taken at that speed: 4^s e, s = k
+    e, s, k = float(fs_energy(zeta, v, params)), 0, _speed_exponent(v)
+    v = _ldexp(v, -k)
+    if e < np.finfo(float).tiny:
+        e, s = float(fs_energy(zeta, v, params)), k
+    t_end = 4.0 * math.pi * math.sqrt(params.a) / math.sqrt(e) if e else math.inf
+    if not (e < math.inf and t_end < math.inf and math.frexp(t_end)[1] - s <= 1024):
+        raise DomainError(f"start energy 4^{s} * {e!r} overflows or gives no finite "
+                          "bound of four periods")  # in the caller's units
+    t_end = math.ldexp(t_end, k - s)
+    # the start at unit speed, written in its own chart: no part overflows
+    w0, dw0 = np.insert(zeta, chart - 1, 1.0), np.insert(v, chart - 1, 0.0)
 
     def escape(t, y):  # the largest |zeta_k|^2 rises through the bound
         y = y.tolist()

@@ -40,12 +40,14 @@ for first derivatives, and fourth-order stencils with a relative step of
 1e-3 for anything involving two derivatives (a second-order stencil at that
 step would sit right at the 1e-6 certification tolerance; the fourth-order
 one clears it by three orders of magnitude).
+
+:func:`verify_pipeline` returns the ``checks`` object ``cehgeom verify`` prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -69,8 +71,6 @@ __all__ = [
     "fd_christoffel",
     "fd_riemann",
     "fd_ricci_log_det",
-    "CheckResult",
-    "VerificationReport",
     "verify_pipeline",
 ]
 
@@ -238,38 +238,6 @@ def fd_ricci_log_det(metric_fn: Callable, z) -> np.ndarray:
 # certification pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.residual < self.tol)
-
-
-@dataclass
-class VerificationReport:
-    """Worst residual of each identity of the certification suite, sorted
-    by check name."""
-
-    checks: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        return {c.name: c for c in self.checks}[name]
-
-    def to_dict(self) -> dict:
-        return {
-            c.name: {"residual": c.residual, "tol": c.tol, "passed": c.passed}
-            for c in self.checks
-        }
-
-
 #: tolerances; ``tol_scale`` multiplies all but the exact zero of positivity
 TOL_FD_METRIC = 1e-6
 TOL_FD_CHRISTOFFEL = 1e-6
@@ -326,16 +294,16 @@ def _point_checks(z, params: GeometryParams, alpha: float):
 
 def verify_pipeline(
     points, params: GeometryParams, rng, tol_scale: float = 1.0
-) -> VerificationReport:
+) -> dict:
     """Certify every closed form at a stack of lifts ``(..., n)``; a single
     lift is a stack of one.
 
     At each point, four identities through the FD stencils (potential ->
     metric -> connection -> curvature, and ``-d dbar log det g = 0``) and
     ten algebraic ones, with a homothety factor drawn from ``rng``; then the
-    roots-of-unity sum at eight ``(alpha, k)`` drawn from ``rng``.  Each
-    check keeps its worst residual; the report is sorted by name.
-    ``tol_scale`` must be positive and finite.
+    roots-of-unity sum at eight ``(alpha, k)`` drawn from ``rng``.  Returns
+    ``{name: {"residual": r, "tol": t, "passed": r < t}}`` sorted by name, ``r``
+    each check's worst residual.  ``tol_scale`` must be positive and finite.
     """
     if not 0 < tol_scale < math.inf:
         raise DomainError(f"tolerance scale tol_scale must be positive and finite, "
@@ -345,8 +313,8 @@ def verify_pipeline(
 
     def fold(name, residual, tol):
         residual = float(residual)
-        if name not in worst or residual > worst[name].residual:
-            worst[name] = CheckResult(name, residual, tol * tol_scale if tol else tol)
+        if name not in worst or residual > worst[name][0]:
+            worst[name] = residual, tol * tol_scale if tol else tol
 
     for z in points.reshape(-1, points.shape[-1]):
         for check in _point_checks(z, params, float(rng.uniform(0.5, 2.0))):
@@ -356,4 +324,5 @@ def verify_pipeline(
         k = int(rng.integers(2, 13))
         residual = abs(roots_of_unity_sum(alpha, k) - 1.0 / (alpha**k - 1.0))
         fold("roots_of_unity", residual, TOL_ROOTS_OF_UNITY)
-    return VerificationReport([worst[name] for name in sorted(worst)])
+    return {name: {"residual": r, "tol": t, "passed": r < t}
+            for name, (r, t) in sorted(worst.items())}

@@ -105,7 +105,7 @@ def _check_u(u, where: str):
     u = u if type(u) is float else _radii(u)  # a float goes straight through
     ok = u > 0
     if not (ok is True or _all(ok)):
-        bad = u if isinstance(u, float) else u[~ok][0]
+        bad = float(u if isinstance(u, float) else u[~ok][0])
         raise DomainError(f"{where} requires u > 0, got u={bad!r}")
     return u
 
@@ -169,10 +169,8 @@ def potential(u, params: GeometryParams):
         scale = scale + np.abs(term)
     val = a * (alpha + acc / n)
     if np.any(np.abs(val.imag) > 1e-9 * np.maximum(1.0, scale)):
-        raise ArithmeticError(
-            "log branches failed to cancel: residual imag "
-            f"{np.max(np.abs(val.imag))!r}"
-        )
+        raise ArithmeticError("log branches failed to cancel: residual imag "
+                              f"{float(np.max(np.abs(val.imag)))!r}")
     return val.real
 
 
@@ -203,6 +201,6 @@ def radial_profile(u, params: GeometryParams) -> RadialProfile:
     phi = _phi(u, params)
     one_minus_phi = _one_minus_phi(u, params)
     return RadialProfile(
-        u=u, e_psi=f_prime(u, params), phi=phi, one_minus_phi=one_minus_phi,
-        phi_prime=-(params.n / u) * phi * one_minus_phi,
+        u=u, e_psi=_root_one_plus_pow(params.a / u, params.n), phi=phi,  # e_psi = f'
+        one_minus_phi=one_minus_phi, phi_prime=-(params.n / u) * phi * one_minus_phi,
     )

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cehgeom import cli, numdiff
+from cehgeom import GeometryParams, cli, numdiff, tensors
 from cehgeom.cli import main, parse_chart, parse_complex, parse_point
 
 
@@ -158,6 +158,16 @@ def test_verify_deterministic_bytes(capsys, tmp_path):
                    "--output", str(f)])
         assert rc == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_verify_checks_are_the_pipeline_mapping(capsys):
+    # the command prints the suite's mapping as it is, key order included
+    rc, out, _ = run_cli(capsys, "verify", "--n", "3", "--points", "2", "--seed", "5")
+    params, rng = GeometryParams(3, 1.0), np.random.default_rng(5)
+    points = tensors.random_points(2, params, rng=rng)
+    checks = numdiff.verify_pipeline(points, params, rng)
+    assert rc == 0
+    assert list(json.loads(out)["checks"].items()) == list(checks.items())
 
 
 # --- geodesic --------------------------------------------------------------------

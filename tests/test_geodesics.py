@@ -497,15 +497,14 @@ def test_zero_section_far_start(zeta0, dzeta0):
 def test_zero_section_runs_at_unit_chart_speed(a):
     # the flow is homogeneous in the speed: every start runs at unit chart
     # speed, so a fast or slow start closes on time, raises no warning and
-    # costs what a unit-speed run costs; a start energy out of the double
-    # range is still refused
+    # costs what a unit-speed run costs; a start energy that overflows the
+    # double range is still refused, one that underflows is taken at unit speed
     p = GeometryParams(2, a)
     zeta0, direction = np.zeros(1, dtype=complex), np.array([0.6 + 0.8j])
     unit = zero_section_geodesic(zeta0, direction, p)
-    tiny = np.finfo(float).tiny
     for speed in [1e-300, 1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150, 1e154]:
         dzeta0 = speed * direction
-        if not tiny <= a * speed * speed < np.inf:
+        if not a * speed * speed < np.inf:
             with pytest.raises(DomainError, match="start energy"):
                 zero_section_geodesic(zeta0, dzeta0, p)
             continue
@@ -518,14 +517,52 @@ def test_zero_section_runs_at_unit_chart_speed(a):
         assert run.nfev <= 1.1 * unit.nfev, (speed, run.nfev, unit.nfev)
 
 
+# the ids keep the names these cases had when both were refused
 @pytest.mark.parametrize("big,match", [
-    (1e100, "start energy 0.0 is below"),
-    (1e160, "start energy 0.0 is below"),
+    pytest.param(1e100, None, id="1e+100-start energy 0.0 is below"),
+    pytest.param(1e160, "no finite bound of four periods",
+                 id="1e+160-start energy 0.0 is below"),
 ])
 def test_zero_section_start_energy_out_of_range(params2, big, match):
-    # the start's velocity in its own chart, of size 1/big^2, underflows
-    with pytest.raises(DomainError, match=match):
-        zero_section_geodesic(np.array([big + 0j]), np.array([1 + 0j]), params2)
+    # the start's velocity in its own chart, of size 1/big^2, underflows, and
+    # its energy is taken at unit speed: at 1e100 the run closes at
+    # pi (1 + big^2) / |dzeta|, at 1e160 four periods overflow
+    zeta0, dzeta0 = np.array([big + 0j]), np.array([1 + 0j])
+    if match is not None:
+        with pytest.raises(DomainError, match=match):
+            zero_section_geodesic(zeta0, dzeta0, params2)
+        return
+    run = zero_section_geodesic(zeta0, dzeta0, params2)
+    assert run.period == pytest.approx(np.pi * (1 + big**2), rel=1e-11)
+    assert run.t[-1] == run.period
+
+
+@pytest.mark.parametrize("zeta0,dzeta0", [
+    ([0j], [1e-160 + 0j]),
+    ([0j], [1e-300j]),
+    ([0.3 + 0.2j, 0j], [1e-200, 0.5e-200j]),
+])
+def test_zero_section_slow_start_closes(zeta0, dzeta0):
+    # a start energy below the normal range is taken at unit chart speed
+    zeta0, dzeta0 = np.array(zeta0, dtype=complex), np.array(dzeta0, dtype=complex)
+    p = GeometryParams(zeta0.size + 1, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = zero_section_geodesic(zeta0, dzeta0, p)
+    assert run.period == pytest.approx(_fs_period(zeta0, dzeta0, p.a), rel=1e-11)
+    assert run.t[-1] == run.period
+
+
+@pytest.mark.parametrize("big,speed", [(1e160, 1e20), (1e160, 1e170), (1e300, 1e300)])
+def test_zero_section_far_slow_start_keeps_its_return_target(params2, big, speed):
+    # at unit chart speed the first chart's start velocity, about big^2 / speed
+    # times dzeta0, would overflow; the return targets come from the start
+    # written in its own chart, and the run closes at pi (1 + big^2) / speed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = zero_section_geodesic(np.array([big + 0j]), np.array([speed + 0j]), params2)
+    assert run.period == pytest.approx(np.pi * big * (big / speed), rel=1e-11)
+    assert run.t[-1] == run.period
 
 
 def test_zero_section_requires_direction(params2):
@@ -537,8 +574,9 @@ def test_zero_section_requires_direction(params2):
 # arguments, so each case is reported under one name over time
 @pytest.mark.parametrize("zeta0,dzeta0,bad", [
     # a start energy that overflows gives a run bound of 0: the energy is
-    # refused, not a t_end the caller never passed
-    pytest.param([0j], [1e200 + 0j], "start energy inf is below",
+    # refused, not a t_end the caller never passed (the id keeps the old
+    # message)
+    pytest.param([0j], [1e200 + 0j], r"start energy 4\^0 \* inf overflows",
                  id="zeta00-dzeta00-kwargs0-start energy inf is below"),
     pytest.param([np.inf + 0j], [1 + 0j], "zeta0", id="zeta02-dzeta02-kwargs2-zeta0"),
     pytest.param([np.nan + 0j], [1 + 0j], "zeta0", id="zeta04-dzeta04-kwargs4-zeta0"),

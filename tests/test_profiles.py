@@ -9,6 +9,7 @@ from cehgeom import (
     GeometryParams,
     f_prime,
     potential,
+    profiles,
     radial_profile,
     radius_sq,
     roots_of_unity_sum,
@@ -61,6 +62,20 @@ def test_closed_forms_reject_nonpositive_radius(params2):
         potential(0.0, params2)
     with pytest.raises(DomainError):
         radial_profile(-2.0, params2)
+
+
+def test_radial_profile_checks_its_radius_once(params3, monkeypatch):
+    calls, real = [], profiles._check_u
+    monkeypatch.setattr(profiles, "_check_u",
+                        lambda u, where: calls.append(where) or real(u, where))
+    radial_profile(np.array([0.5, 2.0]), params3)
+    assert calls == ["radial_profile"]
+
+
+def test_stack_radius_message_prints_a_plain_float(params2):
+    with pytest.raises(DomainError, match=r"requires u > 0, got u=-1\.0$") as exc:
+        radial_profile(np.array([1.0, -1.0]), params2)
+    assert "np.float64" not in str(exc.value)
 
 
 def test_f_prime_no_overflow_tiny_u(params2):
