@@ -35,13 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensors import _checked, _rank_one_update, hermitian_outer, metric_inverse
-from .profiles import (
-    DomainError,
-    GeometryParams,
-    RadialProfile,
-    _all,
-    radial_profile,
-)
+from .profiles import GeometryParams, RadialProfile, _all, _definite, radial_profile
 
 __all__ = [
     "christoffel_ceh",
@@ -54,9 +48,7 @@ __all__ = [
 
 
 def _rot_sym_connection(z, u, profile: RadialProfile) -> np.ndarray:
-    phi, omp = profile.phi, profile.one_minus_phi
-    if not _all(omp > 0.0):
-        raise DomainError(f"degenerate metric: 1 - phi = {float(np.min(omp))!r} <= 0")
+    phi, omp = profile.phi, _definite(profile).one_minus_phi
     zb = np.conj(z)
     delta = np.eye(z.shape[-1])
     b = (..., None, None, None)
@@ -64,8 +56,13 @@ def _rot_sym_connection(z, u, profile: RadialProfile) -> np.ndarray:
     sym = np.einsum("la,...m->...lma", delta, zb) + np.einsum(
         "lm,...a->...lma", delta, zb
     )
-    cubic = np.einsum("...a,...m,...l->...lma", zb, zb, z) / np.asarray(u)[b]
     coef = (phi * omp - u * profile.phi_prime) / (u * omp)
+    zl = z
+    if not _all(phi != 0.0):
+        # where phi and the cubic coefficient are 0 (phi's power overflowed)
+        # the cubic term is 0, but zbar zbar z may overflow: z = 0 in it there
+        zl = np.where(np.asarray((phi == 0.0) & (coef == 0.0))[..., None], 0.0, z)
+    cubic = np.einsum("...a,...m,...l->...lma", zb, zb, zl) / np.asarray(u)[b]
     return -np.asarray(phi / u)[b] * sym + np.asarray(coef)[b] * cubic
 
 
@@ -90,7 +87,7 @@ def riemann(z, params: GeometryParams) -> np.ndarray:
     """
     z, u = _checked(z, params)
     n = params.n
-    prof = radial_profile(u, params)
+    prof = _definite(radial_profile(u, params))
     g = _rank_one_update(z, u, prof.e_psi, -prof.phi)
     w = prof.e_psi ** (-(n - 1))
     # per-lift coefficients, broadcast over the four tensor axes
@@ -141,18 +138,36 @@ def kretschmann(z, params: GeometryParams):
     return kretschmann_radial(_checked(z, params)[1], params)
 
 
-#: contraction order of :func:`kretschmann_contracted`; the greedy path
-#: ``optimize=True`` finds for every n, fixed here so it is not re-planned on
-#: each call
-_KRETSCHMANN_PATH = ["einsum_path", (0, 2), (0, 1), (2, 3), (0, 2), (0, 1)]
-
-
 def kretschmann_contracted(z, params: GeometryParams):
     """Brute-force curvature norm at lifts ``(..., n)``: contract the
     Riemann tensor with itself, every index raised explicitly with the
     inverse metric."""
-    r = riemann(z, params)
+    return _squared_norm(riemann(z, params), z, params)
+
+
+def _squared_norm(r, z, params: GeometryParams):
+    """``|R|^2 = R_{mnab} R_{rscd} g^{sm} g^{nr} g^{da} g^{bc}`` of lowered
+    curvature tensors ``r`` at the lifts ``z`` they belong to, every index
+    raised with :func:`metric_inverse`.
+
+    Four matrix products in the order of numpy's greedy einsum plan, which
+    give that plan's result to the bit; the plan's first two products are
+    the same product, ``P`` below."""
     ginv = metric_inverse(z, params)
-    val = np.einsum("...mnab,...rscd,...sm,...nr,...da,...bc->...", r, r,
-                    ginv, ginv, ginv, ginv, optimize=_KRETSCHMANN_PATH)
-    return val.real[()]
+    n = params.n
+    lead, m = r.shape[:-4], n * n
+    k = len(lead)
+
+    def axes(*perm):  # a permutation of the four tensor axes behind the stack
+        return (*range(k), *(k + i for i in perm))
+
+    # P[x, y, c, d] = g^{xw} R_{wycd}
+    p = (ginv @ r.reshape(*lead, n, m * n)).reshape(*lead, n, n, n, n)
+    # C[cd, ab] = sum over (x, y) of P[x, y, c, d] P[y, x, a, b]
+    c = (p.transpose(axes(2, 3, 0, 1)).reshape(*lead, m, m)
+         @ p.transpose(axes(1, 0, 2, 3)).reshape(*lead, m, m))
+    # D[bc] = sum over (a, d) of C[cd, ab] g^{da}
+    d = (c.reshape(*lead, n, n, n, n).transpose(axes(3, 0, 2, 1)).reshape(*lead, m, m)
+         @ np.swapaxes(ginv, -1, -2).reshape(*lead, m, 1))
+    # sum over (b, c) of D[bc] g^{bc}
+    return (d.reshape(*lead, 1, m) @ ginv.reshape(*lead, m, 1)).reshape(lead).real[()]

@@ -21,16 +21,23 @@ calls the field once.  A Hessian nests it: the outer stencil over every
 row ``mu`` hands its points to an inner stencil over every ``nu``, in
 equal chunks of whole outer points that make at most 4096 = 64 * 8^2
 field points a call.  A first derivative along one index takes 2 offsets
-in each of the x and y directions (central2) or 4 (central4).  Per stage:
+in each of the x and y directions (central2) or 4 (central4).
+:func:`verify_pipeline` runs one stencil per derivative order at each
+point, its field the closed forms it needs stacked on a trailing axis:
 
-    stage                                         points    field calls
-    fd_christoffel, fd_riemann (central2)         4 n       1
-    fd_metric_from_potential, fd_ricci_log_det    64 n^2    1 for n <= 8
-        (central4 mixed Hessian)
+    order   stencil                   points   field calls    field
+    first   central2, FD_FIRST        4 n      1              metric, christoffel_ceh
+    second  central4 mixed Hessian,   64 n^2   1 for n <= 8   potential(|w|^2),
+            FD_SECOND                                         log det metric
 
-Above n = 8 the Hessian makes ``ceil(8n / (512 // n))`` calls (2 at n = 9,
-4 at n = 16), so one field call holds at most 4096 points for n <= 512 and
-its memory no longer grows as n^4 field entries.
+From the first-order differences, ``d`` of the metric part gives the FD
+connection and ``dbar`` of the connection part the FD curvature; the
+second-order Hessian gives the FD metric and ``-d dbar log det g``.  The
+public ``fd_*`` routes each build their own stencil of one field and give
+the same values to the bit.  Above n = 8 the Hessian makes
+``ceil(8n / (512 // n))`` calls (2 at n = 9, 4 at n = 16), so one field
+call holds at most 4096 points for n <= 512 and its memory no longer grows
+as n^4 field entries.
 
 Step rule: the step at a base point ``z`` is ``step * max(1, |z|)``; in a
 Hessian each inner derivative uses ``step * max(1, |w|)`` at its own outer
@@ -108,7 +115,7 @@ _SCHEMES = {
 
 
 def wirtinger_partial(
-    field_fn: Callable, z, index, conjugate: bool = False,
+    field_fn: Callable, z, index, conjugate: bool | None = False,
     cfg: FDConfig = FD_FIRST,
 ):
     """Central-difference estimate of ``d field / dz^index`` (or conjugate).
@@ -119,6 +126,7 @@ def wirtinger_partial(
     sequence of them; all stencil points of all base points and indices go
     to ``field_fn`` in one call, and the result has shape
     ``(..., *shape)``, or ``(..., len(index), *shape)`` for a sequence.
+    ``conjugate=None`` returns both, ``(d, dbar)``, from the one stencil.
 
     Raises
     ------
@@ -150,10 +158,14 @@ def wirtinger_partial(
     num = sum(c * vals[:, :, :, i] for i, c in enumerate(weights))
     d = num / (denom * h).reshape((-1, 1, 1) + (1,) * len(shape))
     dx, dy = d[:, :, 0], d[:, :, 1]
-    out = 0.5 * (dx + 1j * dy) if conjugate else 0.5 * (dx - 1j * dy)
-    if np.ndim(index) == 0:
-        out = out[:, 0]
-    return out.reshape(lead + out.shape[1:])
+
+    def combine(conj):
+        out = 0.5 * (dx + 1j * dy) if conj else 0.5 * (dx - 1j * dy)
+        if np.ndim(index) == 0:
+            out = out[:, 0]
+        return out.reshape(lead + out.shape[1:])
+
+    return (combine(False), combine(True)) if conjugate is None else combine(conjugate)
 
 
 def complex_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
@@ -205,9 +217,7 @@ def fd_christoffel(metric_fn: Callable, z) -> np.ndarray:
     ``[lam, mu, alpha]``.
     """
     z = np.asarray(z, dtype=complex)
-    dg = wirtinger_partial(metric_fn, z, range(z.size))  # [alpha, mu, nu]
-    # [alpha, mu, lam] -> [lam, mu, alpha]
-    return np.transpose(dg @ np.linalg.inv(metric_fn(z)), (2, 1, 0))
+    return _connection(wirtinger_partial(metric_fn, z, range(z.size)), metric_fn(z))
 
 
 def fd_riemann(christoffel_fn: Callable, metric_fn: Callable, z) -> np.ndarray:
@@ -219,19 +229,28 @@ def fd_riemann(christoffel_fn: Callable, metric_fn: Callable, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     g = metric_fn(z)
-    dgamma = -wirtinger_partial(
-        christoffel_fn, z, range(z.size), conjugate=True
-    )  # [beta, lam, mu, alpha]
-    return np.einsum("blma,ln->mnab", dgamma, g)
+    dbar_gamma = wirtinger_partial(christoffel_fn, z, range(z.size), conjugate=True)
+    return _lowered_curvature(dbar_gamma, g)
 
 
 def fd_ricci_log_det(metric_fn: Callable, z) -> np.ndarray:
     """Ricci tensor as ``-d dbar log det g``, entirely from the metric field."""
+    return -complex_hessian(_log_det_field(metric_fn), z)
 
-    def log_det(w):
-        return np.log(np.linalg.det(metric_fn(w)).real)
 
-    return -complex_hessian(log_det, z)
+def _connection(dg, g):
+    # dg[alpha, mu, nu] g^{nubar lam}: [alpha, mu, lam] -> [lam, mu, alpha]
+    return np.transpose(dg @ np.linalg.inv(g), (2, 1, 0))
+
+
+def _lowered_curvature(dbar_gamma, g):
+    # -dbar_beta Gamma^lam_{mu alpha} g_{lam nubar}, from [beta, lam, mu, alpha]
+    return np.einsum("blma,ln->mnab", -dbar_gamma, g)
+
+
+def _log_det_field(metric_fn: Callable) -> Callable:
+    """The batched field ``log det g`` of a metric field."""
+    return lambda w: np.log(np.linalg.det(metric_fn(w)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +275,57 @@ TOL_SPECTRUM = 1e-6
 TOL_ROOTS_OF_UNITY = 1e-12
 
 
+def _second_order_fd(z, params: GeometryParams):
+    """FD metric (``d dbar`` of the potential) and FD Ricci tensor
+    (``-d dbar log det g``) at one lift, from one nested central4 stencil of
+    the two fields stacked on a trailing axis."""
+    log_det = _log_det_field(lambda w: metric(w, params))
+    h = complex_hessian(
+        lambda w: np.stack([potential(radius_sq(w), params), log_det(w)], axis=-1), z)
+    return h[..., 0], -h[..., 1]
+
+
+def _first_order_fd(z, g, params: GeometryParams):
+    """FD connection (``d`` of the metric) and FD curvature (``dbar`` of the
+    connection) at one lift with metric ``g``, from one central2 stencil of
+    the two fields side by side on a trailing axis."""
+    n = params.n
+    m = n * n
+
+    def field(w):
+        k = len(w)
+        return np.concatenate([metric(w, params).reshape(k, m),
+                               _curvature.christoffel_ceh(w, params).reshape(k, m * n)],
+                              axis=-1)
+
+    d, dbar = wirtinger_partial(field, z, range(n), conjugate=None)
+    # each part in the layout its own stencil gives, so the products round alike
+    dg = np.ascontiguousarray(d[:, :m]).reshape(n, n, n)
+    dbar_gamma = np.ascontiguousarray(dbar[:, m:]).reshape(n, n, n, n)
+    return _connection(dg, g), _lowered_curvature(dbar_gamma, g)
+
+
 def _point_checks(z, params: GeometryParams, alpha: float):
     """``(name, residual, tolerance)`` of each check at one lift; ``alpha``
     is the homothety factor."""
     n = params.n
     maxabs = lambda x: np.abs(x).max()
-    g_field = lambda w: metric(w, params)
-    gamma_field = lambda w: _curvature.christoffel_ceh(w, params)
-    g, gamma = g_field(z), gamma_field(z)
+    g, gamma = metric(z, params), _curvature.christoffel_ceh(z, params)
     ginv = metric_inverse(z, params)
     riem = _curvature.riemann(z, params)
     spec = _hessian.hessian_spectrum(z, params)
     k = _curvature.kretschmann_radial(radius_sq(z), params)
-    k_contr = _curvature.kretschmann_contracted(z, params)
+    k_contr = _curvature._squared_norm(riem, z, params)
     eigs = np.sort(np.linalg.eigvalsh(_hessian._assemble(z, spec)))
     rotated = metric(np.exp(2j * np.pi / n) * z, params)
     nabla_eps = _volform.covariant_derivative_epsilon(z, params, christoffel=gamma)
     volform_norm = _volform.volform_norm_sq(z, params) * math.factorial(n)
-    yield ("metric_vs_potential",
-           maxabs(g - fd_metric_from_potential(z, params)), TOL_FD_METRIC)
-    yield ("christoffel_vs_metric",
-           maxabs(gamma - fd_christoffel(g_field, z)), TOL_FD_CHRISTOFFEL)
-    yield ("riemann_vs_christoffel",
-           maxabs(riem - fd_riemann(gamma_field, g_field, z)), TOL_FD_RIEMANN)
-    yield "ricci_log_det", maxabs(fd_ricci_log_det(g_field, z)), TOL_FD_RICCI
+    g_fd, ricci_fd = _second_order_fd(z, params)
+    gamma_fd, riem_fd = _first_order_fd(z, g, params)
+    yield "metric_vs_potential", maxabs(g - g_fd), TOL_FD_METRIC
+    yield "christoffel_vs_metric", maxabs(gamma - gamma_fd), TOL_FD_CHRISTOFFEL
+    yield "riemann_vs_christoffel", maxabs(riem - riem_fd), TOL_FD_RIEMANN
+    yield "ricci_log_det", maxabs(ricci_fd), TOL_FD_RICCI
     yield "det_unity", abs(np.linalg.det(g).real - 1.0), TOL_ALGEBRAIC
     yield "kretschmann_consistency", abs(k_contr - k) / abs(k), TOL_KRETSCHMANN_REL
     yield "inverse_identity", maxabs(g @ ginv - np.eye(n)), TOL_INVERSE
@@ -298,7 +344,7 @@ def verify_pipeline(
     """Certify every closed form at a stack of lifts ``(..., n)``; a single
     lift is a stack of one.
 
-    At each point, four identities through the FD stencils (potential ->
+    At each point, four identities through two FD stencils (potential ->
     metric -> connection -> curvature, and ``-d dbar log det g = 0``) and
     ten algebraic ones, with a homothety factor drawn from ``rng``; then the
     roots-of-unity sum at eight ``(alpha, k)`` drawn from ``rng``.  Returns

@@ -18,7 +18,8 @@ The log-sum is real for u > 0 because the branches pair into conjugates;
 
 The closed forms here are written to avoid overflow near ``u = 0`` (where
 ``(a/u)^n`` blows up) by factoring the small ratio out first; the one
-overflow-safe power ``(1 + x^n)^(1/n)`` is ``_root_one_plus_pow``.  The
+overflow-safe power ``(1 + x^n)^(1/n)`` is ``_root_one_plus_pow``, and
+``phi`` and ``1 - phi`` are 0 where their power overflows.  The
 profile also carries ``1 - phi`` from its own stable formula, because
 forming it by subtraction loses every digit near the zero section, where
 ``phi`` rounds to 1.
@@ -134,14 +135,40 @@ def f_prime(u: float, params: GeometryParams) -> float:
     return _root_one_plus_pow(params.a / u, params.n)
 
 
+def _pow_or_inf(x, n: int):
+    """``x^n`` for ``x >= 0``, and ``inf`` where it overflows: silently for
+    a float array, and for a Python float, whose power would raise
+    ``OverflowError``.  A numpy scalar, as the flows pass, follows numpy's
+    error state."""
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            return x**n
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
 def _phi(u: float, params: GeometryParams) -> float:
-    # a^n/(a^n+u^n) without forming either power alone
-    return 1.0 / (1.0 + (u / params.a) ** params.n)
+    # a^n/(a^n+u^n) without forming either power alone; 0 where (u/a)^n
+    # overflows
+    return 1.0 / (1.0 + _pow_or_inf(u / params.a, params.n))
 
 
 def _one_minus_phi(u: float, params: GeometryParams) -> float:
-    # u^n/(a^n+u^n), stable against cancellation for u << a
-    return 1.0 / (1.0 + (params.a / u) ** params.n)
+    # u^n/(a^n+u^n), stable against cancellation for u << a; 0 where
+    # (a/u)^n overflows
+    return 1.0 / (1.0 + _pow_or_inf(params.a / u, params.n))
+
+
+def _definite(profile: RadialProfile) -> RadialProfile:
+    """``profile``, refused where ``1 - phi`` is not positive: there the
+    metric it generates is degenerate (for the Ricci-flat profile, where
+    ``(a/u)^n`` overflows and ``1 - phi`` underflows to 0)."""
+    omp = profile.one_minus_phi
+    if not _all(omp > 0.0):
+        raise DomainError(f"degenerate metric: 1 - phi = {float(np.min(omp))!r} <= 0")
+    return profile
 
 
 def potential(u, params: GeometryParams):
@@ -152,14 +179,19 @@ def potential(u, params: GeometryParams):
     Raises
     ------
     DomainError
-        If ``u <= 0``.
+        If ``u <= 0``, or if ``1 + (u/a)^n`` rounds to 1, where the ``j = 0``
+        log is ``log 0``.
     ArithmeticError
         If the imaginary parts of the root-of-unity weighted logs fail to
         cancel to round-off (they cancel exactly in exact arithmetic).
     """
     u = _check_u(u, "potential")
     n, a = params.n, params.a
-    alpha = _root_one_plus_pow(u / a, n)  # > 1
+    alpha = _root_one_plus_pow(u / a, n)  # > 1 unless it rounds to 1
+    if not _all(alpha > 1.0):
+        bad = float(u if isinstance(u, float) else u[~(alpha > 1.0)][0])
+        raise DomainError(f"potential cannot be computed in double precision at "
+                          f"u={bad!r}: 1 + (u/a)^n rounds to 1")
     zeta = cmath.exp(2j * cmath.pi / n)
     acc = 0.0 + 0.0j
     scale = 0.0

@@ -29,6 +29,7 @@ from .profiles import (
     DomainError,
     GeometryParams,
     _all,
+    _definite,
     radial_profile,
     radius_sq,
 )
@@ -118,7 +119,7 @@ def metric(z, params: GeometryParams) -> np.ndarray:
     Hermitian positive definite with ``det g = 1`` identically.
     """
     z, u = _checked(z, params)
-    prof = radial_profile(u, params)
+    prof = _definite(radial_profile(u, params))
     return _rank_one_update(z, u, prof.e_psi, -prof.phi)
 
 
@@ -130,7 +131,7 @@ def metric_inverse(z, params: GeometryParams) -> np.ndarray:
     ``e^-psi / (1 - phi)``; directions orthogonal to it get ``e^-psi``.
     """
     z, u = _checked(z, params)
-    prof = radial_profile(u, params)
+    prof = _definite(radial_profile(u, params))
     return _rank_one_update(z, u, 1.0 / prof.e_psi, prof.phi / prof.one_minus_phi)
 
 

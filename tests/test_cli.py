@@ -93,6 +93,21 @@ def test_eval_zero_vector_exit_code(capsys):
     assert rc == 2
 
 
+def test_eval_where_phi_power_overflows(capsys):
+    # |z|^2 = 2.5e307: phi is 0, and the bundle is the flat one
+    rc, out, err = run_cli(capsys, "eval", "--n", "2", "--point=3e153+0i,4e153+0i")
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["metric"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    assert doc["kretschmann"] == 0.0
+
+
+def test_eval_where_one_minus_phi_underflows(capsys):
+    rc, out, err = run_cli(capsys, "eval", "--n", "4", "--point=1e-40+0i,0+0i,0+0i,0+0i")
+    assert rc == 2 and out == ""
+    assert err == "error: degenerate metric: 1 - phi = 0.0 <= 0\n"
+
+
 # --- verify --------------------------------------------------------------------
 
 def test_verify_passes(capsys):
@@ -287,15 +302,16 @@ def test_scan_rows_match_scalar_calls(capsys, n, quantity):
     assert ulps.max() <= 8
 
 
-@pytest.mark.parametrize("quantity", ["psi", "fprime"])
+@pytest.mark.parametrize("quantity", ["psi", "fprime", "kretschmann"])
 def test_scan_full_double_range(capsys, quantity):
+    # kretschmann: phi is 0 where (u/a)^n overflows, 1 - phi where (a/u)^n does
     table = _scan_table(capsys, 3, 1.0, quantity, 1e-300, 1e300, 61)
     assert table.shape[0] == 61 and np.all(np.isfinite(table))
 
 
-@pytest.mark.parametrize("quantity", ["kretschmann", "spectrum"])
+@pytest.mark.parametrize("quantity", ["spectrum"])
 def test_scan_full_double_range_overflows(capsys, quantity):
-    # (u/a)^n overflows in the profile's phi near u = 1e300
+    # near u = 1e-300 psi and psi' underflow to 0: the psi jet divides 0 by 0
     rc, out, err = run_cli(capsys, "scan", "--n", "3", "--a", "1",
                            "--quantity", quantity, "--u-min", "1e-300",
                            "--u-max", "1e300", "--points", "61")

@@ -10,6 +10,7 @@ from cehgeom import (
     metric,
     potential,
     radius_sq,
+    riemann,
     verify_pipeline,
 )
 from cehgeom import curvature, hessian, numdiff, tensors, volform
@@ -231,6 +232,55 @@ def test_pipeline_report_mapping(params2):
     assert list(report) == sorted(CHECKS)
     with pytest.raises(KeyError):
         report["nope"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_pipeline_fd_residuals_equal_the_public_routes(n):
+    # the fused stencils give, to the bit, the four public FD routes against
+    # the public closed forms; n = 9 takes the two-chunk Hessian
+    p = GeometryParams(n, 1.1)
+    g = lambda w: metric(w, p)
+    gam = lambda w: christoffel_ceh(w, p)
+    maxabs = lambda x: float(np.abs(x).max())
+    for z in seeded_points(2 if n < 9 else 1, n, p.a, seed=60 + n):
+        report = verify_pipeline(z, p, np.random.default_rng(0))
+        public = {
+            "metric_vs_potential": maxabs(g(z) - fd_metric_from_potential(z, p)),
+            "christoffel_vs_metric": maxabs(gam(z) - fd_christoffel(g, z)),
+            "riemann_vs_christoffel": maxabs(riemann(z, p) - fd_riemann(gam, g, z)),
+            "ricci_log_det": maxabs(fd_ricci_log_det(g, z)),
+        }
+        for name, residual in public.items():
+            assert report[name]["residual"] == residual, name
+
+
+def test_pipeline_evaluates_each_field_once_per_stencil(monkeypatch):
+    # per point: one field call per stencil order (4n points, then 64 n^2),
+    # the metric at the lift itself only for g and its mu_n rotation, and
+    # one closed-form Riemann tensor
+    n, num = 3, 2
+    p = GeometryParams(n, 1.0)
+    calls = {}
+
+    def spy(mod, name, one=1):
+        # records the points of each call; `one` is the ndim of one point
+        exact = getattr(mod, name)
+
+        def wrapped(w, *args):
+            calls.setdefault(name, []).append(1 if np.ndim(w) == one else len(w))
+            return exact(w, *args)
+
+        monkeypatch.setattr(mod, name, wrapped)
+
+    spy(numdiff, "metric")
+    spy(numdiff, "potential", one=0)  # of radii
+    spy(curvature, "christoffel_ceh")
+    spy(curvature, "riemann")
+    verify_pipeline(seeded_points(num, n, p.a), p, np.random.default_rng(0))
+    assert sorted(calls["metric"]) == sorted([1, 1, 4 * n, 64 * n * n] * num)
+    assert calls["potential"] == [64 * n * n] * num
+    assert sorted(calls["christoffel_ceh"]) == sorted([1, 4 * n] * num)
+    assert calls["riemann"] == [1] * num
 
 
 # --- batched stencil against the nested oracle ------------------------------------
@@ -459,14 +509,14 @@ def test_riemann_vs_christoffel_sees_scaled_curvature(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_ricci_log_det_sees_non_flat_metric_field(monkeypatch, n):
-    # the metric field it differentiates times 1 + 1e-4 u/a: log det g gains
+    # the metric field inside log det times 1 + 1e-4 u/a: log det g gains
     # n log(1 + 1e-4 u/a), whose complex Hessian is no longer 0
-    exact = numdiff.fd_ricci_log_det
+    exact = numdiff._log_det_field
 
-    def corrupted(metric_fn, z):
+    def corrupted(metric_fn):
         def field(w):
             return metric_fn(w) * (1 + 1e-4 * radius_sq(w) / 1.3)[..., None, None]
-        return exact(field, z)
+        return exact(field)
 
-    monkeypatch.setattr(numdiff, "fd_ricci_log_det", corrupted)
+    monkeypatch.setattr(numdiff, "_log_det_field", corrupted)
     assert _fd_failing(n) == ["ricci_log_det"]

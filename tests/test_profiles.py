@@ -132,6 +132,21 @@ def test_potential_convex_increasing_grid(params2):
     assert all(b > a for a, b in zip(f, f[1:]))
 
 
+@pytest.mark.parametrize("u, n", [(1e-9, 2), (1e-6, 3), (1e-5, 4)])
+def test_potential_refuses_radius_where_alpha_rounds_to_one(u, n):
+    # 1 + (u/a)^n rounds to 1 and the j = 0 log would be log 0: a NaN before
+    p = GeometryParams(n, 1.0)
+    with pytest.raises(DomainError, match=f"u={u!r}: 1 \\+ \\(u/a\\)\\^n rounds to 1"):
+        potential(u, p)
+    with pytest.raises(DomainError, match=f"u={u!r}: 1 \\+ \\(u/a\\)\\^n rounds to 1"):
+        potential(np.array([1.0, u, 2.0]), p)
+
+
+def test_potential_keeps_its_value_just_above_the_refused_radii():
+    assert potential(1e-7, GeometryParams(2, 1.0)) == -15.822879058159389
+    assert potential(np.array([1e-7]), GeometryParams(2, 1.0))[0] == -15.822879058159389
+
+
 def test_roots_of_unity_hand_values():
     assert roots_of_unity_sum(2.0, 2) == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert roots_of_unity_sum(3.0, 1) == pytest.approx(0.5, abs=1e-15)

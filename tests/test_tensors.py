@@ -64,6 +64,29 @@ def test_metric_rejects_overflowing_lift():
     _checked(np.array([9e153, 9e153]))
 
 
+def test_metric_where_phi_power_overflows_is_flat():
+    # |z|^2 = 2.5e307: (u/a)^n overflows, phi is 0 on both paths, no warning
+    z = np.array([3e153, 4e153], dtype=complex)
+    p = GeometryParams(2, 1.0)
+    g = metric(z, p)
+    assert np.array_equal(g, np.eye(2)) and np.array_equal(g, metric(z[None], p)[0])
+    assert np.array_equal(metric_inverse(z, p), np.eye(2))
+    assert np.array_equal(curvature.christoffel_ceh(z, p), np.zeros((2, 2, 2)))
+    assert curvature.kretschmann(z, p) == 0.0
+
+
+@pytest.mark.parametrize("n, r", [(4, 1e-40), (8, 1e-20), (16, 1e-10)])
+def test_metric_where_one_minus_phi_underflows_is_refused(n, r):
+    # (a/u)^n overflows and 1 - phi underflows to 0: det g would be 0
+    p = GeometryParams(n, 1.0)
+    z = np.zeros(n, dtype=complex)
+    z[0] = r
+    for form in (metric, metric_inverse, curvature.christoffel_ceh, curvature.riemann):
+        for lift in (z, z[None]):
+            with pytest.raises(DomainError, match=r"degenerate metric: 1 - phi = 0\.0 <= 0"):
+                form(lift, p)
+
+
 @pytest.mark.parametrize("closed_form", [
     metric_inverse,
     curvature.christoffel_ceh,
