@@ -228,9 +228,8 @@ def fd_riemann(christoffel_fn: Callable, metric_fn: Callable, z) -> np.ndarray:
     tensor indexed ``[mu, nu, alpha, beta]``.
     """
     z = np.asarray(z, dtype=complex)
-    g = metric_fn(z)
     dbar_gamma = wirtinger_partial(christoffel_fn, z, range(z.size), conjugate=True)
-    return _lowered_curvature(dbar_gamma, g)
+    return _lowered_curvature(dbar_gamma, metric_fn(z))
 
 
 def fd_ricci_log_det(metric_fn: Callable, z) -> np.ndarray:
@@ -299,10 +298,8 @@ def _first_order_fd(z, g, params: GeometryParams):
                               axis=-1)
 
     d, dbar = wirtinger_partial(field, z, range(n), conjugate=None)
-    # each part in the layout its own stencil gives, so the products round alike
-    dg = np.ascontiguousarray(d[:, :m]).reshape(n, n, n)
-    dbar_gamma = np.ascontiguousarray(dbar[:, m:]).reshape(n, n, n, n)
-    return _connection(dg, g), _lowered_curvature(dbar_gamma, g)
+    return (_connection(d[:, :m].reshape(n, n, n), g),
+            _lowered_curvature(dbar[:, m:].reshape(n, n, n, n), g))
 
 
 def _point_checks(z, params: GeometryParams, alpha: float):
