@@ -128,23 +128,24 @@ def quotient_to_chart(w, i: int) -> ChartPoint:
 
 
 def _base_chart(w, dw, j: int):
-    """Chart-``j`` base coordinates of a homogeneous base point ``w`` and
-    velocities of its tangents ``dw`` (shape ``(..., n)``): divide by ``w_j``
-    and drop slot ``j``.  No fiber power is formed.  The one division by a
-    slot: a ``ChartError`` where ``w_j = 0`` or a result is not finite."""
-    n = w.size
+    """Chart-``j`` base coordinates of homogeneous base points ``w`` (shape
+    ``(..., n)``) and velocities of their tangents ``dw`` (each point's
+    shape, or ``(..., n)`` for one point): divide by ``w_j`` and drop slot
+    ``j``.  No fiber power is formed.  The one division by a slot: a
+    ``ChartError`` where a ``w_j = 0`` or a result is not finite."""
+    n = w.shape[-1]
     if not 1 <= j <= n:
         raise ChartError(f"chart index {j} out of range 1..{n}")
-    wj = w[j - 1]
-    if wj == 0:
+    wj = w[..., j - 1, None]
+    if not wj.all():
         raise ChartError(f"point not in chart {j}: w_{j} = 0")
     keep = np.arange(n) != j - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        zeta = w[keep] / wj
+        zeta = w[..., keep] / wj
         dzeta = (dw[..., keep] - dw[..., j - 1, None] * zeta) / wj
     if not (np.isfinite(zeta).all() and np.isfinite(dzeta).all()):
         raise ChartError(f"point not in chart {j}: its coordinates overflow "
-                         f"there, |w_{j}| = {float(abs(wj))!r}")
+                         f"there, |w_{j}| = {float(np.abs(wj).min())!r}")
     return zeta, dzeta
 
 

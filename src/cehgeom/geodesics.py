@@ -1,4 +1,4 @@
-r"""Geodesic flow on the quotient chart and on the zero section.
+r"""Geodesics on the quotient chart, and on the zero section in closed form.
 
 On a Kahler manifold the geodesic equation keeps only the holomorphic
 connection, and for the Ricci-flat metric it closes over two invariants of
@@ -7,47 +7,17 @@ the state, ``u = |z|^2`` and the C^n pairing ``<z, zdot> = sum zbar zdot``:
     zddot = phi(u) (2 <z,zdot>/u zdot - (n+1) <z,zdot>^2/u^2 z),
 
 with ``phi = a^n/(a^n+u^n)``.  This is the contraction of the closed-form
-connection with the velocity, so straight lines are recovered at infinity
-and radial rays are preserved.  The Ricci-flat and the zero-section
-(Fubini-Study) flows share that contraction, :func:`_acceleration`, and
-their energies share one Hermitian form over whole trajectories.  The
-zero-section flow lives in the affine chart of its largest homogeneous
-coordinate; its start, its chart hops and its return target in each chart
-are one map on homogeneous coordinates (:mod:`cehgeom.charts`: divide by
-the chart's slot and drop it), which forms no fiber power.
-
-Both flows call ``solve_ivp`` one way (:func:`_solve`), without dense
-output, and share one return rule (:func:`_return_rule`): each local
-minimum of the distance to the start (a zero of ``Re <z - z0, v>`` rising
-in the direction of integration, the start itself excepted) is an event,
-and the first closest approach that revisits the start within ``1e-6`` is
-the closing time.  The zero-section flow stops at each closest approach:
-its run ends at the return, and an approach that is no return resumes the
-piece in the same chart.  The Ricci-flat flow runs on to ``t_end``, also
-locates the turning points of ``u`` (zeros of ``Re <z, v>``) and returns
-the run with its verdict (:class:`Trajectory`).  Distances and tolerances
-are in chart units, times ``sqrt(a)`` on the quotient chart, so the rule
-commutes with the homothety ``z -> alpha z``, ``a -> alpha^2 a``.  The
-zero-section flow is homogeneous in the speed and runs at unit chart
-speed: its start velocity is scaled by an exact power of two, and its
-times, velocities and period are scaled back exactly.
-
-Both flows keep their state packed as ``[Re z, Im z, Re v, Im v]``.  That
+connection with the velocity (:func:`_ceh_acceleration`), so straight lines
+are recovered at infinity and radial rays are preserved.  :func:`integrate`
+runs this flow on the state packed as ``[Re z, Im z, Re v, Im v]``.  That
 order is pinned: scipy's error norm sums the state in it, so any other
-layout moves the step sizes and the output bytes.  A state moves to and
-from complex ``(z, v)`` through one cached index map per dimension, a
-gather and a complex view one way and a concatenation and a gather the
-other.  The solver calls the right-hand sides and events directly, with
-no ``args`` (scipy would wrap each in one more call): ``integrate`` binds
-its maps in closures, and the zero-section flow binds its dimension with
-``functools.partial`` at each run.  The Fubini-Study profile's cubic
-coefficient is 0, and :func:`_acceleration` skips that term.
+layout moves the step sizes and the output bytes.
 
 scipy is imported where it runs, so ``import cehgeom`` loads none of it:
 ``solve_ivp`` here is a forwarder that imports ``scipy.integrate`` on its
 first call, and :func:`_sqrt_psi` imports ``hyp2f1``.  The forwarder stays
 a module attribute that :func:`_solve` looks up at each call, so rebinding
-``geodesics.solve_ivp`` counts or inspects every solver call of both flows.
+``geodesics.solve_ivp`` counts or inspects every solver call.
 
 The squared distance from radius ``u`` to the zero section is
 
@@ -67,9 +37,9 @@ point ``T`` of ``u(t)`` one has ``<z,zdot>(T) = i alpha u(T)`` for real
     uddot(T) = 2 (n-1) phi(u) u alpha^2 + 2 |zdot|^2  >=  0,
 
 so ``u`` admits no interior maximum and nothing off the zero section closes
-up.  The zero section itself carries ``a`` times the Fubini-Study metric,
-all of whose geodesics are closed; at unit speed their common period is
-``pi sqrt(a)``.
+up.  The zero section ``CP^(n-1)`` itself is totally geodesic and carries
+``a g_FS``; its geodesics are projected great circles of the Hopf lift, all
+closed, with period ``pi sqrt(a)`` at unit speed (:func:`zero_section_geodesic`).
 """
 
 from __future__ import annotations
@@ -81,9 +51,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .charts import ChartError, _base_chart, zero_section_restriction
-from .tensors import _one_point, metric
-from .profiles import DomainError, GeometryParams, _phi
+from .charts import _base_chart, zero_section_restriction
+from .tensors import _checked, _one_point
+from .profiles import (DomainError, GeometryParams, _definite, _phi, radial_profile,
+                       radius_sq)
 
 __all__ = [
     "GeodesicState",
@@ -106,11 +77,8 @@ U_MIN_FACTOR = 1e-8
 #: tolerance below ``100 eps`` to it, so a smaller request is refused
 TOL_FLOOR = 100 * float(np.finfo(float).eps)
 
-#: relative integrator tolerance of the zero-section flow
-ZERO_SECTION_TOL = 1e-12
-
-#: largest |zeta_k|^2 at which the zero-section flow hops to that slot's chart
-_CHART_ESCAPE_SQ = 2.25
+#: samples of a zero-section geodesic, evenly spaced in time over one period
+ZERO_SECTION_SAMPLES = 129
 
 # classifications of a run
 ESCAPES = "escapes"
@@ -171,31 +139,20 @@ class Trajectory:
         return float(np.abs(self.energy - e0).max() / abs(e0)) if e0 else 0.0
 
 
-def _acceleration(z, v, k, c):
-    """``-Gamma(v, v)`` for the rotationally symmetric connection
-    ``Gamma^lam_{mu alpha} = -k (delta^lam_mu zbar_alpha + delta^lam_alpha
-    zbar_mu) + c zbar_mu zbar_alpha z^lam``, unvalidated.  ``k = phi/u`` is
-    passed as one number because the Fubini-Study flow passes ``u = 0``.
-    ``c == 0`` (that flow's profile) skips the cubic term, identically 0."""
-    ip = np.vdot(z, v)  # sum conj(z) v
-    if c == 0:
-        return (2.0 * k * ip) * v
-    return (2.0 * k * ip) * v - (c * ip * ip) * z
-
-
 def _ceh_acceleration(z, v, params: GeometryParams):
-    # Ricci-flat profile: cubic coefficient (n+1) phi / u^2
+    """``-Gamma(v, v)`` for the Ricci-flat connection
+    ``Gamma^lam_{mu alpha} = -(phi/u) (delta^lam_mu zbar_alpha +
+    delta^lam_alpha zbar_mu) + (n+1) phi/u^2 zbar_mu zbar_alpha z^lam``,
+    unvalidated."""
     u = np.vdot(z, z).real
     phi = _phi(u, params)
-    return _acceleration(z, v, phi / u, (params.n + 1) * phi / (u * u))
+    ip = np.vdot(z, v)  # sum conj(z) v
+    return (2.0 * (phi / u) * ip) * v - ((params.n + 1) * phi / (u * u) * ip * ip) * z
 
 
 def geodesic_rhs(z, v, params: GeometryParams) -> np.ndarray:
-    """Acceleration of the geodesic flow at state ``(z, v)``.
-
-    Equals ``-Gamma^lam_{mu alpha} v^mu v^alpha`` for the closed-form
-    connection, contracted analytically.
-    """
+    """Acceleration ``-Gamma^lam_{mu alpha} v^mu v^alpha`` of the geodesic
+    flow at state ``(z, v)``, the closed-form connection contracted analytically."""
     z, _ = _one_point(z, params)
     return _ceh_acceleration(z, np.asarray(v, dtype=complex), params)
 
@@ -205,23 +162,23 @@ def _uddot_closed_form(z, v, params: GeometryParams) -> float:
     u = np.vdot(z, z).real
     alpha = np.vdot(z, v).imag / u
     phi = _phi(float(u), params)
-    return float(
-        2.0 * (params.n - 1) * phi * u * alpha**2 + 2.0 * np.vdot(v, v).real
-    )
-
-
-def _hermitian_form(g, v):
-    """``g_{mu nubar} v^mu conj(v^nu)`` for stacks ``g (..., n, n)`` and
-    ``v (..., n)``, one real value per point."""
-    v = np.atleast_1d(np.asarray(v, dtype=complex))
-    return np.einsum("...m,...mn,...n->...", v, g, np.conj(v)).real
+    return float(2.0 * (params.n - 1) * phi * u * alpha**2 + 2.0 * np.vdot(v, v).real)
 
 
 def energy(z, v, params: GeometryParams):
     """Kinetic energy ``g_{mu nubar} v^mu conj(v^nu)``; conserved by the flow.
 
-    Lifts and velocities of shape ``(..., n)`` give one energy per point."""
-    return _hermitian_form(metric(z, params), v)
+    Lifts and velocities of shape ``(..., n)`` give one energy per point.
+    The form is split along ``zhat = z/|z|``:
+    ``e^psi (|v - <z,v>/u z|^2 + (1 - phi) |<z,v>|^2/u)``, so a radial
+    velocity near the zero section, where ``phi`` rounds to 1, keeps its
+    digits."""
+    z, u = _checked(z, params)
+    prof = _definite(radial_profile(u, params))
+    v = np.asarray(v, dtype=complex)
+    ip = np.einsum("...m,...m->...", np.conj(z), v)  # <z, v>
+    radial = prof.one_minus_phi * (ip.real**2 + ip.imag**2) / u
+    return prof.e_psi * (radius_sq(v - (ip / u)[..., None] * z) + radial)
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,36 +198,29 @@ def _pack(z, v):
 
 
 def _unpack(y, n):
-    """Complex ``(z, v)`` of a packed state ``(4n,)``, or of packed sample
-    columns ``(4n, T)`` as two ``(n, T)`` arrays; both are views of one new
-    buffer, never of ``y``."""
+    """Complex ``(z, v)`` of a packed state ``(4n,)``, or of sample columns
+    ``(4n, T)`` as two ``(n, T)`` arrays: views of one new buffer, not of ``y``."""
     c = np.ascontiguousarray(y[_layout(n)[1]].T).view(complex).T
     return c[:n], c[n:]
 
 
-def _return_rule(target, scale: float, sign: float, resume=None):
-    """The return rule against the packed start ``target`` for a run in the
-    time direction ``sign``, as ``(closest, first_return)``.
-
-    ``closest`` is a non-terminal ``solve_ivp`` event at each local minimum
-    of the distance to the start, a zero of ``Re <z - z0, v>`` rising with
-    time.  At the start itself, and at the time ``resume`` where a run
-    restarts from a closest approach it has read, it takes the sign it has
-    just after that point, so neither is a crossing.
-    ``first_return(times, states)`` reads the ``closest`` events
-    (``times``, packed ``states``) and gives the time elapsed to the first
-    whose state revisits ``target`` within ``1e-6 scale`` in position and
-    ``1e-6 max(scale, |v0|)`` in velocity, or None."""
+def _return_rule(target, scale: float, sign: float):
+    """``(closest, first_return)`` against the packed start ``target`` of a
+    run in the time direction ``sign``.  ``closest`` is a ``solve_ivp`` event
+    at each local minimum of the distance to the start, a zero of
+    ``Re <z - z0, v>`` rising with time; at the start itself it takes the sign
+    it has just after it, so the start is no crossing.  ``first_return(times,
+    states)`` reads its events and gives the time elapsed to the first state
+    within ``1e-6 scale`` of ``target`` in position and ``1e-6 max(scale,
+    |v0|)`` in velocity, or None."""
     m = target.size // 4
     z0, v0 = _unpack(target, m)
-    # |v0|^2 overflows only in a chart where the start lies far beyond the
-    # hop bound, out of every piece's reach: its position test refuses it
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # then the position test alone decides
         base, v_tol = target[: 2 * m], 1e-6 * max(scale, np.linalg.norm(v0))
 
     def closest(t, y):
         d = y[: 2 * m] - base  # the position block [Re z, Im z]
-        return d.dot(y[2 * m :]) if d.any() and t != resume else sign
+        return d.dot(y[2 * m :]) if d.any() else sign
 
     def first_return(times, states):
         for t_c, y_c in zip(times, states):
@@ -292,20 +242,15 @@ def solve_ivp(*args, **kwargs):
 
 
 def _solve(rhs, span, y0, tol: float, events):
-    """The one ``solve_ivp`` call of both flows: DOP853 at relative
-    tolerance ``tol`` and absolute ``tol * 1e-2``, no dense output.  It
-    passes no ``args``: with any, even ``()``, scipy wraps the right-hand
-    side and every event in one more Python call."""
+    """One ``solve_ivp`` call: DOP853 at relative tolerance ``tol`` and
+    absolute ``tol * 1e-2``, no dense output, and no ``args``: with any, even
+    ``()``, scipy wraps the right-hand side and every event in one more call."""
     return solve_ivp(rhs, span, y0, method="DOP853", rtol=tol,
                      atol=tol * 1e-2, events=events)
 
 
-def integrate(
-    state: GeodesicState,
-    t_end: float,
-    params: GeometryParams,
-    tol: float = 1e-10,
-) -> Trajectory:
+def integrate(state: GeodesicState, t_end: float, params: GeometryParams,
+              tol: float = 1e-10) -> Trajectory:
     """Integrate the flow over ``[0, t_end]``, forward or backward in time,
     with an adaptive embedded Runge-Kutta scheme (DOP853) at relative
     tolerance ``tol``, and classify the run (:class:`Trajectory`).  A zero
@@ -315,9 +260,8 @@ def integrate(
     ``1/u`` factors and crossing the zero section belongs to the chart
     machinery, not this integrator.  The solver locates the turning points
     of ``u`` (zeros of ``Re <z, v>`` after the start) and the first return
-    to the start (:func:`_return_rule`: the first closest approach to the
-    start that revisits it, within ``1e-6 sqrt(a)``) as non-terminal
-    events; it keeps no dense output.
+    to the start (:func:`_return_rule`, within ``1e-6 sqrt(a)``) as
+    non-terminal events; it keeps no dense output.
     """
     n = params.n
     if state.z.size != n:
@@ -424,164 +368,100 @@ def radial_arclength(u: float, params: GeometryParams) -> ArcLength:
     return ArcLength(psi=d * d, distance=d)
 
 
-# ---------------------------------------------------------------------------
-# zero-section (Fubini-Study) flow
-# ---------------------------------------------------------------------------
+# zero-section geodesics: projected great circles
 
 @dataclass
 class FSTrajectory:
-    """Geodesic on the zero section, integrated chartwise.
-
-    ``chart`` holds the 1-based chart index valid at each sample; ``zeta``
-    and ``dzeta`` are expressed in that chart.  ``period`` is the detected
-    closing time, if any, and the last sample when there is one; ``nfev`` is
-    the number of right-hand-side calls summed over the chart pieces.
-    """
+    """One period of a geodesic on the zero section: ``t`` holds
+    :data:`ZERO_SECTION_SAMPLES` evenly spaced times on ``[0, period]``, the
+    last exactly ``period``; ``chart`` the 1-based chart of each sample, the
+    slot of its largest homogeneous coordinate, in which ``zeta`` and
+    ``dzeta`` are written; ``energy`` is :func:`fs_energy` at each sample."""
 
     t: np.ndarray
     zeta: np.ndarray
     dzeta: np.ndarray
     chart: np.ndarray
     energy: np.ndarray
-    period: Optional[float]
-    nfev: int
+    period: float
 
 
 def fs_energy(zeta, dzeta, params: GeometryParams):
-    """Energy in the zero-section metric ``a * g_FS``; chart independent.
-
-    Base points and velocities of shape ``(..., n-1)`` give one energy per
-    point."""
-    return _hermitian_form(zero_section_restriction(zeta, params), dzeta)
-
-
-def _fs_rhs(t, y, m):
-    # round projective profile: phi/u = 1/(1+|zeta|^2), no cubic term;
-    # _unpack and _pack inlined, with one lookup of the index maps
-    to_packed, to_view = _layout(m)
-    zv = y[to_view].view(complex)
-    zeta, v = zv[:m], zv[m:]
-    k = 1.0 / (1.0 + np.vdot(zeta, zeta).real)
-    acc = _acceleration(zeta, v, k, 0.0)
-    return np.concatenate((v, acc), dtype=complex).view(np.float64)[to_packed]
+    """Energy in the zero-section metric ``a * g_FS``, chart independent; one
+    per point of base points and velocities ``(..., n-1)``."""
+    v = np.atleast_1d(np.asarray(dzeta, dtype=complex))
+    g = zero_section_restriction(zeta, params)
+    return np.einsum("...m,...mn,...n->...", v, g, np.conj(v)).real
 
 
-def _speed_exponent(v) -> int:
-    """``k = round(log2 |v|)`` for a finite nonzero complex vector, from
-    ``v`` scaled by its largest component's binary exponent, so that
-    ``|v|`` itself never under- or overflows."""
-    x = np.concatenate((v.real, v.imag))
-    e = math.frexp(float(np.abs(x).max()))[1]
-    return e + round(math.log2(float(np.linalg.norm(np.ldexp(x, -e)))))
+def _normalised(x):
+    """``(x 2^-e, e)`` for a nonzero complex vector, ``e`` the binary
+    exponent of its largest part; exact where no part is subnormal."""
+    e = math.frexp(float(np.abs(x.view(np.float64)).max()))[1]
+    return np.ldexp(x.view(np.float64), -e).view(complex), e
 
 
-def _ldexp(x, k: int):
-    """``x 2^k`` for a complex array, exact wherever no part is subnormal."""
-    return np.ldexp(np.ascontiguousarray(x).view(np.float64), k).view(complex)
-
-
-def zero_section_geodesic(zeta0, dzeta0, params: GeometryParams) -> FSTrajectory:
-    """Integrate the Fubini-Study flow on the zero section from ``zeta0`` in
-    the first affine chart, always in the chart of the largest homogeneous
-    coordinate: the start ``(1, zeta0)`` in the chart of its first largest
-    entry, and a hop to slot ``k``'s chart when ``|zeta_k|`` rises through
-    1.5, so that every piece starts with all ``|zeta_k| <= 1``, in any n.
-
-    The acceleration is the contraction of the rotationally symmetric
-    connection with the round projective profile (the cubic coefficient of
-    that profile vanishes identically, leaving ``2 <zeta,v> v/(1+|zeta|^2)``).
-    The period is found by the integrator's own event location, in every
-    chart in which the start can be written, against the initial state moved
-    into that chart, by the return rule of :func:`_return_rule` in chart
-    units.  Its ``closest`` event is terminal there: the run ends at the
-    return, and an approach that is no return resumes the piece in the same
-    chart from the event state.  At unit speed in ``a * g_FS`` the closing
-    time of every geodesic is ``pi sqrt(a)``; the run is bounded by four
-    periods at the start energy, which it reaches only if it never returns.
-
-    The flow is homogeneous in the speed, and it runs at unit chart speed:
-    the start velocity is scaled by ``2^-k``, ``k = round(log2 |dzeta|)``
-    in the start chart, and the bound by ``2^k``.  Times, velocities and
-    the period are scaled back exactly; a start whose chart speed lies in
-    ``[2^-1/2, 2^1/2]`` runs unscaled.  A start is refused only where its
-    energy or its bound of four periods overflows.
-    """
+def _great_circle(zeta0, dzeta0, params: GeometryParams):
+    """The Hopf lift ``cos(theta) w + sin(theta) h`` of a zero-section start,
+    ``w`` and ``h`` orthonormal in C^n and ``theta = s 2^k t``, as
+    ``(w, h, s, k)`` (:func:`zero_section_geodesic`)."""
     zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=complex))
     v0 = np.atleast_1d(np.asarray(dzeta0, dtype=complex))
     if not (np.isfinite(zeta0).all() and np.isfinite(v0).all()):
         raise DomainError(f"start must be finite, got zeta0={zeta0!r}, dzeta0={v0!r}")
     if not np.any(v0):
         raise DomainError("zero-section geodesic needs a nonzero direction")
-    m = zeta0.size
-    if m != params.n - 1:
-        raise DomainError(
-            f"base coordinates have dimension {m}, expected n-1={params.n - 1}"
-        )
-    w0, dw0 = np.insert(zeta0, 0, 1.0), np.insert(v0, 0, 0.0)
-    chart = int(np.argmax(np.abs(w0))) + 1
-    zeta, v = _base_chart(w0, dw0, chart)
-    # run at unit chart speed, velocities scaled by 2^-k and times by 2^k; an
-    # energy below the normal range is taken at that speed: 4^s e, s = k
-    e, s, k = float(fs_energy(zeta, v, params)), 0, _speed_exponent(v)
-    v = _ldexp(v, -k)
-    if e < np.finfo(float).tiny:
-        e, s = float(fs_energy(zeta, v, params)), k
-    t_end = 4.0 * math.pi * math.sqrt(params.a) / math.sqrt(e) if e else math.inf
-    if not (e < math.inf and t_end < math.inf and math.frexp(t_end)[1] - s <= 1024):
-        raise DomainError(f"start energy 4^{s} * {e!r} overflows or gives no finite "
-                          "bound of four periods")  # in the caller's units
-    t_end = math.ldexp(t_end, k - s)
-    # the start at unit speed, written in its own chart: no part overflows
-    w0, dw0 = np.insert(zeta, chart - 1, 1.0), np.insert(v, chart - 1, 0.0)
+    if zeta0.size != params.n - 1:
+        raise DomainError(f"base coordinates have dimension {zeta0.size}, "
+                          f"expected n-1={params.n - 1}")
+    # scaled by powers of two and written in the chart of the largest slot,
+    # where the velocity is 0 and w largest: no norm under- or overflows,
+    # and the part of dw orthogonal to w keeps its digits (|h| >= 1/(2n))
+    w, kw = _normalised(np.insert(zeta0, 0, 1.0))
+    dw, kv = _normalised(np.insert(v0, 0, 0.0))
+    chart = int(np.argmax(np.abs(w))) + 1
+    zeta, v = _base_chart(w, dw, chart)
+    v, kc = _normalised(v)
+    w, dw = np.insert(zeta, chart - 1, 1.0), np.insert(v, chart - 1, 0.0)
+    norm = np.linalg.norm(w)
+    w = w / norm
+    h = (dw - np.vdot(w, dw) * w) / norm
+    s, k = float(np.linalg.norm(h)), kv + kc - kw
+    with np.errstate(over="ignore"):
+        e, k_e = float(params.a * np.ldexp(s, k) ** 2), 0
+    if e < np.finfo(float).tiny:  # below the normal range: given at 4^-k of it
+        e, k_e = params.a * s * s, k
+    if not (e < math.inf and math.frexp(math.pi / s)[1] - k <= 1024):
+        raise DomainError(f"start energy 4^{k_e} * {e!r} overflows or gives no "
+                          "finite period")
+    return w, h / s, s, k
 
-    def escape(t, y):  # the largest |zeta_k|^2 rises through the bound
-        y = y.tolist()
-        sq = max(x * x + w * w for x, w in zip(y[:m], y[m : 2 * m]))
-        return sq - _CHART_ESCAPE_SQ
 
-    escape.terminal, escape.direction = True, 1
-    rhs = functools.partial(_fs_rhs, m=m)  # bound per run: _fs_rhs is looked up here
-    state = _pack(zeta, v)
-    t0, resume, period, nfev = 0.0, None, None, 0
-    ts_all, ys_all, ch_all = [], [], []
-    while t0 < t_end:
-        events, first_return = [escape], None
-        try:  # the return target: the start, written in this chart
-            target = _pack(*_base_chart(w0, dw0, chart))
-        except ChartError:  # no return rule where the start cannot be written
-            pass
-        else:
-            closest, first_return = _return_rule(target, 1.0, 1.0, resume)
-            closest.terminal = True
-            events.append(closest)
-        sol = _solve(rhs, (t0, t_end), state, ZERO_SECTION_TOL, events)
-        nfev += sol.nfev
-        skip = int(resume is not None)  # its first sample ends the last piece
-        ts_all.append(sol.t[skip:])
-        ys_all.append(sol.y[:, skip:])
-        ch_all.append(np.full(sol.t.size - skip, chart))
+def zero_section_geodesic(zeta0, dzeta0, params: GeometryParams) -> FSTrajectory:
+    """One period of the geodesic on the zero section from ``zeta0`` in the
+    first affine chart, with velocity ``dzeta0``, in closed form.
 
-        if sol.status != 1:
-            break
-        if first_return is not None and sol.t_events[1].size:
-            period = first_return(sol.t_events[1], sol.y_events[1])
-            if period is not None:
-                break
-            # a closest approach that is no return: resume in this chart
-            t0 = resume = sol.t_events[1][0]
-            state = sol.y_events[1][0]
-            continue
-        # chart boundary: hop to the slot of the largest homogeneous coordinate
-        zz, vv = _unpack(sol.y_events[0][0], m)
-        w, dw = np.insert(zz, chart - 1, 1.0), np.insert(vv, chart - 1, 0.0)
-        chart = int(np.argmax(np.abs(w))) + 1
-        state = _pack(*_base_chart(w, dw, chart))
-        t0, resume = sol.t_events[0][0], None
-
-    zeta, dzeta = (x.T for x in _unpack(np.hstack(ys_all), m))
-    dzeta = _ldexp(dzeta, k)
-    return FSTrajectory(
-        t=np.ldexp(np.concatenate(ts_all), -k), zeta=zeta, dzeta=dzeta,
-        chart=np.concatenate(ch_all), energy=fs_energy(zeta, dzeta, params),
-        period=None if period is None else math.ldexp(period, -k), nfev=nfev,
-    )
+    The zero section carries ``a g_FS``, so its geodesics are projected great
+    circles of the Hopf lift.  With ``W0 = (1, zeta0)``, ``dW0 = (0, dzeta0)``
+    and ``h`` the part of ``dW0/|W0|`` orthogonal to ``W0``, the geodesic is
+    ``W(t) = cos(s t) W0/|W0| + sin(s t) h/s`` at chart speed ``s = |h|``
+    (energy ``a s^2``).  ``W(pi/s) = -W0/|W0|`` is the start again, so every
+    geodesic closes at ``period = pi/s``.  The samples (:class:`FSTrajectory`)
+    are written in the chart of their largest homogeneous coordinate.  The
+    start is scaled by exact powers of two, and velocities and the period
+    back, so any start speed keeps its digits.  A start is refused where it
+    is not finite, its direction is 0, or its energy or period overflows.
+    """
+    w, h, s, k = _great_circle(zeta0, dzeta0, params)
+    theta = np.linspace(0.0, math.pi, ZERO_SECTION_SAMPLES)[:, None]
+    cos, sin = np.cos(theta), np.sin(theta)
+    ws, dws = cos * w + sin * h, (cos * h - sin * w) * s  # dW/dt, times 2^-k
+    chart = np.argmax(np.abs(ws), axis=1) + 1
+    zeta, dzeta = np.empty((2, theta.size, w.size - 1), dtype=complex)
+    for j in np.unique(chart):
+        rows = chart == j
+        zeta[rows], dzeta[rows] = _base_chart(ws[rows], dws[rows], int(j))
+    dzeta = np.ldexp(dzeta.view(np.float64), k).view(complex)
+    period = math.ldexp(math.pi / s, -k)
+    return FSTrajectory(np.linspace(0.0, period, ZERO_SECTION_SAMPLES), zeta, dzeta,
+                        chart, fs_energy(zeta, dzeta, params), period)

@@ -230,6 +230,19 @@ def test_geodesic_radial_matches_arclength(capsys):
         )
 
 
+def test_geodesic_radial_energy_into_zero_section(capsys):
+    # an inward radial run to the inner cutoff u = 1e-8: there phi rounds to
+    # 1 and the energy lives in 1 - phi alone; it stays 1/sqrt(2) on every row
+    rc, out, _ = run_cli(capsys, "geodesic", "--n", "2", "--point", "1+0i,0+0i",
+                         "--velocity=-1+0i,0+0i")
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[-1] == ["classification", "hit_inner_cutoff"]
+    energies = np.array([float(r[-1]) for r in rows[1:-1]])
+    assert float(rows[-2][-2]) < 2e-8
+    assert np.abs(energies * np.sqrt(2) - 1).max() <= 1e-8
+
+
 def test_geodesic_sample_cap(capsys):
     rc, out, _ = run_cli(capsys, "geodesic", "--n", "2",
                          "--point", "1+0i,0+0i", "--velocity", "0+1i,0+0i",
@@ -493,8 +506,8 @@ def test_commands_load_scipy_only_where_they_run_it():
         if not budget:
             assert mods == [], step
         assert {m for m in ("special", "integrate") if f"scipy.{m}" in mods} == budget, step
-    # the zero-section flow, which has no command, is the other flow run
-    assert "scipy.integrate" in _walk([["import"], ["zero-section"]])[1]
+    # the zero-section geodesic, which has no command, is a closed form
+    assert _walk([["import"], ["zero-section"]])[1] == []
 
 
 def test_underflowing_lift_is_not_the_zero_vector(capsys):

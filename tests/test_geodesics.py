@@ -26,7 +26,9 @@ from cehgeom.geodesics import (
     fs_energy,
 )
 
-from conftest import seeded_points
+import conftest
+from cehgeom.charts import _base_chart
+from conftest import fs_ode_geodesic, seeded_points
 
 
 # --- right-hand side ---------------------------------------------------------
@@ -116,7 +118,7 @@ def test_flow_rhs_bitwise_matches_split_merge(monkeypatch, n):
         assert np.array_equal(ceh(0.0, y), ref)
 
     zeta0 = 0.4 * (rng.normal(size=m) + 1j * rng.normal(size=m))
-    (fs, extra), run = _rhs_of(monkeypatch, lambda: zero_section_geodesic(
+    (fs, extra), run = _rhs_of(monkeypatch, lambda: fs_ode_geodesic(
         zeta0, np.ones(m) + 0.5j, params))
     cols = np.vstack([run.zeta.real.T, run.zeta.imag.T,
                       run.dzeta.real.T, run.dzeta.imag.T])
@@ -142,8 +144,7 @@ def test_flows_pass_no_solver_args(monkeypatch, params3):
     monkeypatch.setattr(geodesics, "solve_ivp", spy)
     z0, v0 = seeded_points(2, 3, params3.a, seed=7)
     integrate(GeodesicState(z0, v0), 2.0, params3)
-    zero_section_geodesic(np.zeros(2, dtype=complex), np.array([1.0 + 0.5j, -0.3j]),
-                          params3)
+    fs_ode_geodesic(np.zeros(2, dtype=complex), np.array([1.0 + 0.5j, -0.3j]), params3)
     assert len(seen) > 2 and not any(seen)
 
 
@@ -362,8 +363,8 @@ def _closest_without_start_rule(monkeypatch):
     # the plain Re <z - z0, v>, which is exactly 0 at the start
     real = geodesics._return_rule
 
-    def rule(target, scale, sign, resume=None):
-        closest, first_return = real(target, scale, sign, resume)
+    def rule(target, scale, sign):
+        closest, first_return = real(target, scale, sign)
         h = target.size // 2
 
         def plain(t, y, *_):
@@ -389,7 +390,7 @@ def test_start_is_no_closest_approach(monkeypatch, params2, t_max):
     new = integrate(state, t_max, params2)
     assert 0.0 not in new.sol.t_events[2]
     zeta0, dzeta0 = np.array([0.3 - 0.2j]), np.array([0.5 + 1j])
-    fs = zero_section_geodesic(zeta0, dzeta0, params2)
+    fs = fs_ode_geodesic(zeta0, dzeta0, params2)
     assert fs.period > 0
 
     _closest_without_start_rule(monkeypatch)
@@ -398,7 +399,7 @@ def test_start_is_no_closest_approach(monkeypatch, params2, t_max):
     assert new.sol.nfev == old.sol.nfev - 3
     assert np.array_equal(new.t, old.t) and np.array_equal(new.z, old.z)
     assert np.array_equal(new.v, old.v)
-    fs_old = zero_section_geodesic(zeta0, dzeta0, params2)
+    fs_old = fs_ode_geodesic(zeta0, dzeta0, params2)
     assert fs_old.period == 0.0
     # the plain run's terminal closest event stops it at t = 0: both of its
     # samples are the start, the first sample of the run with the start rule
@@ -437,21 +438,25 @@ def test_zero_section_period_isotropic(params2):
 
 def test_zero_section_energy_conserved_across_charts(params2):
     v0 = np.array([1.0 + 0j])
-    run = zero_section_geodesic(np.zeros(1, dtype=complex), v0, params2)
-    assert len(np.unique(run.chart)) > 1  # the run really hops charts
-    assert np.abs(run.energy - run.energy[0]).max() < 1e-9
+    for flow in (zero_section_geodesic, fs_ode_geodesic):
+        run = flow(np.zeros(1, dtype=complex), v0, params2)
+        assert len(np.unique(run.chart)) > 1  # the run really hops charts
+        assert np.abs(run.energy - run.energy[0]).max() < 1e-9
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_zero_section_period_spread_direction(n):
-    # dzeta0 = (1, ..., 1) spreads the flow over every slot; each piece still
-    # starts with all |zeta_k| <= 1, whatever n
+    # dzeta0 = (1, ..., 1) spreads the flow over every slot; each piece of
+    # the integrated run still starts with all |zeta_k| <= 1, whatever n,
+    # and every sample of the closed form has them
     p = GeometryParams(n, 1.0)
     zeta0, dzeta0 = np.zeros(n - 1, dtype=complex), np.ones(n - 1, dtype=complex)
-    run = zero_section_geodesic(zeta0, dzeta0, p)
     expected = np.pi / np.sqrt(fs_energy(zeta0, dzeta0, p))
-    assert np.abs(run.zeta).max() <= np.sqrt(geodesics._CHART_ESCAPE_SQ) * (1 + 1e-9)
-    assert run.period == pytest.approx(expected, rel=1e-11)
+    for run in (zero_section_geodesic(zeta0, dzeta0, p), fs_ode_geodesic(zeta0, dzeta0, p)):
+        assert np.abs(run.zeta).max() <= np.sqrt(conftest._CHART_ESCAPE_SQ) * (1 + 1e-9)
+        assert run.period == pytest.approx(expected, rel=1e-11)
+    assert np.abs(run.zeta).max() > 1  # the integrated run goes past 1
+    assert np.abs(zero_section_geodesic(zeta0, dzeta0, p).zeta).max() <= 1
 
 
 def test_zero_section_higher_dimension_period():
@@ -488,20 +493,21 @@ def test_zero_section_far_start(zeta0, dzeta0):
     # 1e40 a fiber power zeta_j^n would overflow; the base map forms none
     zeta0, dzeta0 = np.array(zeta0, dtype=complex), np.array(dzeta0, dtype=complex)
     p = GeometryParams(zeta0.size + 1, 1.0)
-    run = zero_section_geodesic(zeta0, dzeta0, p)
-    assert run.chart[0] == 2 + int(np.argmax(np.abs(zeta0)))
-    assert run.period == pytest.approx(_fs_period(zeta0, dzeta0, p.a), rel=1e-11)
+    for flow in (zero_section_geodesic, fs_ode_geodesic):
+        run = flow(zeta0, dzeta0, p)
+        assert run.chart[0] == 2 + int(np.argmax(np.abs(zeta0)))
+        assert run.period == pytest.approx(_fs_period(zeta0, dzeta0, p.a), rel=1e-11)
 
 
 @pytest.mark.parametrize("a", [1e-200, 1.0, 1e200])
 def test_zero_section_runs_at_unit_chart_speed(a):
-    # the flow is homogeneous in the speed: every start runs at unit chart
-    # speed, so a fast or slow start closes on time, raises no warning and
-    # costs what a unit-speed run costs; a start energy that overflows the
-    # double range is still refused, one that underflows is taken at unit speed
+    # the geodesic is homogeneous in the speed: a fast or slow start closes
+    # on time and raises no warning, and the integrated run, at unit chart
+    # speed, costs what a unit-speed run costs; a start energy that overflows
+    # the double range is still refused, one that underflows is not
     p = GeometryParams(2, a)
     zeta0, direction = np.zeros(1, dtype=complex), np.array([0.6 + 0.8j])
-    unit = zero_section_geodesic(zeta0, direction, p)
+    unit = fs_ode_geodesic(zeta0, direction, p)
     for speed in [1e-300, 1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150, 1e154]:
         dzeta0 = speed * direction
         if not a * speed * speed < np.inf:
@@ -511,22 +517,23 @@ def test_zero_section_runs_at_unit_chart_speed(a):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run = zero_section_geodesic(zeta0, dzeta0, p)
-        assert run.period == pytest.approx(_fs_period(zeta0, dzeta0, a), rel=1e-11)
-        assert run.t[-1] == run.period
-        assert run.dzeta[0] == pytest.approx(dzeta0[0], rel=1e-15)
-        assert run.nfev <= 1.1 * unit.nfev, (speed, run.nfev, unit.nfev)
+            ode = fs_ode_geodesic(zeta0, dzeta0, p)
+        for r in (run, ode):
+            assert r.period == pytest.approx(_fs_period(zeta0, dzeta0, a), rel=1e-11)
+            assert r.t[-1] == r.period
+            assert r.dzeta[0] == pytest.approx(dzeta0[0], rel=1e-15)
+        assert ode.nfev <= 1.1 * unit.nfev, (speed, ode.nfev, unit.nfev)
 
 
 # the ids keep the names these cases had when both were refused
 @pytest.mark.parametrize("big,match", [
     pytest.param(1e100, None, id="1e+100-start energy 0.0 is below"),
-    pytest.param(1e160, "no finite bound of four periods",
-                 id="1e+160-start energy 0.0 is below"),
+    pytest.param(1e160, "no finite period", id="1e+160-start energy 0.0 is below"),
 ])
 def test_zero_section_start_energy_out_of_range(params2, big, match):
     # the start's velocity in its own chart, of size 1/big^2, underflows, and
-    # its energy is taken at unit speed: at 1e100 the run closes at
-    # pi (1 + big^2) / |dzeta|, at 1e160 four periods overflow
+    # the energy is reported at unit speed: at 1e100 the run closes at
+    # pi (1 + big^2) / |dzeta|, at 1e160 the period overflows
     zeta0, dzeta0 = np.array([big + 0j]), np.array([1 + 0j])
     if match is not None:
         with pytest.raises(DomainError, match=match):
@@ -556,13 +563,15 @@ def test_zero_section_slow_start_closes(zeta0, dzeta0):
 @pytest.mark.parametrize("big,speed", [(1e160, 1e20), (1e160, 1e170), (1e300, 1e300)])
 def test_zero_section_far_slow_start_keeps_its_return_target(params2, big, speed):
     # at unit chart speed the first chart's start velocity, about big^2 / speed
-    # times dzeta0, would overflow; the return targets come from the start
-    # written in its own chart, and the run closes at pi (1 + big^2) / speed
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        run = zero_section_geodesic(np.array([big + 0j]), np.array([speed + 0j]), params2)
-    assert run.period == pytest.approx(np.pi * big * (big / speed), rel=1e-11)
-    assert run.t[-1] == run.period
+    # times dzeta0, would overflow; the return targets of the integrated run
+    # come from the start written in its own chart, as does the closed
+    # form's circle, and both close at pi (1 + big^2) / speed
+    for flow in (zero_section_geodesic, fs_ode_geodesic):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = flow(np.array([big + 0j]), np.array([speed + 0j]), params2)
+        assert run.period == pytest.approx(np.pi * big * (big / speed), rel=1e-11)
+        assert run.t[-1] == run.period
 
 
 def test_zero_section_requires_direction(params2):
@@ -588,9 +597,9 @@ def test_zero_section_rejects_bad_run(params2, zeta0, dzeta0, bad):
 
 
 def test_zero_section_bound_overflow_blames_the_energy():
-    # a normal start energy whose four periods overflow: 4 pi sqrt(a/e0)
+    # a normal start energy whose period overflows: pi sqrt(a/e0)
     p = GeometryParams(2, 1.7e308)
-    with pytest.raises(DomainError, match="no finite bound of four periods"):
+    with pytest.raises(DomainError, match="no finite period"):
         zero_section_geodesic(np.array([0j]), np.array([1.3e-308 + 0j]), p)
 
 
@@ -623,23 +632,23 @@ def test_flows_run_at_tolerance_floor(params2):
 
 def test_zero_section_nfev_counts_rhs_calls(monkeypatch, params3):
     calls = []
-    real = geodesics._fs_rhs
+    real = conftest._fs_rhs
 
     def counting(t, y, m):
         calls.append(t)
         return real(t, y, m)
 
-    monkeypatch.setattr(geodesics, "_fs_rhs", counting)
-    run = zero_section_geodesic(np.zeros(2, dtype=complex),
-                                np.array([1.0 + 0.5j, -0.3j]), params3)
+    monkeypatch.setattr(conftest, "_fs_rhs", counting)
+    run = fs_ode_geodesic(np.zeros(2, dtype=complex),
+                          np.array([1.0 + 0.5j, -0.3j]), params3)
     assert len(np.unique(run.chart)) > 1  # the count spans several pieces
     assert run.nfev == len(calls) > 0
 
 
 def test_flows_call_the_solver_module_attribute(monkeypatch, params3):
     # the per-layer nfev counts rebind geodesics.solve_ivp: integrate calls
-    # it once, the zero-section flow once per chart piece, and each run is
-    # made of those calls' samples alone
+    # it once, the integrated zero-section flow once per chart piece, and
+    # each run is made of those calls' samples alone
     sols = []
     real = geodesics.solve_ivp
 
@@ -653,8 +662,8 @@ def test_flows_call_the_solver_module_attribute(monkeypatch, params3):
     assert len(sols) == 1 and sols[0] is traj.sol
 
     sols.clear()
-    run = zero_section_geodesic(np.zeros(2, dtype=complex),
-                                np.array([1.0 + 0.5j, -0.3j]), params3)
+    run = fs_ode_geodesic(np.zeros(2, dtype=complex),
+                          np.array([1.0 + 0.5j, -0.3j]), params3)
     pieces = 1 + np.count_nonzero(np.diff(run.chart))
     assert pieces > 1 and len(sols) == pieces
     assert run.nfev == sum(sol.nfev for sol in sols)
@@ -675,6 +684,58 @@ def test_zero_section_period_sweep(radius):
         expected = np.pi * np.sqrt(p.a / fs_energy(zeta0, dzeta0, p))
         assert run.period is not None, (k, zeta0, dzeta0)
         assert run.period == pytest.approx(expected, rel=1e-11)
+
+
+def _circle_at(zeta0, dzeta0, p, t, chart):
+    """The closed form's great circle at the times ``t``, each sample written
+    in the chart given for it."""
+    w, h, s, k = geodesics._great_circle(zeta0, dzeta0, p)
+    speed = np.ldexp(s, k)
+    theta = (speed * t)[:, None]
+    ws = np.cos(theta) * w + np.sin(theta) * h
+    dws = (np.cos(theta) * h - np.sin(theta) * w) * speed
+    pts = [_base_chart(x, dx, int(j)) for x, dx, j in zip(ws, dws, chart)]
+    return np.array([q[0] for q in pts]), np.array([q[1] for q in pts])
+
+
+def _sample_errors(p, zeta, dzeta, ref_zeta, ref_dzeta):
+    # positions relative to the homogeneous norm sqrt(1 + |zeta|^2) of the
+    # chart point, velocities in the metric norm relative to the speed
+    pos = np.linalg.norm(zeta - ref_zeta, axis=1) / np.sqrt(1 + radius_sq(ref_zeta))
+    vel = np.sqrt(fs_energy(ref_zeta, dzeta - ref_dzeta, p)
+                  / fs_energy(ref_zeta, ref_dzeta, p))
+    return pos.max(), vel.max()
+
+
+def test_zero_section_closed_form_matches_oracle():
+    # 200 seeded starts, n = 2..6, a in [e^-2, e^2], zeta0 and dzeta0
+    # Gaussian scaled by e^U(-2, 2).  The closed form is held to the
+    # 60-digit period and to the integrated run at every one of its samples,
+    # in the chart that run reports there.  The bounds on velocities and
+    # periods against the run are its own accuracy: it reads up to 1.1e-11
+    # and 1.2e-12 at the return, where the solver interpolates, and its
+    # period is that far from the 60-digit one
+    rng = np.random.default_rng(2021)
+    for k in range(200):
+        n = 2 + k % 5
+        p = GeometryParams(n, float(np.exp(rng.uniform(-2, 2))))
+        zeta0, dzeta0 = (np.exp(rng.uniform(-2, 2))
+                         * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+                         for _ in range(2))
+        run, ode = zero_section_geodesic(zeta0, dzeta0, p), fs_ode_geodesic(zeta0, dzeta0, p)
+        assert run.t.size == geodesics.ZERO_SECTION_SAMPLES and run.t[-1] == run.period
+        assert np.allclose(np.diff(run.t), run.period / (run.t.size - 1), rtol=1e-12)
+        assert np.abs(run.zeta).max() <= 1  # each sample in its largest slot's chart
+        assert run.period == pytest.approx(_fs_period(zeta0, dzeta0, p.a), rel=1e-14)
+        assert run.period == pytest.approx(ode.period, rel=2e-12)
+        e0 = fs_energy(zeta0, dzeta0, p)  # a s^2
+        assert np.abs(run.energy / e0 - 1).max() <= 1e-12
+        pos, vel = _sample_errors(p, *_circle_at(zeta0, dzeta0, p, ode.t, ode.chart),
+                                  ode.zeta, ode.dzeta)
+        assert pos <= 1e-11 and vel <= 2e-11, (k, pos, vel)
+        pos, vel = _sample_errors(p, *_circle_at(zeta0, dzeta0, p, run.t, run.chart),
+                                  run.zeta, run.dzeta)
+        assert pos <= 1e-14 and vel <= 1e-14, (k, pos, vel)
 
 
 def _non_terminal_closest(monkeypatch):
@@ -698,12 +759,12 @@ def test_zero_section_stops_at_return(monkeypatch, n):
     zeta0 = np.zeros(n - 1, dtype=complex)
     dzeta0 = np.linspace(1.0, 0.4, n - 1) + 0.3j
     dzeta0 /= np.sqrt(fs_energy(zeta0, dzeta0, p))
-    run = zero_section_geodesic(zeta0, dzeta0, p)
+    run = fs_ode_geodesic(zeta0, dzeta0, p)
     assert run.t[-1] == run.period and run.chart[-1] == 1
     assert np.linalg.norm(run.zeta[-1] - zeta0) < 1e-6
 
     _non_terminal_closest(monkeypatch)
-    full = zero_section_geodesic(zeta0, dzeta0, p)
+    full = fs_ode_geodesic(zeta0, dzeta0, p)
     assert full.t[-1] > full.period
     assert run.period == full.period
     assert run.nfev <= 0.8 * full.nfev
@@ -724,10 +785,10 @@ def test_zero_section_resumes_after_non_return(monkeypatch):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(geodesics, "_fs_rhs", lissajous)
+    monkeypatch.setattr(conftest, "_fs_rhs", lissajous)
     monkeypatch.setattr(geodesics, "_solve", spy)
-    run = zero_section_geodesic(np.array([0.5, 0.3]), np.array([0.0, 0.9]),
-                                GeometryParams(3, 1.0))
+    run = fs_ode_geodesic(np.array([0.5, 0.3]), np.array([0.0, 0.9]),
+                          GeometryParams(3, 1.0))
     assert run.period == pytest.approx(2 * np.pi, rel=1e-11)
     assert len(calls) == 4 and np.all(run.chart == 1)
     assert np.all(np.diff(run.t) > 0)  # no sample repeated at a resume point
@@ -740,7 +801,7 @@ def test_zero_section_start_outside_a_chart_gets_no_return_rule():
     # warning); the run closes back in chart 1
     p = GeometryParams(3, 1.0)
     zeta0, dzeta0 = np.array([1e-310, 0.3 + 0j]), np.array([1.0 + 0j, 0.2j])
-    run = zero_section_geodesic(zeta0, dzeta0, p)
+    run = fs_ode_geodesic(zeta0, dzeta0, p)
     assert set(run.chart) == {1, 2} and run.chart[-1] == 1
     assert run.period == pytest.approx(_fs_period(zeta0, dzeta0, p.a), rel=1e-11)
 
@@ -751,11 +812,12 @@ def test_state_rejects_non_finite_velocity():
 
 
 def test_zero_section_return_after_chart_hop():
-    # the flow closes while it is in another chart than the start chart
+    # the integrated flow closes while it is in another chart than the
+    # start chart; the closed form closes at the same time
     p = GeometryParams(3, 1.0)
     zeta0 = np.array([0.15 - 0.42j, 0.25 - 0.23j])
     dzeta0 = np.array([-0.44 + 1.74j, -1.17 - 0.5j])
-    run = zero_section_geodesic(zeta0, dzeta0, p)
     expected = np.pi * np.sqrt(p.a) / np.sqrt(fs_energy(zeta0, dzeta0, p))
-    assert run.period is not None
-    assert run.period == pytest.approx(expected, rel=1e-11)
+    for run in (zero_section_geodesic(zeta0, dzeta0, p), fs_ode_geodesic(zeta0, dzeta0, p)):
+        assert run.period is not None
+        assert run.period == pytest.approx(expected, rel=1e-11)
