@@ -153,18 +153,20 @@ def _reim(c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _tensor_bundle(z: np.ndarray, params: GeometryParams) -> dict:
-    g = tensors.metric(z, params)  # validates z: an overflowing |z|^2 is refused
-    u = radius_sq(z)
+    # one validated lift (an overflowing |z|^2 is refused) behind every kernel
+    z, prof = tensors._lift(z, params)
+    g, ginv = tensors._metric(z, prof), tensors._metric_inverse(z, prof)
+    riem = curvature._riemann(z, prof, params)
     return {
-        "u": u,
+        "u": prof.u,
         "metric": g,
-        "metric_inverse": tensors.metric_inverse(z, params),
-        "christoffel": curvature.christoffel_ceh(z, params),
-        "riemann": curvature.riemann(z, params),
-        "ricci": curvature.ricci(z, params),
-        "kretschmann": curvature.kretschmann(z, params),
-        **geodesics.radial_arclength(u, params)._asdict(),  # psi, distance
-        "spectrum": dataclasses.asdict(hessian.hessian_spectrum(z, params)),
+        "metric_inverse": ginv,
+        "christoffel": curvature._rot_sym_connection(z, prof),
+        "riemann": riem,
+        "ricci": curvature._ricci(ginv, riem),
+        "kretschmann": curvature._kretschmann(prof, params),
+        **geodesics.radial_arclength(prof.u, params)._asdict(),  # psi, distance
+        "spectrum": dataclasses.asdict(hessian._spectrum(prof, params)),
     }
 
 

@@ -28,13 +28,15 @@ gives the squared curvature norm
 strictly decreasing from ``n(n+2)(n^2-1)/a^2`` at the zero section to zero.
 Every function takes lifts ``(..., n)`` (``kretschmann_radial``: radii) and
 returns one tensor or value per lift, its stack axes first: ``[..., lam, mu, alpha]``.
+Each validates its lift once (:func:`cehgeom.tensors._lift`); the private
+kernels behind them take the validated lift and its profile.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensors import _checked, _rank_one_update, hermitian_outer, metric_inverse
+from .tensors import _lift, _metric, _metric_inverse, hermitian_outer
 from .profiles import GeometryParams, RadialProfile, _all, _definite, radial_profile
 
 __all__ = [
@@ -47,8 +49,8 @@ __all__ = [
 ]
 
 
-def _rot_sym_connection(z, u, profile: RadialProfile) -> np.ndarray:
-    phi, omp = profile.phi, _definite(profile).one_minus_phi
+def _rot_sym_connection(z, profile: RadialProfile) -> np.ndarray:
+    u, phi, omp = profile.u, profile.phi, _definite(profile).one_minus_phi
     zb = np.conj(z)
     delta = np.eye(z.shape[-1])
     b = (..., None, None, None)
@@ -73,8 +75,7 @@ def christoffel_ceh(z, params: GeometryParams) -> np.ndarray:
     ``Gamma^lam_{mu alpha} = -(phi/u) (zbar_mu delta^lam_alpha
     + zbar_alpha delta^lam_mu - (n+1) zbar_alpha zbar_mu z^lam / u)``.
     """
-    z, u = _checked(z, params)
-    return _rot_sym_connection(z, u, radial_profile(u, params))
+    return _rot_sym_connection(*_lift(z, params))
 
 
 def riemann(z, params: GeometryParams) -> np.ndarray:
@@ -85,10 +86,12 @@ def riemann(z, params: GeometryParams) -> np.ndarray:
     the anti-holomorphic pair ``nu <-> beta``; Hermitian in the sense
     ``R[..., m, n, a, b] = conj(R[..., n, m, b, a])``.
     """
-    z, u = _checked(z, params)
-    n = params.n
-    prof = _definite(radial_profile(u, params))
-    g = _rank_one_update(z, u, prof.e_psi, -prof.phi)
+    return _riemann(*_lift(z, params), params)
+
+
+def _riemann(z, prof: RadialProfile, params: GeometryParams) -> np.ndarray:
+    n, u = params.n, prof.u
+    g = _metric(z, prof)
     w = prof.e_psi ** (-(n - 1))
     # per-lift coefficients, broadcast over the four tensor axes
     pref, c2, c3 = (np.asarray(c)[..., None, None, None, None] for c in (
@@ -115,8 +118,12 @@ def ricci(z, params: GeometryParams) -> np.ndarray:
     inspected.  The independent route through ``-d dbar log det g`` lives in
     :func:`cehgeom.numdiff.fd_ricci_log_det`.
     """
-    ginv = metric_inverse(z, params)
-    return np.einsum("...na,...mnab->...mb", ginv, riemann(z, params))
+    z, prof = _lift(z, params)
+    return _ricci(_metric_inverse(z, prof), _riemann(z, prof, params))
+
+
+def _ricci(ginv, r) -> np.ndarray:
+    return np.einsum("...na,...mnab->...mb", ginv, r)
 
 
 def kretschmann_radial(u, params: GeometryParams):
@@ -126,8 +133,11 @@ def kretschmann_radial(u, params: GeometryParams):
     ``K = n(n+2)(n^2-1) a^{2n} (a^n + u^n)^{-2(n+1)/n}``; evaluated through
     the profile functions so neither power overflows.
     """
+    return _kretschmann(radial_profile(u, params), params)
+
+
+def _kretschmann(prof: RadialProfile, params: GeometryParams):
     n = params.n
-    prof = radial_profile(u, params)
     # a^n/(a^n+u^n)^((n+1)/n) = phi * e^-psi / u
     pref = prof.phi / (prof.u * prof.e_psi)
     return n * (n + 2) * (n**2 - 1) * pref**2
@@ -135,26 +145,27 @@ def kretschmann_radial(u, params: GeometryParams):
 
 def kretschmann(z, params: GeometryParams):
     """Squared curvature norm at lifts ``(..., n)``, one value per lift."""
-    return kretschmann_radial(_checked(z, params)[1], params)
+    return _kretschmann(_lift(z, params)[1], params)
 
 
 def kretschmann_contracted(z, params: GeometryParams):
     """Brute-force curvature norm at lifts ``(..., n)``: contract the
     Riemann tensor with itself, every index raised explicitly with the
     inverse metric."""
-    return _squared_norm(riemann(z, params), z, params)
+    z, prof = _lift(z, params)
+    return _squared_norm(_riemann(z, prof, params), z, prof)
 
 
-def _squared_norm(r, z, params: GeometryParams):
+def _squared_norm(r, z, prof: RadialProfile):
     """``|R|^2 = R_{mnab} R_{rscd} g^{sm} g^{nr} g^{da} g^{bc}`` of lowered
-    curvature tensors ``r`` at the lifts ``z`` they belong to, every index
-    raised with :func:`metric_inverse`.
+    curvature tensors ``r`` at the validated lifts ``z`` they belong to,
+    every index raised with the inverse metric.
 
     Four matrix products in the order of numpy's greedy einsum plan, which
     give that plan's result to the bit; the plan's first two products are
     the same product, ``P`` below."""
-    ginv = metric_inverse(z, params)
-    n = params.n
+    ginv = _metric_inverse(z, prof)
+    n = z.shape[-1]
     lead, m = r.shape[:-4], n * n
     k = len(lead)
 

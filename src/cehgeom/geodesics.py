@@ -52,9 +52,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .charts import _base_chart, zero_section_restriction
-from .tensors import _checked, _one_point
-from .profiles import (DomainError, GeometryParams, _definite, _phi, radial_profile,
-                       radius_sq)
+from .tensors import _lift, _one_point
+from .profiles import DomainError, GeometryParams, _definite, _phi, radius_sq
 
 __all__ = [
     "GeodesicState",
@@ -173,11 +172,11 @@ def energy(z, v, params: GeometryParams):
     ``e^psi (|v - <z,v>/u z|^2 + (1 - phi) |<z,v>|^2/u)``, so a radial
     velocity near the zero section, where ``phi`` rounds to 1, keeps its
     digits."""
-    z, u = _checked(z, params)
-    prof = _definite(radial_profile(u, params))
+    z, prof = _lift(z, params)
+    u, omp = prof.u, _definite(prof).one_minus_phi
     v = np.asarray(v, dtype=complex)
     ip = np.einsum("...m,...m->...", np.conj(z), v)  # <z, v>
-    radial = prof.one_minus_phi * (ip.real**2 + ip.imag**2) / u
+    radial = omp * (ip.real**2 + ip.imag**2) / u
     return prof.e_psi * (radius_sq(v - (ip / u)[..., None] * z) + radial)
 
 

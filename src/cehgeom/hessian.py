@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesics import _sqrt_psi
-from .tensors import _checked
-from .profiles import GeometryParams, _check_u, radial_profile
+from .tensors import _lift
+from .profiles import GeometryParams, RadialProfile, _check_u, radial_profile
 
 __all__ = [
     "HessianSpectrum",
@@ -47,18 +47,16 @@ __all__ = [
 ]
 
 
-def _psi_jet(u, params: GeometryParams, where: str):
-    """``(psi, psi', psi'', Upsilon)`` at a radius or an array of radii,
-    from one evaluation of ``psi`` and one of the profile.
+def _psi_jet(prof: RadialProfile, params: GeometryParams):
+    """``(psi, psi', psi'', Upsilon)`` at the radius or radii of a profile,
+    from one evaluation of ``psi``.
 
     ``u^n/(a^n+u^n)`` is ``1 - phi``, and ``((n-2) a^n - u^n)/(a^n+u^n) =
     (n-1) phi - 1`` keeps ``psi''`` stable at both ends of the radial range.
     """
-    u = _check_u(u, where)
-    n = params.n
+    u, n = prof.u, params.n
     d = _sqrt_psi(u, n, params.a)
     psi = d * d
-    prof = radial_profile(u, params)
     dp = d / np.sqrt(u) * prof.one_minus_phi ** ((n - 1.0) / (2.0 * n))
     d2p = dp / (2.0 * psi) * (dp + psi * ((n - 1) * prof.phi - 1.0) / u)
     return psi, dp, d2p, (n - 1) * prof.phi / u
@@ -66,17 +64,20 @@ def _psi_jet(u, params: GeometryParams, where: str):
 
 def upsilon(u, params: GeometryParams):
     """Connection coefficient ``(n-1) a^n / (u (a^n+u^n))``."""
-    return _psi_jet(u, params, "upsilon")[3]
+    u = _check_u(u, "upsilon")
+    return _psi_jet(radial_profile(u, params), params)[3]
 
 
 def psi_prime(u, params: GeometryParams):
     """Radial derivative of the squared distance to the zero section."""
-    return _psi_jet(u, params, "psi_prime")[1]
+    u = _check_u(u, "psi_prime")
+    return _psi_jet(radial_profile(u, params), params)[1]
 
 
 def psi_second_derivative(u, params: GeometryParams):
     """Second radial derivative of the squared distance."""
-    return _psi_jet(u, params, "psi_second_derivative")[2]
+    u = _check_u(u, "psi_second_derivative")
+    return _psi_jet(radial_profile(u, params), params)[2]
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,8 @@ class HessianSpectrum:
 def hessian_blocks(z, params: GeometryParams) -> np.ndarray:
     """Assembled ``2n x 2n`` real symmetric Hessian in ``(x..., y...)``
     order at lifts ``(..., n)``, shape ``(..., 2n, 2n)``."""
-    z = _checked(z, params)[0]
-    return _assemble(z, hessian_spectrum(z, params))
+    z, prof = _lift(z, params)
+    return _assemble(z, _spectrum(prof, params))
 
 
 def _assemble(z, spec: HessianSpectrum) -> np.ndarray:
@@ -123,12 +124,15 @@ def _assemble(z, spec: HessianSpectrum) -> np.ndarray:
 def hessian_spectrum(z, params: GeometryParams) -> HessianSpectrum:
     """Closed-form spectrum of :func:`hessian_blocks` at lifts ``(..., n)``,
     one value of each field per lift."""
-    z, u = _checked(z, params)
-    psi, dp, d2p, ups = _psi_jet(u, params, "hessian_spectrum")
+    return _spectrum(_lift(z, params)[1], params)
+
+
+def _spectrum(prof: RadialProfile, params: GeometryParams) -> HessianSpectrum:
+    psi, dp, d2p, ups = _psi_jet(prof, params)
     return HessianSpectrum(
         lambda1=2.0 * dp,
-        lambda2=2.0 * u * dp**2 / psi,
-        lambda3=2.0 * dp * (1.0 + u * ups),
+        lambda2=2.0 * prof.u * dp**2 / psi,
+        lambda3=2.0 * dp * (1.0 + prof.u * ups),
         upsilon=ups,
         coef_a=2.0 * d2p / dp - ups,
         coef_b=ups,

@@ -49,6 +49,9 @@ step would sit right at the 1e-6 certification tolerance; the fourth-order
 one clears it by three orders of magnitude).
 
 :func:`verify_pipeline` returns the ``checks`` object ``cehgeom verify`` prints.
+Public closed forms validate their lift once; each point builds one lift
+whose kernels give the other closed forms, while the stencil fields and the
+point's metric, connection and curvature go through the public forms.
 """
 
 from __future__ import annotations
@@ -62,7 +65,9 @@ import numpy as np
 from . import curvature as _curvature
 from . import hessian as _hessian
 from . import volform as _volform
-from .tensors import _checked, _one_point, homothety_residual, metric, metric_inverse
+from .tensors import (
+    _checked, _homothety_residual, _lift, _metric_inverse, _one_point, metric,
+)
 from .profiles import (
     DomainError, GeometryParams, potential, radius_sq, roots_of_unity_sum,
 )
@@ -304,19 +309,23 @@ def _first_order_fd(z, g, params: GeometryParams):
 
 def _point_checks(z, params: GeometryParams, alpha: float):
     """``(name, residual, tolerance)`` of each check at one lift; ``alpha``
-    is the homothety factor."""
+    is the homothety factor.  The metric (at the lift and its mu_n
+    rotation), connection and curvature go through the public forms, which
+    the field controls patch; the other closed forms are kernels of one lift
+    of ``z``."""
     n = params.n
     maxabs = lambda x: np.abs(x).max()
+    z, prof = _lift(z, params)
     g, gamma = metric(z, params), _curvature.christoffel_ceh(z, params)
-    ginv = metric_inverse(z, params)
+    ginv = _metric_inverse(z, prof)
     riem = _curvature.riemann(z, params)
-    spec = _hessian.hessian_spectrum(z, params)
-    k = _curvature.kretschmann_radial(radius_sq(z), params)
-    k_contr = _curvature._squared_norm(riem, z, params)
+    spec = _hessian._spectrum(prof, params)
+    k = _curvature._kretschmann(prof, params)
+    k_contr = _curvature._squared_norm(riem, z, prof)
     eigs = np.sort(np.linalg.eigvalsh(_hessian._assemble(z, spec)))
     rotated = metric(np.exp(2j * np.pi / n) * z, params)
-    nabla_eps = _volform.covariant_derivative_epsilon(z, params, christoffel=gamma)
-    volform_norm = _volform.volform_norm_sq(z, params) * math.factorial(n)
+    nabla_eps = _volform._nabla_epsilon(gamma)
+    volform_norm = _volform._norm_sq(z, prof) * math.factorial(n)
     g_fd, ricci_fd = _second_order_fd(z, params)
     gamma_fd, riem_fd = _first_order_fd(z, g, params)
     yield "metric_vs_potential", maxabs(g - g_fd), TOL_FD_METRIC
@@ -329,7 +338,7 @@ def _point_checks(z, params: GeometryParams, alpha: float):
     yield "hermiticity", maxabs(g - g.conj().T), TOL_HERMITIAN
     yield "mu_n_invariance", maxabs(rotated - g), TOL_MU_N
     yield "metric_positivity", -np.linalg.eigvalsh(g).min(), TOL_POSITIVITY
-    yield "homothety", homothety_residual(z, alpha, params), TOL_HOMOTHETY
+    yield "homothety", _homothety_residual(z, prof, alpha, params), TOL_HOMOTHETY
     yield "volform_norm", abs(volform_norm - 1.0), TOL_VOLFORM
     yield "nabla_epsilon", maxabs(nabla_eps), TOL_NABLA_EPSILON
     yield "hessian_spectrum", maxabs(eigs - spec.multiset(n)), TOL_SPECTRUM

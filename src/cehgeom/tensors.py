@@ -15,6 +15,10 @@ with the profile functions from :mod:`cehgeom.profiles`.  The closed forms
 take a stack of lifts of shape ``(..., n)`` and return one tensor per lift,
 ``(..., n, n)``; a single lift is a stack with no leading axes.
 
+Every public closed form validates its lift once: :func:`_lift` returns
+the lift and its profile, and the private kernels here and in the other
+modules take that validated lift, so a composite form calls kernels on it.
+
 Index convention: ``metric(z)[mu, nu]`` holds the component with
 holomorphic index ``mu`` and anti-holomorphic index ``nu``; indices on ``z``
 are raised and lowered with the Euclidean metric, so no conjugation is
@@ -28,6 +32,7 @@ import numpy as np
 from .profiles import (
     DomainError,
     GeometryParams,
+    RadialProfile,
     _all,
     _definite,
     radial_profile,
@@ -84,6 +89,13 @@ def _reject(z, u, ok):
     raise DomainError(f"zero vector is not a point of the punctured quotient{where}")
 
 
+def _lift(z, params: GeometryParams):
+    """Validated lifts ``z`` of shape ``(..., n)`` and their profile, which
+    carries ``u = |z|^2``: the one argument of every closed-form kernel."""
+    z, u = _checked(z, params)
+    return z, radial_profile(u, params)
+
+
 def _one_point(z, params: GeometryParams = None):
     """A single validated lift, as a 1-d vector, and its radius ``|z|^2``."""
     z, u = _checked(z, params)
@@ -105,11 +117,20 @@ def hermitian_outer(z) -> np.ndarray:
     return (x * xt + y * yt) + 1j * (x * yt - y * xt)
 
 
-def _rank_one_update(z, u, scale, coef):
+def _rank_one_update(z, prof: RadialProfile, scale, coef):
     # scale (delta + coef zbar (x) z / u), one (n, n) block per lift
     b = (..., None, None)
-    outer = hermitian_outer(z) / np.asarray(u)[b]
+    outer = hermitian_outer(z) / np.asarray(prof.u)[b]
     return np.asarray(scale)[b] * (np.eye(z.shape[-1]) + np.asarray(coef)[b] * outer)
+
+
+def _metric(z, prof: RadialProfile) -> np.ndarray:
+    return _rank_one_update(z, prof, _definite(prof).e_psi, -prof.phi)
+
+
+def _metric_inverse(z, prof: RadialProfile) -> np.ndarray:
+    prof = _definite(prof)
+    return _rank_one_update(z, prof, 1.0 / prof.e_psi, prof.phi / prof.one_minus_phi)
 
 
 def metric(z, params: GeometryParams) -> np.ndarray:
@@ -118,9 +139,7 @@ def metric(z, params: GeometryParams) -> np.ndarray:
 
     Hermitian positive definite with ``det g = 1`` identically.
     """
-    z, u = _checked(z, params)
-    prof = _definite(radial_profile(u, params))
-    return _rank_one_update(z, u, prof.e_psi, -prof.phi)
+    return _metric(*_lift(z, params))
 
 
 def metric_inverse(z, params: GeometryParams) -> np.ndarray:
@@ -130,9 +149,7 @@ def metric_inverse(z, params: GeometryParams) -> np.ndarray:
     ``z`` (unconjugated, Euclidean-lowered) is an eigenvector with eigenvalue
     ``e^-psi / (1 - phi)``; directions orthogonal to it get ``e^-psi``.
     """
-    z, u = _checked(z, params)
-    prof = _definite(radial_profile(u, params))
-    return _rank_one_update(z, u, 1.0 / prof.e_psi, prof.phi / prof.one_minus_phi)
+    return _metric_inverse(*_lift(z, params))
 
 
 def fubini_study(zeta) -> np.ndarray:
@@ -158,9 +175,12 @@ def homothety_residual(z, alpha: float, params: GeometryParams):
     """
     if not alpha > 0:
         raise DomainError(f"homothety factor must be positive, got {alpha!r}")
-    z = _checked(z, params)[0]
+    return _homothety_residual(*_lift(z, params), alpha, params)
+
+
+def _homothety_residual(z, prof: RadialProfile, alpha: float, params: GeometryParams):
     g_scaled = metric(alpha * z, GeometryParams(params.n, alpha**2 * params.a))
-    return np.abs(g_scaled - metric(z, params)).max(axis=(-2, -1))
+    return np.abs(g_scaled - _metric(z, prof)).max(axis=(-2, -1))
 
 
 def random_points(num: int, params: GeometryParams, rng) -> np.ndarray:

@@ -23,9 +23,9 @@ import math
 import numpy as np
 
 from .charts import ChartPoint, _check_dim
-from .curvature import christoffel_ceh
-from .tensors import _checked, metric
-from .profiles import GeometryParams
+from .curvature import _rot_sym_connection
+from .tensors import _lift, _metric
+from .profiles import GeometryParams, RadialProfile
 
 __all__ = [
     "volform_norm_sq",
@@ -36,8 +36,11 @@ __all__ = [
 def volform_norm_sq(z, params: GeometryParams):
     """Squared norm of the holomorphic volume form, ``det(metric)/n!``, one
     value per lift of ``(..., n)``."""
-    det = np.linalg.det(metric(z, params)).real
-    return det / math.factorial(params.n)
+    return _norm_sq(*_lift(z, params))
+
+
+def _norm_sq(z, prof: RadialProfile):
+    return np.linalg.det(_metric(z, prof)).real / math.factorial(z.shape[-1])
 
 
 def covariant_derivative_epsilon(
@@ -50,8 +53,12 @@ def covariant_derivative_epsilon(
     Zero for the Ricci-flat connection; pass ``christoffel`` (indexed
     ``[..., lam, mu, alpha]``) to probe other connections.
     """
-    z = _checked(z, params)[0]
-    gamma = christoffel_ceh(z, params) if christoffel is None else christoffel
+    z, prof = _lift(z, params)
+    return _nabla_epsilon(_rot_sym_connection(z, prof) if christoffel is None
+                          else christoffel)
+
+
+def _nabla_epsilon(gamma) -> np.ndarray:
     return -np.trace(gamma, axis1=-3, axis2=-2)
 
 

@@ -60,8 +60,7 @@ def f_second(u, params):
 def christoffel_rot_sym(z, profile: RadialProfile):
     """Connection of the rotationally symmetric metric of ``profile``, which
     must be evaluated at ``u = |z|^2``; indexed ``[..., lam, mu, alpha]``."""
-    z, u = _checked(z)
-    return _rot_sym_connection(z, u, profile)
+    return _rot_sym_connection(_checked(z)[0], profile)
 
 
 def chart_jacobian(p, params):

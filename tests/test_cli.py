@@ -108,6 +108,42 @@ def test_eval_where_one_minus_phi_underflows(capsys):
     assert err == "error: degenerate metric: 1 - phi = 0.0 <= 0\n"
 
 
+# --- one validated lift ----------------------------------------------------------
+
+def _lift_checks(monkeypatch, capsys, *argv):
+    """Calls of ``_checked`` and ``radial_profile`` in one CLI run, counted
+    through every ``cehgeom`` module that binds them."""
+    from cehgeom import profiles
+
+    calls = {"_checked": 0, "radial_profile": 0}
+    for name, real in (("_checked", tensors._checked),
+                       ("radial_profile", profiles.radial_profile)):
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "cehgeom"]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    assert run_cli(capsys, *argv)[0] == 0
+    return calls
+
+
+def test_eval_validates_its_lift_once(monkeypatch, capsys):
+    for spec in ("--point=1+0.5i,0.3i,-0.2+0i", "--chart=2:0.5+0.1i:0.3:0.2i"):
+        calls = _lift_checks(monkeypatch, capsys, "eval", "--n", "3", spec)
+        assert calls == {"_checked": 1, "radial_profile": 1}, spec
+
+
+def test_verify_point_lifts(monkeypatch, capsys):
+    # the stack check (no profile), the point's lift, the public metric,
+    # connection and curvature at the point and at its mu_n rotation, which
+    # the field controls patch, the homothety's scaled lift, and one lift per
+    # public field call of the two stencils
+    calls = _lift_checks(monkeypatch, capsys, "verify", "--n", "3", "--points", "1")
+    assert calls["_checked"] <= 10 and calls["radial_profile"] <= 9
+
+
 # --- verify --------------------------------------------------------------------
 
 def test_verify_passes(capsys):
@@ -682,7 +718,7 @@ def test_json_writer_rejects_non_finite(bad, where):
 def test_non_finite_output_is_not_written(monkeypatch, capsys, tmp_path):
     from cehgeom import curvature
 
-    monkeypatch.setattr(curvature, "kretschmann", lambda z, params: float("nan"))
+    monkeypatch.setattr(curvature, "_kretschmann", lambda z, params: float("nan"))
     path = tmp_path / "eval.json"
     rc, out, err = run_cli(capsys, "eval", "--n", "2", "--point=1+0i,0+0i",
                            "--output", str(path))

@@ -160,13 +160,15 @@ def test_eigenvalues_bounded_below_on_compact_range(params2):
 
 def test_spectrum_evaluates_psi_and_profile_once(monkeypatch, params3):
     # one psi and one profile evaluation per call, for one lift and for a
-    # stack of seven alike
+    # stack of seven alike; the profile is built with the lift, in tensors
     import cehgeom.hessian as hessian_module
+    import cehgeom.tensors as tensors_module
 
     calls = {"_sqrt_psi": 0, "radial_profile": 0}
+    binding = {"_sqrt_psi": hessian_module, "radial_profile": tensors_module}
 
     def counting(name):
-        real = getattr(hessian_module, name)
+        real = getattr(binding[name], name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -175,7 +177,7 @@ def test_spectrum_evaluates_psi_and_profile_once(monkeypatch, params3):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(hessian_module, name, counting(name))
+        monkeypatch.setattr(binding[name], name, counting(name))
     zs = seeded_points(7, 3, params3.a, seed=8)
     for z in (zs[0], zs):
         calls.update(dict.fromkeys(calls, 0))

@@ -405,8 +405,8 @@ def test_uncorrupted_controls_pass():
 
 
 def test_inverse_identity_sees_wrong_inverse(monkeypatch):
-    exact = tensors.metric_inverse
-    monkeypatch.setattr(numdiff, "metric_inverse", lambda z, p: 1.001 * exact(z, p))
+    exact = tensors._metric_inverse
+    monkeypatch.setattr(numdiff, "_metric_inverse", lambda z, p: 1.001 * exact(z, p))
     assert _failing() == ["inverse_identity"]
 
 
@@ -438,7 +438,7 @@ def test_homothety_sees_dropped_scale(monkeypatch):
 
 
 def test_volform_norm_sees_wrong_determinant(monkeypatch):
-    monkeypatch.setattr(volform, "metric", lambda z, p: 1.001 * metric(z, p))
+    monkeypatch.setattr(volform, "_metric", lambda z, p: 1.001 * tensors._metric(z, p))
     assert _failing() == ["volform_norm"]
 
 
@@ -452,13 +452,13 @@ def test_nabla_epsilon_sees_connection_trace(monkeypatch):
 
 
 def test_hessian_spectrum_sees_wrong_eigenvalue(monkeypatch):
-    exact = hessian.hessian_spectrum
+    exact = hessian._spectrum
 
     def corrupted(z, p):
         spec = exact(z, p)
         return dataclasses.replace(spec, lambda2=spec.lambda2 * (1 + 1e-3))
 
-    monkeypatch.setattr(hessian, "hessian_spectrum", corrupted)
+    monkeypatch.setattr(hessian, "_spectrum", corrupted)
     assert _failing() == ["hessian_spectrum"]
 
 
