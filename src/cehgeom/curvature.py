@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import _lift, _metric, _metric_inverse, hermitian_outer
-from .profiles import GeometryParams, RadialProfile, _all, _definite, radial_profile
+from .tensors import _lift, _metric, _metric_inverse, _outer, hermitian_outer
+from .profiles import GeometryParams, RadialProfile, _definite, radial_profile
 
 __all__ = [
     "christoffel_ceh",
@@ -59,12 +59,9 @@ def _rot_sym_connection(z, profile: RadialProfile) -> np.ndarray:
         "lm,...a->...lma", delta, zb
     )
     coef = (phi * omp - u * profile.phi_prime) / (u * omp)
-    zl = z
-    if not _all(phi != 0.0):
-        # where phi and the cubic coefficient are 0 (phi's power overflowed)
-        # the cubic term is 0, but zbar zbar z may overflow: z = 0 in it there
-        zl = np.where(np.asarray((phi == 0.0) & (coef == 0.0))[..., None], 0.0, z)
-    cubic = np.einsum("...a,...m,...l->...lma", zb, zb, zl) / np.asarray(u)[b]
+    # zbar_mu zbar_alpha / u is at most 1: no finite lift overflows the cubic
+    pair = _outer(zb, zb) / np.asarray(u)[..., None, None]
+    cubic = np.einsum("...ma,...l->...lma", pair, z)
     return -np.asarray(phi / u)[b] * sym + np.asarray(coef)[b] * cubic
 
 

@@ -112,9 +112,15 @@ def hermitian_outer(z) -> np.ndarray:
     multiply-adds in the complex product leave O(eps) asymmetry.
     """
     z = np.asarray(z)
-    x, y = z.real[..., :, None], z.imag[..., :, None]
-    xt, yt = z.real[..., None, :], z.imag[..., None, :]
-    return (x * xt + y * yt) + 1j * (x * yt - y * xt)
+    return _outer(np.conj(z), z)
+
+
+def _outer(p, q) -> np.ndarray:
+    """Products ``p_i q_j`` of stacks ``(..., n)``, shape ``(..., n, n)``,
+    from real and imaginary parts: bitwise symmetric for ``p = q``."""
+    pr, pi = p.real[..., :, None], p.imag[..., :, None]
+    qr, qi = q.real[..., None, :], q.imag[..., None, :]
+    return (pr * qr - pi * qi) + 1j * (pr * qi + pi * qr)
 
 
 def _rank_one_update(z, prof: RadialProfile, scale, coef):

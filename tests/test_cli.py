@@ -102,6 +102,15 @@ def test_eval_where_phi_power_overflows(capsys):
     assert doc["kretschmann"] == 0.0
 
 
+def test_eval_connection_far_out(capsys):
+    # |z| = 1e103 at a = 1e200: Gamma is about 1e-115, and finite
+    rc, out, err = run_cli(capsys, "eval", "--n", "2", "--a", "1e200",
+                           "--point=1e103+0i,0+0i")
+    assert rc == 0 and err == ""
+    gamma = np.array(json.loads(out)["christoffel"])
+    assert np.isfinite(gamma).all() and 0 < np.abs(gamma).max() < 1e-114
+
+
 def test_eval_where_one_minus_phi_underflows(capsys):
     rc, out, err = run_cli(capsys, "eval", "--n", "4", "--point=1e-40+0i,0+0i,0+0i,0+0i")
     assert rc == 2 and out == ""

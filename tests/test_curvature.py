@@ -77,6 +77,16 @@ def test_ceh_decay_at_infinity(params2):
     assert np.abs(gamma).max() < 1e-10
 
 
+@pytest.mark.parametrize("z", [[1e3, 0], [1e3, 0.5e3j]])
+def test_ceh_homothety_far_out(z):
+    # Gamma scales as 1/length under z -> alpha z, a -> alpha^2 a; at
+    # |z| = 1e103 the product zbar zbar z alone would overflow
+    z = np.array(z, dtype=complex)
+    far = christoffel_ceh(1e100 * z, GeometryParams(2, 1e200))
+    near = christoffel_ceh(z, GeometryParams(2, 1.0)) / 1e100
+    assert np.abs(far - near).max() <= 1e-14 * np.abs(near).max()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_ceh_vs_fd(n):
     p = GeometryParams(n, 1.0)
