@@ -145,10 +145,10 @@ def test_eval_validates_its_lift_once(monkeypatch, capsys):
 
 
 def test_verify_point_lifts(monkeypatch, capsys):
-    # the stack check (no profile), the point's lift, the public metric,
-    # connection and curvature at the point and at its mu_n rotation, which
-    # the field controls patch, the homothety's scaled lift, and one lift per
-    # public field call of the two stencils
+    # the stack check (no profile), the point's lift, the homothety's scaled
+    # lift, one lift per public field call of the two stencils, and the
+    # public metric (at the point and its mu_n rotation), connection and
+    # curvature, which the field controls and the per-stencil call count pin
     calls = _lift_checks(monkeypatch, capsys, "verify", "--n", "3", "--points", "1")
     assert calls["_checked"] <= 10 and calls["radial_profile"] <= 9
 
