@@ -26,7 +26,7 @@ in each of the x and y directions (central2) or 4 (central4).
 point, its field the closed forms it needs stacked on a trailing axis:
 
     order   stencil                   points   field calls    field
-    first   central2, FD_FIRST        4 n      1              metric, christoffel_ceh
+    first   central2, FD_FIRST        4 n      1              metric, connection
     second  central4 mixed Hessian,   64 n^2   1 for n <= 8   potential(|w|^2),
             FD_SECOND                                         log det metric
 
@@ -49,9 +49,9 @@ step would sit right at the 1e-6 certification tolerance; the fourth-order
 one clears it by three orders of magnitude).
 
 :func:`verify_pipeline` returns the ``checks`` object ``cehgeom verify`` prints.
-Public closed forms validate their lift once; each point builds one lift
-whose kernels give the other closed forms, while the stencil fields and the
-point's metric, connection and curvature go through the public forms.
+Every closed form is a kernel of one lift per evaluation site (the point,
+its mu_n rotation and homothetic image, each stencil field call), and the
+negative controls patch the kernels.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from . import curvature as _curvature
 from . import hessian as _hessian
 from . import volform as _volform
 from .tensors import (
-    _checked, _homothety_residual, _lift, _metric_inverse, _one_point, metric,
+    _checked, _homothety_residual, _lift, _metric, _metric_inverse, _one_point,
 )
 from .profiles import (
     DomainError, GeometryParams, potential, radius_sq, roots_of_unity_sum,
@@ -283,7 +283,7 @@ def _second_order_fd(z, params: GeometryParams):
     """FD metric (``d dbar`` of the potential) and FD Ricci tensor
     (``-d dbar log det g``) at one lift, from one nested central4 stencil of
     the two fields stacked on a trailing axis."""
-    log_det = _log_det_field(lambda w: metric(w, params))
+    log_det = _log_det_field(lambda w: _metric(*_lift(w, params)))
     h = complex_hessian(
         lambda w: np.stack([potential(radius_sq(w), params), log_det(w)], axis=-1), z)
     return h[..., 0], -h[..., 1]
@@ -292,14 +292,15 @@ def _second_order_fd(z, params: GeometryParams):
 def _first_order_fd(z, g, params: GeometryParams):
     """FD connection (``d`` of the metric) and FD curvature (``dbar`` of the
     connection) at one lift with metric ``g``, from one central2 stencil of
-    the two fields side by side on a trailing axis."""
+    the two kernels of one lift side by side on a trailing axis."""
     n = params.n
     m = n * n
 
     def field(w):
+        w, prof = _lift(w, params)
         k = len(w)
-        return np.concatenate([metric(w, params).reshape(k, m),
-                               _curvature.christoffel_ceh(w, params).reshape(k, m * n)],
+        return np.concatenate([_metric(w, prof).reshape(k, m),
+                               _curvature._rot_sym_connection(w, prof).reshape(k, m * n)],
                               axis=-1)
 
     d, dbar = wirtinger_partial(field, z, range(n), conjugate=None)
@@ -309,21 +310,20 @@ def _first_order_fd(z, g, params: GeometryParams):
 
 def _point_checks(z, params: GeometryParams, alpha: float):
     """``(name, residual, tolerance)`` of each check at one lift; ``alpha``
-    is the homothety factor.  The metric (at the lift and its mu_n
-    rotation), connection and curvature go through the public forms, which
-    the field controls patch; the other closed forms are kernels of one lift
-    of ``z``."""
+    is the homothety factor.  Every closed form is a kernel of one lift per
+    evaluation site (``z``, its mu_n rotation and each stencil field call);
+    the controls patch the kernels."""
     n = params.n
     maxabs = lambda x: np.abs(x).max()
     z, prof = _lift(z, params)
-    g, gamma = metric(z, params), _curvature.christoffel_ceh(z, params)
+    g, gamma = _metric(z, prof), _curvature._rot_sym_connection(z, prof)
     ginv = _metric_inverse(z, prof)
-    riem = _curvature.riemann(z, params)
+    riem = _curvature._riemann(z, prof, params)
     spec = _hessian._spectrum(prof, params)
     k = _curvature._kretschmann(prof, params)
     k_contr = _curvature._squared_norm(riem, z, prof)
     eigs = np.sort(np.linalg.eigvalsh(_hessian._assemble(z, spec)))
-    rotated = metric(np.exp(2j * np.pi / n) * z, params)
+    rotated = _metric(*_lift(np.exp(2j * np.pi / n) * z, params))
     nabla_eps = _volform._nabla_epsilon(gamma)
     volform_norm = _volform._norm_sq(z, prof) * math.factorial(n)
     g_fd, ricci_fd = _second_order_fd(z, params)

@@ -145,12 +145,11 @@ def test_eval_validates_its_lift_once(monkeypatch, capsys):
 
 
 def test_verify_point_lifts(monkeypatch, capsys):
-    # the stack check (no profile), the point's lift, the homothety's scaled
-    # lift, one lift per public field call of the two stencils, and the
-    # public metric (at the point and its mu_n rotation), connection and
-    # curvature, which the field controls and the per-stencil call count pin
+    # the stack check (no profile), then one lift each for the point, its
+    # mu_n rotation, the homothety's scaled lift and each stencil's one field
+    # call; every closed form is a kernel of one of these lifts
     calls = _lift_checks(monkeypatch, capsys, "verify", "--n", "3", "--points", "1")
-    assert calls["_checked"] <= 10 and calls["radial_profile"] <= 9
+    assert calls == {"_checked": 6, "radial_profile": 5}
 
 
 # --- verify --------------------------------------------------------------------

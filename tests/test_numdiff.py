@@ -207,12 +207,12 @@ def test_pipeline_corrupted_metric_fails(monkeypatch):
     p = GeometryParams(2, 1.0)
     z = seeded_points(1, 2, 1.0, seed=7)[0]
 
-    def corrupted(w, params):
-        g = metric(w, params).copy()
+    def corrupted(w, prof):
+        g = tensors._metric(w, prof).copy()
         g[..., 0, 0] += 1e-3
         return g
 
-    monkeypatch.setattr(numdiff, "metric", corrupted)
+    monkeypatch.setattr(numdiff, "_metric", corrupted)
     report = verify_pipeline(z, p, np.random.default_rng(0))
     assert not report["det_unity"]["passed"]
     assert not report["ricci_log_det"]["passed"]
@@ -272,15 +272,15 @@ def test_pipeline_evaluates_each_field_once_per_stencil(monkeypatch):
 
         monkeypatch.setattr(mod, name, wrapped)
 
-    spy(numdiff, "metric")
+    spy(numdiff, "_metric")
     spy(numdiff, "potential", one=0)  # of radii
-    spy(curvature, "christoffel_ceh")
-    spy(curvature, "riemann")
+    spy(curvature, "_rot_sym_connection")
+    spy(curvature, "_riemann")
     verify_pipeline(seeded_points(num, n, p.a), p, np.random.default_rng(0))
-    assert sorted(calls["metric"]) == sorted([1, 1, 4 * n, 64 * n * n] * num)
+    assert sorted(calls["_metric"]) == sorted([1, 1, 4 * n, 64 * n * n] * num)
     assert calls["potential"] == [64 * n * n] * num
-    assert sorted(calls["christoffel_ceh"]) == sorted([1, 4 * n] * num)
-    assert calls["riemann"] == [1] * num
+    assert sorted(calls["_rot_sym_connection"]) == sorted([1, 4 * n] * num)
+    assert calls["_riemann"] == [1] * num
 
 
 # --- batched stencil against the nested oracle ------------------------------------
@@ -377,12 +377,12 @@ def test_pipeline_corrupted_field_off_point_fails(monkeypatch):
     z = seeded_points(1, 2, 1.0, seed=7)[0]
     u0 = radius_sq(z)
 
-    def corrupted(w, params):
+    def corrupted(w, prof):
         bump = 1e-3 * (radius_sq(w) - u0)
-        return metric(w, params) + bump[..., None, None] * np.eye(2)
+        return tensors._metric(w, prof) + bump[..., None, None] * np.eye(2)
 
-    assert np.array_equal(corrupted(z, p), metric(z, p))
-    monkeypatch.setattr(numdiff, "metric", corrupted)
+    assert np.array_equal(corrupted(*tensors._lift(z, p)), metric(z, p))
+    monkeypatch.setattr(numdiff, "_metric", corrupted)
     report = verify_pipeline(z, p, np.random.default_rng(0))
     assert not report["christoffel_vs_metric"]["passed"]
     assert not report["ricci_log_det"]["passed"]
@@ -412,8 +412,9 @@ def test_inverse_identity_sees_wrong_inverse(monkeypatch):
 
 def test_hermiticity_sees_skew_part(monkeypatch):
     # i 1e-13 on the diagonal: far below every other tolerance
-    monkeypatch.setattr(numdiff, "metric",
-                        lambda z, p: metric(z, p) + 1e-13j * np.eye(p.n))
+    exact = tensors._metric
+    monkeypatch.setattr(numdiff, "_metric",
+                        lambda z, prof: exact(z, prof) + 1e-13j * np.eye(z.shape[-1]))
     assert _failing() == ["hermiticity"]
 
 
@@ -421,11 +422,12 @@ def test_mu_n_invariance_sees_phase_dependence(monkeypatch):
     # exact to second order at z0, off by 1e-9 at the rotated lift
     z0 = seeded_points(1, 3, 1.0, seed=7)[0]
 
-    def corrupted(z, p):
+    def corrupted(z, prof):
         bump = 1e-9 * radius_sq(z - z0)
-        return metric(z, p) + np.asarray(bump)[..., None, None] * np.eye(p.n)
+        return (tensors._metric(z, prof)
+                + np.asarray(bump)[..., None, None] * np.eye(z.shape[-1]))
 
-    monkeypatch.setattr(numdiff, "metric", corrupted)
+    monkeypatch.setattr(numdiff, "_metric", corrupted)
     assert _failing(n=3) == ["mu_n_invariance"]
 
 
@@ -445,9 +447,10 @@ def test_volform_norm_sees_wrong_determinant(monkeypatch):
 def test_nabla_epsilon_sees_connection_trace(monkeypatch):
     # Gamma^lam_{mu alpha} + 1e-9 delta^lam_mu: a trace the stencils cannot
     # see at their tolerances
-    exact = curvature.christoffel_ceh
-    monkeypatch.setattr(curvature, "christoffel_ceh",
-                        lambda z, p: exact(z, p) + 1e-9 * np.eye(p.n)[:, :, None])
+    exact = curvature._rot_sym_connection
+    monkeypatch.setattr(curvature, "_rot_sym_connection",
+                        lambda z, prof: exact(z, prof)
+                        + 1e-9 * np.eye(z.shape[-1])[:, :, None])
     assert _failing() == ["nabla_epsilon"]
 
 
@@ -493,17 +496,18 @@ def test_metric_vs_potential_sees_scaled_potential(monkeypatch, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_christoffel_vs_metric_sees_scaled_connection(monkeypatch, n):
     # the FD curvature differentiates the same connection field
-    exact = curvature.christoffel_ceh
-    monkeypatch.setattr(curvature, "christoffel_ceh",
-                        lambda z, p: exact(z, p) * (1 + 1e-2))
+    exact = curvature._rot_sym_connection
+    monkeypatch.setattr(curvature, "_rot_sym_connection",
+                        lambda z, prof: exact(z, prof) * (1 + 1e-2))
     assert _fd_failing(n) == ["christoffel_vs_metric", "riemann_vs_christoffel"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_riemann_vs_christoffel_sees_scaled_curvature(monkeypatch, n):
     # the Kretschmann contraction reads the same closed form
-    exact = curvature.riemann
-    monkeypatch.setattr(curvature, "riemann", lambda z, p: exact(z, p) * (1 + 1e-2))
+    exact = curvature._riemann
+    monkeypatch.setattr(curvature, "_riemann",
+                        lambda z, prof, p: exact(z, prof, p) * (1 + 1e-2))
     assert _fd_failing(n) == ["kretschmann_consistency", "riemann_vs_christoffel"]
 
 
