@@ -199,11 +199,11 @@ def potential(u, params: GeometryParams):
         term = zeta**j * np.log(alpha - zeta**j)
         acc = acc + term
         scale = scale + np.abs(term)
-    val = a * (alpha + acc / n)
-    if np.any(np.abs(val.imag) > 1e-9 * np.maximum(1.0, scale)):
+    mean = acc / n  # dimensionless: the bound below does not scale with a
+    if np.any(np.abs(mean.imag) > 1e-9 * np.maximum(1.0, scale)):
         raise ArithmeticError("log branches failed to cancel: residual imag "
-                              f"{float(np.max(np.abs(val.imag)))!r}")
-    return val.real
+                              f"{float(np.max(np.abs(mean.imag)))!r}")
+    return (a * (alpha + mean)).real
 
 
 def roots_of_unity_sum(alpha: complex, n: int) -> complex:

@@ -1,4 +1,5 @@
 import cmath
+import types
 
 import numpy as np
 import pytest
@@ -145,6 +146,30 @@ def test_potential_refuses_radius_where_alpha_rounds_to_one(u, n):
 def test_potential_keeps_its_value_just_above_the_refused_radii():
     assert potential(1e-7, GeometryParams(2, 1.0)) == -15.822879058159389
     assert potential(np.array([1e-7]), GeometryParams(2, 1.0))[0] == -15.822879058159389
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("k", [30, 60, 300])
+def test_potential_is_homogeneous_in_u_and_a(n, k):
+    # f_{2^k a}(2^k u) = 2^k f_a(u) to the bit: u/a and every log are
+    # unchanged and a power of two scales exactly, so the branch check, which
+    # reads the dimensionless log sum, refuses no scale that a = 0.8 passes
+    p, q = GeometryParams(n, 0.8), GeometryParams(n, 2.0**k * 0.8)
+    u = np.geomspace(0.05, 20.0, 9)
+    assert np.array_equal(potential(2.0**k * u, q), 2.0**k * potential(u, p))
+    assert potential(2.0**k * 1.3, q) == 2.0**k * potential(1.3, p)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0**300])
+def test_potential_refuses_branches_that_do_not_cancel(monkeypatch, a):
+    # a root of unity off by a relative 1e-6 in its phase leaves an
+    # imaginary part of that order in the log sum, at every scale
+    fake = types.SimpleNamespace(pi=cmath.pi, exp=lambda w: cmath.exp(w * (1 + 1e-6)))
+    monkeypatch.setattr(profiles, "cmath", fake)
+    with pytest.raises(ArithmeticError, match="log branches failed to cancel"):
+        potential(1.3 * a, GeometryParams(3, a))
+    with pytest.raises(ArithmeticError, match="log branches failed to cancel"):
+        potential(np.array([0.5, 1.3]) * a, GeometryParams(3, a))
 
 
 def test_roots_of_unity_hand_values():
