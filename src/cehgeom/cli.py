@@ -1,11 +1,11 @@
 """Command-line surface: point evaluation, verification sweeps, geodesic
 runs and radial scans, with machine-readable JSON/CSV output.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage, validation
-or arithmetic error (no output is written then).  Complex literals are
-written ``a+bi`` / ``a-bi`` with no spaces.  JSON is indented by two
-spaces, floats in their shortest round-trip ``repr``, complex numbers as
-``[re, im]`` pairs; one bulk writer produces the bytes that
+Exit codes: 0 success, 1 a verification check failed, 2 usage, validation,
+arithmetic, output or allocation error (no output is written then).  Complex
+literals are written ``a+bi`` / ``a-bi`` with no spaces.  JSON is indented
+by two spaces, floats in their shortest round-trip ``repr``, complex numbers
+as ``[re, im]`` pairs; one bulk writer produces the bytes that
 ``json.dumps(doc, indent=2, allow_nan=False)`` would, formatting each
 complex array in one pass.  CSV is one ``%.17g`` pass over a float matrix.
 """
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
               f"computed in double precision: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

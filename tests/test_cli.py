@@ -459,10 +459,16 @@ def test_eval_near_zero_section(capsys):
     ["verify", "--points", "0"],
     ["geodesic", "--point=1+0i,0+0i", "--velocity=0+1i,0.2+0i", "--tol", "0"],
     ["geodesic", "--point=1+0i,0+0i", "--velocity=0+1i,0.2+0i", "--t-end", "inf"],
+    # an unwritable --output, and --points whose arrays numpy refuses at
+    # once (28.4 PiB and 7.1 PiB)
+    ["eval", "--point=1+0i,0+0i", "--output", "/dev/null/x.json"],
+    ["verify", "--points", "1000000000000000"],
+    ["scan", "--quantity", "psi", "--u-min", "1", "--u-max", "2",
+     "--points", "1000000000000000"],
 ])
 def test_non_finite_results_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
-    assert rc == 2
+    assert rc == 2 and out == ""
     assert "nan" not in out.lower() and "traceback" not in err.lower()
     assert err.startswith("error: ") and err.count("\n") == 1
 
