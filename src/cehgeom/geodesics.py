@@ -10,14 +10,15 @@ with ``phi = a^n/(a^n+u^n)``.  This is the contraction of the closed-form
 connection with the velocity (:func:`_ceh_acceleration`), so straight lines
 are recovered at infinity and radial rays are preserved.  :func:`integrate`
 runs this flow on the state packed as ``[Re z, Im z, Re v, Im v]``.  That
-order is pinned: scipy's error norm sums the state in it, so any other
-layout moves the step sizes and the output bytes.
+order is pinned: the integrator's error norm sums the state in it, so any
+other layout moves the step sizes and the output bytes.
 
-scipy is imported where it runs, so ``import cehgeom`` loads none of it:
-``solve_ivp`` here is a forwarder that imports ``scipy.integrate`` on its
-first call, and :func:`_sqrt_psi` imports ``hyp2f1``.  The forwarder stays
-a module attribute that :func:`_solve` looks up at each call, so rebinding
-``geodesics.solve_ivp`` counts or inspects every solver call.
+The integrator is the package's own DOP853 (``_dop853``), a port of
+scipy's ``solve_ivp(method="DOP853")`` that gives its runs bit for bit, so
+a flow loads no scipy; only :func:`_sqrt_psi` imports scipy (``hyp2f1``),
+where it runs.  ``solve_ivp`` stays a module attribute that :func:`_solve`
+looks up at each call, so rebinding ``geodesics.solve_ivp`` counts or
+inspects every solver call.
 
 The squared distance from radius ``u`` to the zero section is
 
@@ -51,6 +52,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._dop853 import solve_ivp
 from .charts import _base_chart, zero_section_restriction
 from .tensors import _lift, _one_point
 from .profiles import DomainError, GeometryParams, _definite, _phi, radius_sq
@@ -72,8 +74,8 @@ __all__ = [
 #: inner integration cutoff, relative to the scale a
 U_MIN_FACTOR = 1e-8
 
-#: smallest integrator tolerance: ``solve_ivp`` raises any relative
-#: tolerance below ``100 eps`` to it, so a smaller request is refused
+#: smallest integrator tolerance, ``100 eps``: scipy's floor for DOP853,
+#: kept as this package's rule, so a smaller request is refused
 TOL_FLOOR = 100 * float(np.finfo(float).eps)
 
 #: samples of a zero-section geodesic, evenly spaced in time over one period
@@ -120,7 +122,8 @@ class Trajectory:
     section), else ``hit_inner_cutoff`` when the inner cutoff stopped it,
     else ``escapes``.  ``critical_points`` are the interior turning points
     of ``u(t)`` with their closed-form ``uddot``; both are solver events.
-    ``sol`` is the ``solve_ivp`` result, without an interpolant.
+    ``sol`` is the solver's result (``_dop853.OdeResult``): its samples,
+    event roots and states, ``status`` and ``nfev``.
     """
 
     t: np.ndarray
@@ -233,19 +236,10 @@ def _return_rule(target, scale: float, sign: float):
     return closest, first_return
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call."""
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
-
-
 def _solve(rhs, span, y0, tol: float, events):
     """One ``solve_ivp`` call: DOP853 at relative tolerance ``tol`` and
-    absolute ``tol * 1e-2``, no dense output, and no ``args``: with any, even
-    ``()``, scipy wraps the right-hand side and every event in one more call."""
-    return solve_ivp(rhs, span, y0, method="DOP853", rtol=tol,
-                     atol=tol * 1e-2, events=events)
+    absolute ``tol * 1e-2``."""
+    return solve_ivp(rhs, span, y0, rtol=tol, atol=tol * 1e-2, events=events)
 
 
 def integrate(state: GeodesicState, t_end: float, params: GeometryParams,

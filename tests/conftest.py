@@ -89,7 +89,8 @@ def real_form(h):
 #
 # The reference for geodesics.zero_section_geodesic: the Fubini-Study flow
 # integrated chartwise by the solver call integrate uses (geodesics._solve,
-# through geodesics.solve_ivp) under its return rule (geodesics._return_rule).
+# through geodesics.solve_ivp, the package's DOP853) under its return rule
+# (geodesics._return_rule).
 
 #: relative integrator tolerance of the zero-section flow
 ZERO_SECTION_TOL = 1e-12

@@ -474,7 +474,7 @@ def test_non_finite_results_exit_2(capsys, argv):
 
 
 def test_geodesic_tolerance_below_floor_exits_2(capsys):
-    # solve_ivp would raise the tolerance to 100 eps with a UserWarning
+    # below 100 eps a DOP853 error estimate is rounding: refused, not raised
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, out, err = run_cli(capsys, "geodesic", "--point=1+0i,0+0i",
@@ -493,7 +493,7 @@ def _src_env() -> dict:
 
 @pytest.mark.parametrize("option", ["--t-end", "--tol"])
 def test_nan_flow_option_exits_2_without_hanging(option):
-    # a NaN time span or tolerance can keep solve_ivp stepping forever, so
+    # a NaN time span or tolerance can keep the solver stepping forever, so
     # the run is bounded by a subprocess timeout rather than trusted to end
     proc = subprocess.run(
         [sys.executable, "-m", "cehgeom.cli", "geodesic", "--point=1+0i,0+0i",
@@ -506,20 +506,22 @@ def test_nan_flow_option_exits_2_without_hanging(option):
 
 
 # the scipy subpackages a command loads on top of the steps before it, in
-# one interpreter and in this order: the closed forms load no scipy, the
-# radial distance psi loads scipy.special and a flow run scipy.integrate
+# one interpreter and in this order: the closed forms and the flow run (the
+# package's own DOP853) load no scipy, and the radial distance psi loads
+# scipy.special; no step loads scipy.integrate
 _IMPORT_BUDGET = [
     ((), ["import"]),
     ((), ["scan", "--quantity", "kretschmann", "--u-min", "0.1", "--u-max", "10"]),
     ((), ["scan", "--quantity", "fprime", "--u-min", "0.1", "--u-max", "10"]),
     ((), ["eval", "--n", "3", "--chart=2:0:0.5+0.1i:-1+0i"]),
     ((), ["geodesic", "--point=1+0i,0+0i", "--velocity=0+0i,0+0i"]),
+    ((), ["geodesic", "--point=1+0.5i,0.3i", "--velocity=0.2+0i,1i", "--t-end", "10"]),
     (("special",), ["verify", "--n", "2", "--points", "1"]),
     ((), ["eval", "--point=1+0i,0.5-0.5i"]),
     ((), ["eval", "--chart=1:0.5+0i:0.3+0i"]),
     ((), ["scan", "--quantity", "psi", "--u-min", "0.1", "--u-max", "10"]),
     ((), ["scan", "--quantity", "spectrum", "--u-min", "0.1", "--u-max", "10"]),
-    (("integrate",), ["geodesic", "--point=1+0i,0+0i", "--velocity=0+1i,0.2+0i"]),
+    ((), ["geodesic", "--point=1+0i,0+0i", "--velocity=0+1i,0.2+0i"]),
 ]
 
 _WALK = """
@@ -549,13 +551,14 @@ def _walk(steps) -> list:
 
 def test_commands_load_scipy_only_where_they_run_it():
     loaded = _walk([argv for _, argv in _IMPORT_BUDGET])
-    budget = set()
+    budget, before = set(), []
     for (adds, argv), mods in zip(_IMPORT_BUDGET, loaded, strict=True):
         budget.update(adds)
         step = " ".join(argv)
-        if not budget:
-            assert mods == [], step
+        if not adds:  # not one scipy module more than the steps before
+            assert mods == before, step
         assert {m for m in ("special", "integrate") if f"scipy.{m}" in mods} == budget, step
+        before = mods
     # the zero-section geodesic, which has no command, is a closed form
     assert _walk([["import"], ["zero-section"]])[1] == []
 

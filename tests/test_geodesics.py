@@ -1,4 +1,10 @@
+import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +23,7 @@ from cehgeom import (
     radius_sq,
     zero_section_geodesic,
 )
-from cehgeom import geodesics
+from cehgeom import _dop853, geodesics
 from cehgeom.geodesics import (
     ESCAPES,
     HIT_CUTOFF,
@@ -86,12 +92,12 @@ def test_pack_unpack_bitwise(n):
 
 
 def _rhs_of(monkeypatch, run):
-    """The right-hand side and extra arguments ``run`` hands to solve_ivp."""
+    """The right-hand side ``run`` hands to solve_ivp."""
     seen = []
     real = geodesics.solve_ivp
 
     def spy(fun, *args, **kwargs):
-        seen.append((fun, kwargs.get("args", ())))
+        seen.append(fun)
         return real(fun, *args, **kwargs)
 
     monkeypatch.setattr(geodesics, "solve_ivp", spy)
@@ -108,17 +114,16 @@ def test_flow_rhs_bitwise_matches_split_merge(monkeypatch, n):
     m = n - 1
     rng = np.random.default_rng(10 + n)
 
-    (ceh, extra), traj = _rhs_of(monkeypatch, lambda: integrate(
+    ceh, traj = _rhs_of(monkeypatch, lambda: integrate(
         GeodesicState(seeded_points(1, n, 0.8, seed=n)[0],
                       seeded_points(1, n, 0.8, seed=n + 1)[0]), 2.0, params))
-    assert extra == ()
     for y in np.hstack([rng.normal(size=(4 * n, 5)), traj.sol.y]).T:
         z, v = _split_merge_unpack(y, n)
         ref = _split_merge_pack(v, geodesics._ceh_acceleration(z, v, params))
         assert np.array_equal(ceh(0.0, y), ref)
 
     zeta0 = 0.4 * (rng.normal(size=m) + 1j * rng.normal(size=m))
-    (fs, extra), run = _rhs_of(monkeypatch, lambda: fs_ode_geodesic(
+    fs, run = _rhs_of(monkeypatch, lambda: fs_ode_geodesic(
         zeta0, np.ones(m) + 0.5j, params))
     cols = np.vstack([run.zeta.real.T, run.zeta.imag.T,
                       run.dzeta.real.T, run.dzeta.imag.T])
@@ -128,24 +133,7 @@ def test_flow_rhs_bitwise_matches_split_merge(monkeypatch, n):
         # the full contraction, its cubic coefficient c = 0 written out
         ip = np.vdot(zeta, v)
         ref = _split_merge_pack(v, (2.0 * k * ip) * v - (0.0 * ip * ip) * zeta)
-        assert np.array_equal(fs(0.0, y, *extra), ref)
-
-
-def test_flows_pass_no_solver_args(monkeypatch, params3):
-    # with any args, even (), solve_ivp wraps the right-hand side and every
-    # event in one more Python call
-    seen = []
-    real = geodesics.solve_ivp
-
-    def spy(*args, **kwargs):
-        seen.append("args" in kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(geodesics, "solve_ivp", spy)
-    z0, v0 = seeded_points(2, 3, params3.a, seed=7)
-    integrate(GeodesicState(z0, v0), 2.0, params3)
-    fs_ode_geodesic(np.zeros(2, dtype=complex), np.array([1.0 + 0.5j, -0.3j]), params3)
-    assert len(seen) > 2 and not any(seen)
+        assert np.array_equal(fs(0.0, y), ref)
 
 
 # --- integrate -----------------------------------------------------------------
@@ -195,6 +183,214 @@ def test_mu_n_phase_equivariance():
         t2 = integrate(GeodesicState(-z0, -v0), 3.0, p, tol=1e-11)
         assert np.array_equal(t1.t, t2.t)
         assert np.array_equal(t1.z, -t2.z)
+
+
+def test_non_finite_start_derivative_is_refused_without_hanging():
+    # <z, v>^2 overflows at speed 1e160, so the first derivative is NaN; a
+    # NaN first step size would keep the step-rejection loop going forever,
+    # so the run is bounded by a subprocess timeout rather than trusted to end
+    code = ("import numpy as np\n"
+            "from cehgeom import DomainError, GeodesicState, GeometryParams, integrate\n"
+            "state = GeodesicState([1, 0.3j], 1e160 * np.array([0.2, 1j]))\n"
+            "try:\n"
+            "    integrate(state, 1e-8, GeometryParams(2, 1.0))\n"
+            "except DomainError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("the start state and its derivative must be finite")
+
+
+# --- the integrator against scipy ----------------------------------------------
+#
+# geodesics.solve_ivp is the package's DOP853 (cehgeom._dop853), a port of
+# scipy's solve_ivp(method="DOP853"); scipy is the reference, and every run
+# must be its run bit for bit
+
+def _scipy_dop853(*args, **kwargs):
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, method="DOP853", **kwargs)
+
+
+def _bitwise(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _assert_same_solution(ours, ref):
+    assert _bitwise(ours.t, ref.t) and _bitwise(ours.y, ref.y)
+    assert ours.status == ref.status and ours.nfev == ref.nfev
+    assert len(ours.t_events) == len(ref.t_events) == len(ref.y_events)
+    for mine, theirs in zip([*ours.t_events, *ours.y_events],
+                            [*ref.t_events, *ref.y_events]):
+        assert _bitwise(mine, theirs)
+
+
+def _with_scipy(monkeypatch, run):
+    """``run()`` with scipy's DOP853 bound as ``geodesics.solve_ivp``."""
+    monkeypatch.setattr(geodesics, "solve_ivp", _scipy_dop853)
+    try:
+        return run()
+    finally:
+        monkeypatch.undo()
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_integrate_is_scipy_dop853_bitwise(monkeypatch, n):
+    # seeded starts at every tolerance, in both time directions; half of
+    # them aimed straight at the zero section.  The inner cutoff stops those
+    # at n = 2, 3 (status 1); at n >= 4 the step size collapses first
+    # (status -1), so all three end states of a run are compared
+    rng = np.random.default_rng(100 + n)
+    params = GeometryParams(n, float(rng.uniform(0.5, 2.0)))
+    ends = set()
+    for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+        for sign in (1.0, -1.0):
+            for aimed in (False, True):
+                z0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+                v0 = (-sign * rng.uniform(1.0, 6.0) * z0 if aimed
+                      else rng.normal(size=n) + 1j * rng.normal(size=n))
+                state, t_end = GeodesicState(z0, v0), sign * rng.uniform(2.0, 12.0)
+                ours = integrate(state, t_end, params, tol=tol)
+                ref = _with_scipy(monkeypatch, lambda: integrate(state, t_end, params, tol=tol))
+                _assert_same_solution(ours.sol, ref.sol)
+                for name in ("t", "z", "v", "u", "energy"):
+                    assert _bitwise(getattr(ours, name), getattr(ref, name)), name
+                assert ours.classification == ref.classification
+                assert _hex(ours.period) == _hex(ref.period)
+                assert ([(_hex(c.t), _hex(c.u), _hex(c.uddot)) for c in ours.critical_points]
+                        == [(_hex(c.t), _hex(c.u), _hex(c.uddot)) for c in ref.critical_points])
+                ends.add((aimed, ours.sol.status))
+    assert ends == {(False, 0), (True, 1 if n < 4 else -1)}
+
+
+def test_zero_section_oracle_is_scipy_dop853_bitwise(monkeypatch, params3):
+    # the oracle's terminal events, chart hops and resumed pieces
+    charts = set()
+    for zeta0, dzeta0 in [(np.zeros(2, dtype=complex), np.array([1.0 + 0.5j, -0.3j])),
+                          (np.array([0.4 - 0.2j, 1.1j]), np.array([-0.3, 0.7 + 0.2j]))]:
+        ours = fs_ode_geodesic(zeta0, dzeta0, params3)
+        ref = _with_scipy(monkeypatch, lambda: fs_ode_geodesic(zeta0, dzeta0, params3))
+        for name in ("t", "zeta", "dzeta", "chart", "energy"):
+            assert _bitwise(getattr(ours, name), getattr(ref, name)), name
+        assert _hex(ours.period) == _hex(ref.period) and ours.nfev == ref.nfev
+        assert ours.period is not None
+        charts.update(ours.chart.tolist())
+    assert len(charts) > 1
+
+
+def _oscillator(t, y):
+    return np.array([y[1], -y[0]])
+
+
+def _event(fun, terminal=None, direction=None):
+    if terminal is not None:
+        fun.terminal = terminal
+    if direction is not None:
+        fun.direction = direction
+    return fun
+
+
+@pytest.mark.parametrize("span", [(0.0, 20.0), (3.0, -17.0)])
+@pytest.mark.parametrize("terminal", [None, True, 2, 3])
+def test_event_loop_is_scipys(span, terminal):
+    # the event loop's terminal counts, directions, root ordering and stop
+    # on an oscillator whose events are crossed many times, one of them
+    # (y[1]) already 0 at the start
+    events = [
+        _event(lambda t, y: y[0], terminal, -1),
+        _event(lambda t, y: y[1]),
+        _event(lambda t, y: y[0] - 0.5, 4, 1),
+        _event(lambda t, y: t - 2.5),
+    ]
+    for y0 in ([1.0, 0.0], [0.3, -1.2]):
+        ours = _dop853.solve_ivp(_oscillator, span, np.array(y0), 1e-9, 1e-11, events)
+        ref = _scipy_dop853(_oscillator, span, np.array(y0), rtol=1e-9, atol=1e-11,
+                            events=events)
+        _assert_same_solution(ours, ref)
+
+
+def test_empty_span_is_refused():
+    # no caller integrates over no time: integrate refuses t_end = 0
+    with pytest.raises(ValueError, match="empty integration span"):
+        _dop853.solve_ivp(_oscillator, (1.0, 1.0), np.array([1.0, 0.0]), 1e-9, 1e-11)
+
+
+def test_tableau_is_scipys():
+    from scipy.integrate import DOP853
+
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        assert _bitwise(getattr(_dop853, name), getattr(DOP853, name)), name
+
+
+def _recorded(f):
+    """``f`` and the list of the points it is called at."""
+    calls = []
+
+    def recording(x):
+        calls.append(x)
+        return f(x)
+
+    return recording, calls
+
+
+def test_brentq_is_scipys():
+    # random brackets of smooth, steep, flat and underflowing functions:
+    # the same points visited and the same root, or the same failure to
+    # converge, at the event tolerances
+    from scipy.optimize import brentq as scipy_brentq
+
+    rng = np.random.default_rng(7)
+    families = [
+        lambda r, s: lambda x: s * (x - r[0]) * (x - r[1]) * (x - r[2]),
+        lambda r, s: lambda x: math.tanh(50.0 * (x - r[0])) + 1e-3 * s,
+        lambda r, s: lambda x: (x - r[0]) ** 9 * s,
+        lambda r, s: lambda x: math.exp(x - r[0]) - 1.0 + s * 1e-300,
+        lambda r, s: lambda x: 1e-300 * s * (x - r[0]) * (x - r[1]),
+    ]
+    tested = 0
+    for k in range(400):
+        r = np.sort(rng.uniform(-3.0, 3.0, size=3))
+        f = families[k % len(families)](r, float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)))
+        a, b = rng.uniform(-4.0, 4.0, size=2)
+        if not ((f(a) < 0) != (f(b) < 0) and f(a) != 0 and f(b) != 0):
+            continue
+        ours, our_calls = _recorded(f)
+        theirs, their_calls = _recorded(f)
+        outcomes = []
+        for call in (lambda: _dop853.brentq(ours, float(a), float(b)),
+                     lambda: scipy_brentq(theirs, float(a), float(b),
+                                          xtol=4 * _dop853.EPS, rtol=4 * _dop853.EPS)):
+            try:
+                outcomes.append(_hex(call()))
+            except RuntimeError as exc:  # no convergence: the same for both
+                outcomes.append(repr(exc))
+        assert outcomes[0] == outcomes[1] and our_calls == their_calls
+        tested += 1
+    assert tested > 120
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: (x - 0.3) ** 9,  # no convergence in 100 iterations
+    lambda x: x - 0.3 if x < 1 else math.nan,  # a NaN value
+    lambda x: 1.0,  # no sign change
+])
+def test_brentq_fails_as_scipys(f):
+    from scipy.optimize import brentq as scipy_brentq
+
+    with pytest.raises((ValueError, RuntimeError)) as ref:
+        scipy_brentq(f, -1.0, 2.0, xtol=4 * _dop853.EPS, rtol=4 * _dop853.EPS)
+    with pytest.raises(ref.type, match=f"^{re.escape(str(ref.value))}$"):
+        _dop853.brentq(f, -1.0, 2.0)
 
 
 def test_energy_value_definition(params2):
@@ -616,7 +812,7 @@ def test_integrate_refuses_empty_or_unbounded_run(params2, t_end, bad):
 
 @pytest.mark.parametrize("tol", [1e-20, 0.5 * TOL_FLOOR, np.nextafter(TOL_FLOOR, 0)])
 def test_flows_refuse_tolerance_below_floor(params2, tol):
-    # below 100 eps solve_ivp would silently raise the tolerance
+    # below 100 eps a DOP853 error estimate is rounding
     state = GeodesicState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     with pytest.raises(DomainError, match="2.220446049250313e-14"):
         integrate(state, 1.0, params2, tol=tol)
