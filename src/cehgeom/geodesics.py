@@ -15,21 +15,10 @@ other layout moves the step sizes and the output bytes.
 
 The integrator is the package's own DOP853 (``_dop853``), a port of
 scipy's ``solve_ivp(method="DOP853")`` that gives its runs bit for bit, so
-a flow loads no scipy; only :func:`_sqrt_psi` imports scipy (``hyp2f1``),
-where it runs.  ``solve_ivp`` stays a module attribute that :func:`_solve`
-looks up at each call, so rebinding ``geodesics.solve_ivp`` counts or
-inspects every solver call.
-
-The squared distance from radius ``u`` to the zero section is
-
-    sqrt(psi)(u) = (sqrt(a)/n) * integral_0^X (tau^2+1)^(-beta) dtau
-                 = (sqrt(a)/n) X 2F1(1/2, beta; 3/2; -X^2),
-
-with ``X = (u/a)^(n/2)`` and ``beta = (n-1)/(2n)`` (DLMF 15.6.1), smooth
-and increasing, with ``psi ~ u`` at infinity.  For ``u > a`` the same
-integral is written as a series in ``(a/u)^n`` about its power-law tail
-(see :func:`_sqrt_psi`), so both hypergeometric arguments stay in
-``[-1, 0]`` and nothing overflows.
+a flow loads no scipy.  ``solve_ivp`` stays a module attribute that
+:func:`_solve` looks up at each call, so rebinding ``geodesics.solve_ivp``
+counts or inspects every solver call.  :func:`radial_arclength` is the
+distance to the zero section, ``psi`` from :mod:`cehgeom.profiles`.
 
 Closed-geodesic dichotomy: along any trajectory, at an interior critical
 point ``T`` of ``u(t)`` one has ``<z,zdot>(T) = i alpha u(T)`` for real
@@ -55,7 +44,7 @@ import numpy as np
 from ._dop853 import solve_ivp
 from .charts import _base_chart, zero_section_restriction
 from .tensors import _lift, _one_point
-from .profiles import DomainError, GeometryParams, _definite, _phi, radius_sq
+from .profiles import DomainError, GeometryParams, _definite, _phi, _sqrt_psi, radius_sq
 
 __all__ = [
     "GeodesicState",
@@ -317,38 +306,6 @@ class ArcLength(NamedTuple):
 
     psi: float
     distance: float
-
-
-def _sqrt_psi(u, n: int, a: float):
-    # sqrt(a)/n * int_0^X (1+tau^2)^(-beta) dtau, X = (u/a)^(n/2).  Up to
-    # u = a this is X 2F1(1/2, beta; 3/2; -X^2).  Beyond, the integrand's
-    # power-law tail tau^(-2 beta) integrates to n X^(1/n) = n sqrt(u/a); the
-    # integral equals n sqrt(u/a) 2F1(beta, -1/(2n); 1-1/(2n); -(a/u)^n)
-    # plus C_n = int_0^inf ((1+tau^2)^(-beta) - tau^(-2 beta)) dtau
-    # = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)) < 0.
-    # ``u`` is a radius (float arithmetic) or an array of radii >= 0, each
-    # entry evaluated on its own branch only: the other's power overflows.
-    from scipy.special import hyp2f1
-
-    beta = (n - 1.0) / (2.0 * n)
-
-    def inner(u):
-        x = (u / a) ** (n / 2.0)
-        return x * hyp2f1(0.5, beta, 1.5, -x * x)
-
-    def outer(u):
-        c_n = math.sqrt(math.pi) * math.gamma(-0.5 / n) / (2.0 * math.gamma(beta))
-        return n * np.sqrt(u / a) * hyp2f1(
-            beta, -0.5 / n, 1.0 - 0.5 / n, -((a / u) ** n)
-        ) + c_n
-
-    if not isinstance(u, np.ndarray):
-        val = 0.0 if u == 0.0 else inner(u) if u <= a else outer(u)
-        return math.sqrt(a) / n * float(val)
-    val = np.zeros_like(u)  # u == 0 stays 0
-    lo, hi = (u > 0.0) & (u <= a), u > a
-    val[lo], val[hi] = inner(u[lo]), outer(u[hi])
-    return math.sqrt(a) / n * val
 
 
 def radial_arclength(u: float, params: GeometryParams) -> ArcLength:

@@ -1,7 +1,7 @@
 r"""Real Hessian of the squared distance to the zero section.
 
-With ``psi(u)`` the squared distance (see
-:func:`cehgeom.geodesics.radial_arclength`) and ``z = x + i y``, the
+With ``psi(u)`` the squared distance (``cehgeom.profiles._sqrt_psi``,
+public as :func:`cehgeom.geodesics.radial_arclength`) and ``z = x + i y``, the
 covariant Hessian of ``psi(u(z))`` assembles, in the real coordinates
 ``(x_1..x_n, y_1..y_n)``, into the rank-two perturbation
 
@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesics import _sqrt_psi
 from .tensors import _lift
-from .profiles import GeometryParams, RadialProfile, _check_u, radial_profile
+from .profiles import GeometryParams, RadialProfile, _check_u, _profile, _sqrt_psi
 
 __all__ = [
     "HessianSpectrum",
@@ -64,20 +63,17 @@ def _psi_jet(prof: RadialProfile, params: GeometryParams):
 
 def upsilon(u, params: GeometryParams):
     """Connection coefficient ``(n-1) a^n / (u (a^n+u^n))``."""
-    u = _check_u(u, "upsilon")
-    return _psi_jet(radial_profile(u, params), params)[3]
+    return _psi_jet(_profile(_check_u(u, "upsilon"), params), params)[3]
 
 
 def psi_prime(u, params: GeometryParams):
     """Radial derivative of the squared distance to the zero section."""
-    u = _check_u(u, "psi_prime")
-    return _psi_jet(radial_profile(u, params), params)[1]
+    return _psi_jet(_profile(_check_u(u, "psi_prime"), params), params)[1]
 
 
 def psi_second_derivative(u, params: GeometryParams):
     """Second radial derivative of the squared distance."""
-    u = _check_u(u, "psi_second_derivative")
-    return _psi_jet(radial_profile(u, params), params)[2]
+    return _psi_jet(_profile(_check_u(u, "psi_second_derivative"), params), params)[2]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,19 @@ overflow-safe power ``(1 + x^n)^(1/n)`` is ``_root_one_plus_pow``, and
 profile also carries ``1 - phi`` from its own stable formula, because
 forming it by subtraction loses every digit near the zero section, where
 ``phi`` rounds to 1.
+
+The squared distance from radius ``u`` to the zero section is
+
+    sqrt(psi)(u) = (sqrt(a)/n) * integral_0^X (tau^2+1)^(-beta) dtau
+                 = (sqrt(a)/n) X 2F1(1/2, beta; 3/2; -X^2),
+
+with ``X = (u/a)^(n/2)`` and ``beta = (n-1)/(2n)`` (DLMF 15.6.1), smooth
+and increasing, with ``psi ~ u`` at infinity.  For ``u > a`` the same
+integral is written as a series in ``(a/u)^n`` about its power-law tail
+(``_sqrt_psi``), so both hypergeometric arguments stay in ``[-1, 0]`` and
+nothing overflows.  Only ``_sqrt_psi`` imports scipy (``hyp2f1``), where
+it runs.  One radius (a Python float) and a float array of radii share one
+code path, ``_entrywise``; ``_profile`` is ``radial_profile`` unchecked.
 """
 
 from __future__ import annotations
@@ -111,19 +124,22 @@ def _check_u(u, where: str):
     return u
 
 
+def _entrywise(x, split, below, above):
+    """``below(x)`` where ``x <= split``, else ``above(x)``: one value (a
+    Python float) takes its one branch and gives a float; a float array
+    evaluates each entry on its own branch only."""
+    if not isinstance(x, np.ndarray):
+        return float(below(x) if x <= split else above(x))
+    out, lo = np.empty_like(x), x <= split
+    out[lo], out[~lo] = below(x[lo]), above(x[~lo])
+    return out
+
+
 def _root_one_plus_pow(x, n: int):
     """``(1 + x^n)^(1/n)`` for ``x >= 0``; for ``x > 1`` the equivalent
-    ``x (1 + x^-n)^(1/n)`` is used so the power never overflows.  A float
-    array is evaluated entrywise, each entry on its own branch only."""
-    if type(x) is float or not isinstance(x, np.ndarray):
-        if x <= 1.0:
-            return (1.0 + x**n) ** (1.0 / n)
-        return x * (1.0 + x ** (-float(n))) ** (1.0 / n)
-    out = (1.0 + np.minimum(x, 1.0) ** n) ** (1.0 / n)
-    big = x > 1.0
-    xb = x[big]
-    out[big] = xb * (1.0 + xb ** (-float(n))) ** (1.0 / n)
-    return out
+    ``x (1 + x^-n)^(1/n)`` is used so the power never overflows."""
+    return _entrywise(x, 1.0, lambda x: (1.0 + x**n) ** (1.0 / n),
+                      lambda x: x * (1.0 + x ** (-float(n))) ** (1.0 / n))
 
 
 def f_prime(u: float, params: GeometryParams) -> float:
@@ -229,10 +245,38 @@ def radial_profile(u, params: GeometryParams) -> RadialProfile:
     ``phi' = -(n/u) phi (1 - phi)``, with both factors computed in their
     overflow-safe forms.
     """
-    u = _check_u(u, "radial_profile")
+    return _profile(_check_u(u, "radial_profile"), params)
+
+
+def _profile(u, params: GeometryParams) -> RadialProfile:
+    # radial_profile at radii known to be 0 < u < inf (floats, see _radii)
     phi = _phi(u, params)
     one_minus_phi = _one_minus_phi(u, params)
     return RadialProfile(
         u=u, e_psi=_root_one_plus_pow(params.a / u, params.n), phi=phi,  # e_psi = f'
         one_minus_phi=one_minus_phi, phi_prime=-(params.n / u) * phi * one_minus_phi,
     )
+
+
+def _sqrt_psi(u, n: int, a: float):
+    # sqrt(a)/n * int_0^X (1+tau^2)^(-beta) dtau, X = (u/a)^(n/2).  Up to
+    # u = a this is X 2F1(1/2, beta; 3/2; -X^2) (+0.0 at u = 0).  Beyond, the
+    # integrand's power-law tail tau^(-2 beta) integrates to n X^(1/n) =
+    # n sqrt(u/a); the integral equals n sqrt(u/a) 2F1(beta, -1/(2n); 1-1/(2n);
+    # -(a/u)^n) plus C_n = int_0^inf ((1+tau^2)^(-beta) - tau^(-2 beta)) dtau
+    # = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)) < 0.  ``u >= 0``.
+    from scipy.special import hyp2f1
+
+    beta = (n - 1.0) / (2.0 * n)
+
+    def inner(u):
+        x = (u / a) ** (n / 2.0)
+        return x * hyp2f1(0.5, beta, 1.5, -x * x)
+
+    def outer(u):
+        c_n = math.sqrt(math.pi) * math.gamma(-0.5 / n) / (2.0 * math.gamma(beta))
+        return n * np.sqrt(u / a) * hyp2f1(
+            beta, -0.5 / n, 1.0 - 0.5 / n, -((a / u) ** n)
+        ) + c_n
+
+    return math.sqrt(a) / n * _entrywise(u, a, inner, outer)

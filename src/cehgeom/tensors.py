@@ -35,7 +35,8 @@ from .profiles import (
     RadialProfile,
     _all,
     _definite,
-    radial_profile,
+    _profile,
+    _radii,
     radius_sq,
 )
 
@@ -91,9 +92,10 @@ def _reject(z, u, ok):
 
 def _lift(z, params: GeometryParams):
     """Validated lifts ``z`` of shape ``(..., n)`` and their profile, which
-    carries ``u = |z|^2``: the one argument of every closed-form kernel."""
+    carries ``u = |z|^2``: the one argument of every closed-form kernel.
+    ``_checked`` has shown ``0 < u < inf``: no second radius check."""
     z, u = _checked(z, params)
-    return z, radial_profile(u, params)
+    return z, _profile(_radii(u), params)
 
 
 def _one_point(z, params: GeometryParams = None):

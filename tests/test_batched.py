@@ -37,7 +37,8 @@ from cehgeom import (
     upsilon,
     volform_norm_sq,
 )
-from cehgeom.geodesics import _sqrt_psi, fs_energy
+from cehgeom.geodesics import fs_energy
+from cehgeom.profiles import _sqrt_psi
 from cehgeom.tensors import _checked
 
 #: agreement of a batched kernel with its per-lift calls, relative to the

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cehgeom import GeometryParams, cli, numdiff, tensors
+from cehgeom import GeometryParams, cli, curvature, numdiff, profiles, tensors
 from cehgeom.cli import main, parse_chart, parse_complex, parse_point
 
 
@@ -119,21 +120,26 @@ def test_eval_where_one_minus_phi_underflows(capsys):
 
 # --- one validated lift ----------------------------------------------------------
 
-def _lift_checks(monkeypatch, capsys, *argv):
-    """Calls of ``_checked`` and ``radial_profile`` in one CLI run, counted
-    through every ``cehgeom`` module that binds them."""
-    from cehgeom import profiles
-
-    calls = {"_checked": 0, "radial_profile": 0}
-    for name, real in (("_checked", tensors._checked),
-                       ("radial_profile", profiles.radial_profile)):
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
+def _count(monkeypatch, *reals):
+    """Calls of each function of ``reals``, by name, counted through every
+    ``cehgeom`` module that binds it."""
+    calls = dict.fromkeys((real.__name__ for real in reals), 0)
+    for real in reals:
+        @functools.wraps(real)
+        def counting(*args, _real=real, **kwargs):
+            calls[_real.__name__] += 1
             return _real(*args, **kwargs)
 
         for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "cehgeom"]:
-            if getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, counting)
+            if getattr(mod, real.__name__, None) is real:
+                monkeypatch.setattr(mod, real.__name__, counting)
+    return calls
+
+
+def _lift_checks(monkeypatch, capsys, *argv):
+    """Calls of ``_checked`` and of the profile kernel ``_profile`` in one
+    CLI run."""
+    calls = _count(monkeypatch, tensors._checked, tensors._profile)
     assert run_cli(capsys, *argv)[0] == 0
     return calls
 
@@ -141,7 +147,7 @@ def _lift_checks(monkeypatch, capsys, *argv):
 def test_eval_validates_its_lift_once(monkeypatch, capsys):
     for spec in ("--point=1+0.5i,0.3i,-0.2+0i", "--chart=2:0.5+0.1i:0.3:0.2i"):
         calls = _lift_checks(monkeypatch, capsys, "eval", "--n", "3", spec)
-        assert calls == {"_checked": 1, "radial_profile": 1}, spec
+        assert calls == {"_checked": 1, "_profile": 1}, spec
 
 
 def test_verify_point_lifts(monkeypatch, capsys):
@@ -149,7 +155,20 @@ def test_verify_point_lifts(monkeypatch, capsys):
     # mu_n rotation, the homothety's scaled lift and each stencil's one field
     # call; every closed form is a kernel of one of these lifts
     calls = _lift_checks(monkeypatch, capsys, "verify", "--n", "3", "--points", "1")
-    assert calls == {"_checked": 6, "radial_profile": 5}
+    assert calls == {"_checked": 6, "_profile": 5}
+
+
+def test_a_lift_is_not_checked_again_as_a_radius(monkeypatch, capsys):
+    # _checked has shown 0 < |z|^2 < inf, so no closed form checks the
+    # lift's radius again; verify's one radius check is the potential's
+    # stencil stack
+    calls = _count(monkeypatch, profiles._check_u)
+    z, params = np.array([1 + 0.5j, 0.3j, -0.2]), GeometryParams(3, 1.0)
+    tensors.metric(z, params), curvature.riemann(z, params)
+    assert run_cli(capsys, "eval", "--n", "3", "--point=1+0.5i,0.3i,-0.2+0i")[0] == 0
+    assert calls == {"_check_u": 0}
+    assert run_cli(capsys, "verify", "--n", "3", "--points", "1")[0] == 0
+    assert calls == {"_check_u": 1}
 
 
 # --- verify --------------------------------------------------------------------

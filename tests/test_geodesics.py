@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -35,6 +36,24 @@ from cehgeom.geodesics import (
 import conftest
 from cehgeom.charts import _base_chart
 from conftest import fs_ode_geodesic, seeded_points
+
+
+def test_only_the_cli_imports_geodesics():
+    # the flows are the top of the library: no layer below them (profiles,
+    # tensors, hessian, ...) imports them; the package's __init__ re-exports
+    # the public API and is no layer
+    importers = set()
+    for path in Path(geodesics.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "geodesics" for name in names):
+                importers.add(path.stem)
+    assert importers == {"cli", "__init__"}
 
 
 # --- right-hand side ---------------------------------------------------------
