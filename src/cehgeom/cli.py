@@ -353,8 +353,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: the options that take a float
+_FLOAT_OPTIONS = ("--a", "--t-end", "--tol", "--u-min", "--u-max")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined(argv: list) -> list:
+    """``argv`` with each float option joined to a following value that
+    ``float()`` accepts, ``--t-end -1e1`` as ``--t-end=-1e1``: argparse takes
+    a negative number in exponent form for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and _is_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         # overflow or 0/0 anywhere in a run is an error, not a NaN in the output
         with np.errstate(over="raise", divide="raise", invalid="raise"):

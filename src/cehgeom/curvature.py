@@ -150,19 +150,18 @@ def kretschmann_contracted(z, params: GeometryParams):
     Riemann tensor with itself, every index raised explicitly with the
     inverse metric."""
     z, prof = _lift(z, params)
-    return _squared_norm(_riemann(z, prof, params), z, prof)
+    return _squared_norm(_riemann(z, prof, params), _metric_inverse(z, prof))
 
 
-def _squared_norm(r, z, prof: RadialProfile):
+def _squared_norm(r, ginv):
     """``|R|^2 = R_{mnab} R_{rscd} g^{sm} g^{nr} g^{da} g^{bc}`` of lowered
-    curvature tensors ``r`` at the validated lifts ``z`` they belong to,
-    every index raised with the inverse metric.
+    curvature tensors ``r``, every index raised with the inverse metrics
+    ``ginv`` of the lifts they belong to.
 
     Four matrix products in the order of numpy's greedy einsum plan, which
     give that plan's result to the bit; the plan's first two products are
     the same product, ``P`` below."""
-    ginv = _metric_inverse(z, prof)
-    n = z.shape[-1]
+    n = ginv.shape[-1]
     lead, m = r.shape[:-4], n * n
     k = len(lead)
 

@@ -243,7 +243,10 @@ def integrate(state: GeodesicState, t_end: float, params: GeometryParams,
     machinery, not this integrator.  The solver locates the turning points
     of ``u`` (zeros of ``Re <z, v>`` after the start) and the first return
     to the start (:func:`_return_rule`, within ``1e-6 sqrt(a)``) as
-    non-terminal events; it keeps no dense output.
+    non-terminal events; it keeps no dense output.  A run whose step size
+    falls below 10 ulp of ``t`` (the solver's status -1) is a
+    ``DomainError``: it stalled, and ends neither at the cutoff nor at
+    ``t_end``.
     """
     n = params.n
     if state.z.size != n:
@@ -280,6 +283,10 @@ def integrate(state: GeodesicState, t_end: float, params: GeometryParams,
 
     closest, first_return = _return_rule(y0, math.sqrt(params.a), sign)
     sol = _solve(rhs, (0.0, float(t_end)), y0, tol, [cutoff, turning, closest])
+    if sol.status == -1:  # no verdict: the run ends nowhere in particular
+        z, _ = _unpack(sol.y[:, -1], n)
+        raise DomainError(f"geodesic run stalled at t={float(sol.t[-1])!r}, "
+                          f"u={float(radius_sq(z))!r}: step size below 10 ulp of t")
     crits = []
     for t_c, y_c in zip(sol.t_events[1], sol.y_events[1]):
         if t_c != 0.0:  # a tangential launch is no interior turning point

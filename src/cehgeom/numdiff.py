@@ -321,7 +321,7 @@ def _point_checks(z, params: GeometryParams, alpha: float):
     riem = _curvature._riemann(z, prof, params)
     spec = _hessian._spectrum(prof, params)
     k = _curvature._kretschmann(prof, params)
-    k_contr = _curvature._squared_norm(riem, z, prof)
+    k_contr = _curvature._squared_norm(riem, ginv)
     eigs = np.sort(np.linalg.eigvalsh(_hessian._assemble(z, spec)))
     rotated = _metric(*_lift(np.exp(2j * np.pi / n) * z, params))
     nabla_eps = _volform._nabla_epsilon(gamma)

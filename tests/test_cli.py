@@ -334,6 +334,28 @@ def test_geodesic_zero_time_exits_2(capsys, t_end):
                    f"got {float(t_end)!r}\n")
 
 
+def test_geodesic_stall_exits_2(capsys):
+    # aimed at the zero section at n = 4, the step size collapses above the
+    # inner cutoff: the run reaches neither the cutoff nor t_end
+    rc, out, err = run_cli(capsys, "geodesic", "--n", "4", "--point=1+0i,0+0i,0+0i,0+0i",
+                           "--velocity=-1+0i,0+0i,0+0i,0+0i", "--t-end", "12")
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: geodesic run stalled at t=0.29")
+    assert err.endswith(": step size below 10 ulp of t\n")
+
+
+def test_float_options_take_negative_exponent_form(capsys):
+    # argparse takes -1e1 for an option; main joins it to its float option
+    start = ["geodesic", "--n", "2", "--point=1+0.5i,0.3i", "--velocity=0.2+0i,1i",
+             "--samples", "4"]
+    runs = [run_cli(capsys, *start, *t_end)
+            for t_end in (["--t-end", "-1e1"], ["--t-end=-1e1"], ["--t-end", "-10"])]
+    assert runs[0][0] == 0 and runs[0][2] == "" and runs.count(runs[0]) == 3
+    rc, out, err = run_cli(capsys, "eval", "--a", "-1e1", "--point=1+0i,0+0i")
+    assert (rc, out, err) == (2, "", "error: scale a must be positive and finite, "
+                                     "got -10.0\n")
+
+
 # --- scan ------------------------------------------------------------------------
 
 def _scan_table(capsys, n, a, quantity, u_min, u_max, points):

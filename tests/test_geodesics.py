@@ -259,6 +259,22 @@ def _with_scipy(monkeypatch, run):
         monkeypatch.undo()
 
 
+def _captured(monkeypatch, solver, run):
+    """``run()`` with ``solver`` bound as ``geodesics.solve_ivp``: the one
+    solution it gave, and ``run()``'s result or its ``DomainError``'s message."""
+    sols = []
+    monkeypatch.setattr(geodesics, "solve_ivp",
+                        lambda *args, **kwargs: sols.append(solver(*args, **kwargs)) or sols[-1])
+    try:
+        out = run()
+    except DomainError as exc:
+        out = str(exc)
+    finally:
+        monkeypatch.undo()
+    (sol,) = sols
+    return sol, out
+
+
 def _hex(x):
     return None if x is None else float(x).hex()
 
@@ -268,7 +284,8 @@ def test_integrate_is_scipy_dop853_bitwise(monkeypatch, n):
     # seeded starts at every tolerance, in both time directions; half of
     # them aimed straight at the zero section.  The inner cutoff stops those
     # at n = 2, 3 (status 1); at n >= 4 the step size collapses first
-    # (status -1), so all three end states of a run are compared
+    # (status -1), and integrate refuses that run with the same error under
+    # both solvers, so all three end states of a run are compared
     rng = np.random.default_rng(100 + n)
     params = GeometryParams(n, float(rng.uniform(0.5, 2.0)))
     ends = set()
@@ -279,16 +296,20 @@ def test_integrate_is_scipy_dop853_bitwise(monkeypatch, n):
                 v0 = (-sign * rng.uniform(1.0, 6.0) * z0 if aimed
                       else rng.normal(size=n) + 1j * rng.normal(size=n))
                 state, t_end = GeodesicState(z0, v0), sign * rng.uniform(2.0, 12.0)
-                ours = integrate(state, t_end, params, tol=tol)
-                ref = _with_scipy(monkeypatch, lambda: integrate(state, t_end, params, tol=tol))
-                _assert_same_solution(ours.sol, ref.sol)
+                run = lambda: integrate(state, t_end, params, tol=tol)
+                sol, ours = _captured(monkeypatch, geodesics.solve_ivp, run)
+                ref_sol, ref = _captured(monkeypatch, _scipy_dop853, run)
+                _assert_same_solution(sol, ref_sol)
+                ends.add((aimed, sol.status))
+                if sol.status == -1:
+                    assert ours == ref and ours.endswith("step size below 10 ulp of t")
+                    continue
                 for name in ("t", "z", "v", "u", "energy"):
                     assert _bitwise(getattr(ours, name), getattr(ref, name)), name
                 assert ours.classification == ref.classification
                 assert _hex(ours.period) == _hex(ref.period)
                 assert ([(_hex(c.t), _hex(c.u), _hex(c.uddot)) for c in ours.critical_points]
                         == [(_hex(c.t), _hex(c.u), _hex(c.uddot)) for c in ref.critical_points])
-                ends.add((aimed, ours.sol.status))
     assert ends == {(False, 0), (True, 1 if n < 4 else -1)}
 
 

@@ -407,7 +407,7 @@ def test_uncorrupted_controls_pass():
 def test_inverse_identity_sees_wrong_inverse(monkeypatch):
     exact = tensors._metric_inverse
     monkeypatch.setattr(numdiff, "_metric_inverse", lambda z, p: 1.001 * exact(z, p))
-    assert _failing() == ["inverse_identity"]
+    assert _failing() == ["inverse_identity", "kretschmann_consistency"]
 
 
 def test_hermiticity_sees_skew_part(monkeypatch):
