@@ -17,8 +17,7 @@ The integrator is the package's own DOP853 (``_dop853``), a port of
 scipy's ``solve_ivp(method="DOP853")`` that gives its runs bit for bit, so
 a flow loads no scipy.  ``solve_ivp`` stays a module attribute that
 :func:`_solve` looks up at each call, so rebinding ``geodesics.solve_ivp``
-counts or inspects every solver call.  :func:`radial_arclength` is the
-distance to the zero section, ``psi`` from :mod:`cehgeom.profiles`.
+counts or inspects every solver call.
 
 Closed-geodesic dichotomy: along any trajectory, at an interior critical
 point ``T`` of ``u(t)`` one has ``<z,zdot>(T) = i alpha u(T)`` for real

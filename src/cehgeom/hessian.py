@@ -1,9 +1,8 @@
 r"""Real Hessian of the squared distance to the zero section.
 
-With ``psi(u)`` the squared distance (``cehgeom.profiles._sqrt_psi``,
-public as :func:`cehgeom.geodesics.radial_arclength`) and ``z = x + i y``, the
-covariant Hessian of ``psi(u(z))`` assembles, in the real coordinates
-``(x_1..x_n, y_1..y_n)``, into the rank-two perturbation
+With ``psi(u)`` the squared distance (``profiles._sqrt_psi`` squared) and
+``z = x + i y``, the covariant Hessian of ``psi(u(z))`` assembles, in the
+real coordinates ``(x_1..x_n, y_1..y_n)``, into the rank-two perturbation
 
     H = 2 psi' ( 1 + A v (x) v + B w (x) w ),
     v = (x; y),  w = (y; -x),

@@ -34,13 +34,13 @@ and increasing, with ``psi ~ u`` at infinity.  For ``u > a`` the same
 integral is written as a series in ``(a/u)^n`` about its power-law tail
 (``_sqrt_psi``), so both hypergeometric arguments stay in ``[-1, 0]`` and
 nothing overflows.  Only ``_sqrt_psi`` imports scipy (``hyp2f1``), where
-it runs.  One radius (a Python float) and a float array of radii share one
-code path, ``_entrywise``; ``_profile`` is ``radial_profile`` unchecked.
+it runs.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,21 +125,26 @@ def _check_u(u, where: str):
 
 
 def _entrywise(x, split, below, above):
-    """``below(x)`` where ``x <= split``, else ``above(x)``: one value (a
-    Python float) takes its one branch and gives a float; a float array
-    evaluates each entry on its own branch only."""
-    if not isinstance(x, np.ndarray):
+    """``below(x)`` where ``x <= split``, else ``above(x)``: a float takes its
+    one branch (a Python float), a float array each entry its own only."""
+    if isinstance(x, float):
         return float(below(x) if x <= split else above(x))
     out, lo = np.empty_like(x), x <= split
     out[lo], out[~lo] = below(x[lo]), above(x[~lo])
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _root_branches(n: int):  # made once per n, so one radius makes no closures
+    return (lambda x: (1.0 + x**n) ** (1.0 / n),
+            lambda x: x * (1.0 + x ** (-float(n))) ** (1.0 / n))
+
+
 def _root_one_plus_pow(x, n: int):
     """``(1 + x^n)^(1/n)`` for ``x >= 0``; for ``x > 1`` the equivalent
     ``x (1 + x^-n)^(1/n)`` is used so the power never overflows."""
-    return _entrywise(x, 1.0, lambda x: (1.0 + x**n) ** (1.0 / n),
-                      lambda x: x * (1.0 + x ** (-float(n))) ** (1.0 / n))
+    below, above = _root_branches(n)
+    return _entrywise(x, 1.0, below, above)
 
 
 def f_prime(u: float, params: GeometryParams) -> float:
@@ -259,12 +264,11 @@ def _profile(u, params: GeometryParams) -> RadialProfile:
 
 
 def _sqrt_psi(u, n: int, a: float):
-    # sqrt(a)/n * int_0^X (1+tau^2)^(-beta) dtau, X = (u/a)^(n/2).  Up to
-    # u = a this is X 2F1(1/2, beta; 3/2; -X^2) (+0.0 at u = 0).  Beyond, the
-    # integrand's power-law tail tau^(-2 beta) integrates to n X^(1/n) =
-    # n sqrt(u/a); the integral equals n sqrt(u/a) 2F1(beta, -1/(2n); 1-1/(2n);
-    # -(a/u)^n) plus C_n = int_0^inf ((1+tau^2)^(-beta) - tau^(-2 beta)) dtau
-    # = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)) < 0.  ``u >= 0``.
+    # sqrt(a)/n * int_0^X (1+tau^2)^(-beta) dtau, X = (u/a)^(n/2), u >= 0: up
+    # to u = a, X 2F1(1/2, beta; 3/2; -X^2) (+0.0 at u = 0); beyond, the tail
+    # tau^(-2 beta) integrates to n sqrt(u/a), and the integral is n sqrt(u/a)
+    # 2F1(beta, -1/(2n); 1-1/(2n); -(a/u)^n) + C_n, with C_n = int_0^inf ((1+tau^2)
+    # ^(-beta) - tau^(-2 beta)) dtau = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)) < 0.
     from scipy.special import hyp2f1
 
     beta = (n - 1.0) / (2.0 * n)

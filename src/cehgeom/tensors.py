@@ -91,9 +91,8 @@ def _reject(z, u, ok):
 
 
 def _lift(z, params: GeometryParams):
-    """Validated lifts ``z`` of shape ``(..., n)`` and their profile, which
-    carries ``u = |z|^2``: the one argument of every closed-form kernel.
-    ``_checked`` has shown ``0 < u < inf``: no second radius check."""
+    """Validated lifts ``z`` ``(..., n)`` and their profile, which carries
+    ``u = |z|^2``, checked here only: the one argument of every kernel."""
     z, u = _checked(z, params)
     return z, _profile(_radii(u), params)
 
