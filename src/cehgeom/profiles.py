@@ -126,7 +126,7 @@ def _check_u(u, where: str):
 
 def _entrywise(x, split, below, above):
     """``below(x)`` where ``x <= split``, else ``above(x)``: a float takes its
-    one branch (a Python float), a float array each entry its own only."""
+    one branch and gives a Python float, a float array each entry its own."""
     if isinstance(x, float):
         return float(below(x) if x <= split else above(x))
     out, lo = np.empty_like(x), x <= split
@@ -264,11 +264,11 @@ def _profile(u, params: GeometryParams) -> RadialProfile:
 
 
 def _sqrt_psi(u, n: int, a: float):
-    # sqrt(a)/n * int_0^X (1+tau^2)^(-beta) dtau, X = (u/a)^(n/2), u >= 0: up
-    # to u = a, X 2F1(1/2, beta; 3/2; -X^2) (+0.0 at u = 0); beyond, the tail
-    # tau^(-2 beta) integrates to n sqrt(u/a), and the integral is n sqrt(u/a)
-    # 2F1(beta, -1/(2n); 1-1/(2n); -(a/u)^n) + C_n, with C_n = int_0^inf ((1+tau^2)
-    # ^(-beta) - tau^(-2 beta)) dtau = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)) < 0.
+    # sqrt(a)/n * int_0^X (1+tau^2)^(-beta) dtau, X = (u/a)^(n/2), u >= 0.  Up
+    # to u = a: X 2F1(1/2, beta; 3/2; -X^2), +0.0 at u = 0.  Beyond, the tail
+    # tau^(-2 beta) integrates to n sqrt(u/a); the integral is C_n + n sqrt(u/a)
+    # 2F1(beta, -1/(2n); 1-1/(2n); -(a/u)^n), C_n = int_0^inf ((1+tau^2)^(-beta)
+    # - tau^(-2 beta)) dtau = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)) < 0.
     from scipy.special import hyp2f1
 
     beta = (n - 1.0) / (2.0 * n)

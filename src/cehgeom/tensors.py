@@ -92,7 +92,7 @@ def _reject(z, u, ok):
 
 def _lift(z, params: GeometryParams):
     """Validated lifts ``z`` ``(..., n)`` and their profile, which carries
-    ``u = |z|^2``, checked here only: the one argument of every kernel."""
+    ``u = |z|^2`` (checked once, here): the one argument of every kernel."""
     z, u = _checked(z, params)
     return z, _profile(_radii(u), params)
 

@@ -263,8 +263,12 @@ def _captured(monkeypatch, solver, run):
     """``run()`` with ``solver`` bound as ``geodesics.solve_ivp``: the one
     solution it gave, and ``run()``'s result or its ``DomainError``'s message."""
     sols = []
-    monkeypatch.setattr(geodesics, "solve_ivp",
-                        lambda *args, **kwargs: sols.append(solver(*args, **kwargs)) or sols[-1])
+
+    def capturing(*args, **kwargs):
+        sols.append(solver(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(geodesics, "solve_ivp", capturing)
     try:
         out = run()
     except DomainError as exc:
