@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import charts, curvature, geodesics, hessian, numdiff, tensors, volform
-from .profiles import DomainError, GeometryParams, _sqrt_psi, f_prime
+from .profiles import DomainError, GeometryParams, _distance, f_prime
 from .tensors import radius_sq
 
 __all__ = ["main", "build_parser", "parse_complex", "parse_point", "parse_chart"]
@@ -258,7 +258,7 @@ def _scan_rows(quantity: str, us: np.ndarray, params: GeometryParams):
     if quantity == "kretschmann":
         return ["u", "kretschmann"], [curvature.kretschmann_radial(us, params)]
     if quantity == "psi":
-        d = _sqrt_psi(us, params.n, params.a)
+        d = _distance(us, params.n, params.a)
         return ["u", "psi", "distance"], [d * d, d]
     if quantity == "fprime":
         return ["u", "f_prime"], [f_prime(us, params)]

@@ -43,7 +43,7 @@ import numpy as np
 from ._dop853 import solve_ivp
 from .charts import _base_chart, zero_section_restriction
 from .tensors import _lift, _one_point
-from .profiles import DomainError, GeometryParams, _definite, _phi, _sqrt_psi, radius_sq
+from .profiles import DomainError, GeometryParams, _definite, _distance, _phi, radius_sq
 
 __all__ = [
     "GeodesicState",
@@ -320,7 +320,7 @@ def radial_arclength(u: float, params: GeometryParams) -> ArcLength:
     u = float(u)
     if u < 0:
         raise DomainError(f"radial_arclength requires u >= 0, got {u!r}")
-    d = _sqrt_psi(u, params.n, params.a)
+    d = _distance(u, params.n, params.a)
     return ArcLength(psi=d * d, distance=d)
 
 

@@ -1,6 +1,6 @@
 r"""Real Hessian of the squared distance to the zero section.
 
-With ``psi(u)`` the squared distance (``profiles._sqrt_psi`` squared) and
+With ``psi(u)`` the squared distance (``profiles._distance`` squared) and
 ``z = x + i y``, the covariant Hessian of ``psi(u(z))`` assembles, in the
 real coordinates ``(x_1..x_n, y_1..y_n)``, into the rank-two perturbation
 
@@ -18,10 +18,16 @@ term ``Gamma . grad(psi)`` and ``A = 2 psi''/psi' - Upsilon``.  Since
 all positive for u > 0: the distance function is strictly convex off the
 zero section, which is what forces compact minimal submanifolds into it.
 
-The radial derivatives have closed forms in terms of ``psi`` itself:
+The radial derivatives have closed forms in the ratio
+``rho = sqrt(psi) / (sqrt(u) (1-phi)^((n-1)/(2n)))`` of the distance to its
+power law and ``k = (1-phi)^((n-1)/n)``, which ``profiles._psi_ratios``
+gives:
 
-    psi'  = sqrt(psi/u) (u^n/(a^n+u^n))^((n-1)/(2n)),
-    psi'' = (psi'/2 psi) (psi' + psi ((n-2) a^n - u^n) / (u (a^n+u^n))).
+    psi'  = rho k,                       1-phi = u^n/(a^n+u^n),
+    psi'' = (psi'/2) (A + Upsilon),      A = (1/rho - 1)/u,
+
+so ``lambda_2 = 2 k``, and each stays finite where ``psi`` and ``psi'``
+underflow.
 
 The spectrum and blocks take lifts ``(..., n)``, the derivatives radii.
 """
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensors import _lift
-from .profiles import GeometryParams, RadialProfile, _check_u, _profile, _sqrt_psi
+from .profiles import GeometryParams, RadialProfile, _check_u, _profile, _psi_ratios
 
 __all__ = [
     "HessianSpectrum",
@@ -46,33 +52,33 @@ __all__ = [
 
 
 def _psi_jet(prof: RadialProfile, params: GeometryParams):
-    """``(psi, psi', psi'', Upsilon)`` at the radius or radii of a profile,
-    from one evaluation of ``psi``.
+    """``(psi', A, Upsilon, (1-phi)^((n-1)/n))`` at the radius or radii of a
+    profile, from one evaluation of the ratios ``rho`` and
+    ``k = (1-phi)^((n-1)/n)`` (``profiles._psi_ratios``), with
+    ``A = 2 psi''/psi' - Upsilon``.
 
-    ``u^n/(a^n+u^n)`` is ``1 - phi``, and ``((n-2) a^n - u^n)/(a^n+u^n) =
-    (n-1) phi - 1`` keeps ``psi''`` stable at both ends of the radial range.
+    ``psi = rho^2 u k`` gives ``psi' = rho k`` and ``u psi'/psi = 1/rho``, so
+    no quotient of two values that underflow near the zero section is formed.
     """
-    u, n = prof.u, params.n
-    d = _sqrt_psi(u, n, params.a)
-    psi = d * d
-    dp = d / np.sqrt(u) * prof.one_minus_phi ** ((n - 1.0) / (2.0 * n))
-    d2p = dp / (2.0 * psi) * (dp + psi * ((n - 1) * prof.phi - 1.0) / u)
-    return psi, dp, d2p, (n - 1) * prof.phi / u
+    rho, k = _psi_ratios(prof.u, params.n, params.a)
+    return rho * k, (1.0 / rho - 1.0) / prof.u, (params.n - 1) * prof.phi / prof.u, k
 
 
 def upsilon(u, params: GeometryParams):
     """Connection coefficient ``(n-1) a^n / (u (a^n+u^n))``."""
-    return _psi_jet(_profile(_check_u(u, "upsilon"), params), params)[3]
+    return _psi_jet(_profile(_check_u(u, "upsilon"), params), params)[2]
 
 
 def psi_prime(u, params: GeometryParams):
     """Radial derivative of the squared distance to the zero section."""
-    return _psi_jet(_profile(_check_u(u, "psi_prime"), params), params)[1]
+    return _psi_jet(_profile(_check_u(u, "psi_prime"), params), params)[0]
 
 
 def psi_second_derivative(u, params: GeometryParams):
     """Second radial derivative of the squared distance."""
-    return _psi_jet(_profile(_check_u(u, "psi_second_derivative"), params), params)[2]
+    dp, coef_a, ups, _ = _psi_jet(_profile(_check_u(u, "psi_second_derivative"), params),
+                                  params)
+    return dp * (coef_a + ups) / 2.0
 
 
 @dataclass(frozen=True)
@@ -123,12 +129,12 @@ def hessian_spectrum(z, params: GeometryParams) -> HessianSpectrum:
 
 
 def _spectrum(prof: RadialProfile, params: GeometryParams) -> HessianSpectrum:
-    psi, dp, d2p, ups = _psi_jet(prof, params)
+    dp, coef_a, ups, k = _psi_jet(prof, params)
     return HessianSpectrum(
         lambda1=2.0 * dp,
-        lambda2=2.0 * prof.u * dp**2 / psi,
+        lambda2=2.0 * k,
         lambda3=2.0 * dp * (1.0 + prof.u * ups),
         upsilon=ups,
-        coef_a=2.0 * d2p / dp - ups,
+        coef_a=coef_a,
         coef_b=ups,
     )

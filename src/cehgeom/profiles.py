@@ -24,17 +24,27 @@ profile also carries ``1 - phi`` from its own stable formula, because
 forming it by subtraction loses every digit near the zero section, where
 ``phi`` rounds to 1.
 
-The squared distance from radius ``u`` to the zero section is
+The distance from radius ``u`` to the zero section is
 
     sqrt(psi)(u) = (sqrt(a)/n) * integral_0^X (tau^2+1)^(-beta) dtau
                  = (sqrt(a)/n) X 2F1(1/2, beta; 3/2; -X^2),
 
 with ``X = (u/a)^(n/2)`` and ``beta = (n-1)/(2n)`` (DLMF 15.6.1), smooth
-and increasing, with ``psi ~ u`` at infinity.  For ``u > a`` the same
-integral is written as a series in ``(a/u)^n`` about its power-law tail
-(``_sqrt_psi``), so both hypergeometric arguments stay in ``[-1, 0]`` and
-nothing overflows.  Only ``_sqrt_psi`` imports scipy (``hyp2f1``), where
-it runs.
+and increasing, with ``psi ~ u`` at infinity.  ``_distance`` sums it as a
+Gauss series of its own, in an argument ``w`` in ``[0, 1/2]`` that Pfaff's
+transformation gives on each side of ``u = a``:
+
+    u <= a:  X 2F1(1/2, beta; 3/2; -X^2)
+               = X (1+X^2)^(-beta) 2F1(1, beta; 3/2; X^2/(1+X^2)),
+    u > a:   2F1(beta, -1/(2n); c; -y)
+               = (1+y)^(1/(2n)) 2F1(1/2, -1/(2n); c; y/(1+y)),
+
+with ``y = (a/u)^n`` and ``c = 1 - 1/(2n)``; beyond ``u = a`` the integral
+is ``C_n + n sqrt(u/a) 2F1(beta, -1/(2n); c; -y)`` about its power-law
+tail, so nothing overflows.  56 terms reach double precision at ``w = 1/2``,
+and the coefficients are made once per n.  ``_psi_ratios`` gives, from the
+same series, the two ratios in which ``hessian`` writes the derivatives of
+``psi``.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,24 +274,151 @@ def _profile(u, params: GeometryParams) -> RadialProfile:
     )
 
 
-def _sqrt_psi(u, n: int, a: float):
-    # sqrt(a)/n * int_0^X (1+tau^2)^(-beta) dtau, X = (u/a)^(n/2), u >= 0.  Up
-    # to u = a: X 2F1(1/2, beta; 3/2; -X^2), +0.0 at u = 0.  Beyond, the tail
-    # tau^(-2 beta) integrates to n sqrt(u/a); the integral is C_n + n sqrt(u/a)
-    # 2F1(beta, -1/(2n); 1-1/(2n); -(a/u)^n), C_n = int_0^inf ((1+tau^2)^(-beta)
-    # - tau^(-2 beta)) dtau = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)) < 0.
-    from scipy.special import hyp2f1
+#: terms of each Gauss series of ``_distance``; at its largest argument, 1/2,
+#: the first term left out is below 1e-19
+_GAUSS_TERMS = 56
+#: powers of the series argument in ``(F(w) - 1)/w``
+_POWERS = np.arange(_GAUSS_TERMS - 1.0)
+#: radii per matrix product, so a long stack keeps its tables small
+_CHUNK = 4096
 
-    beta = (n - 1.0) / (2.0 * n)
 
-    def inner(u):
-        x = (u / a) ** (n / 2.0)
-        return x * hyp2f1(0.5, beta, 1.5, -x * x)
+def _iroot(x: int, k: int) -> int:
+    """``floor(x^(1/k))`` of a positive integer, by Newton's method from above."""
+    y = 1 << -(-x.bit_length() // k)
+    while True:
+        z = ((k - 1) * y + x // y ** (k - 1)) // k
+        if z >= y:
+            return y
+        y = z
 
-    def outer(u):
-        c_n = math.sqrt(math.pi) * math.gamma(-0.5 / n) / (2.0 * math.gamma(beta))
-        return n * np.sqrt(u / a) * hyp2f1(
-            beta, -0.5 / n, 1.0 - 0.5 / n, -((a / u) ** n)
-        ) + c_n
 
-    return math.sqrt(a) / n * _entrywise(u, a, inner, outer)
+@functools.lru_cache(maxsize=None)
+def _gauss_series(n: int):
+    """``beta``, ``C_n``, and the coefficients of ``w^k``, ``k = 1 .. 55``, of
+    ``F_1 = 2F1(1, beta; 3/2; w)`` and ``F_2 = 2F1(1/2, -1/(2n); 1 - 1/(2n); w)``
+    (the ``k = 0`` term is 1): a descending tuple of each, for Horner, and
+    both ascending as the columns of one array.
+
+    Each coefficient is a ratio of exact integers, so correctly rounded.  So
+    is the tail's constant ``C_n = I(1) - n G(1)``, with ``I(X)`` the integral
+    and ``G = 2F1(beta, -1/(2n); c; -1)``, which Pfaff's forms at ``w = 1/2``
+    make ``2^(1/(2n)) (F_1(1/2)/sqrt(2) - n F_2(1/2))``: summed to 128 terms in
+    integers scaled by ``2^128``, since in floats the difference cancels to a
+    few ulp of either term.
+    """
+    one = 1 << 128
+    descending, ascending, at_half = [], [], []
+    for rise in (lambda j: (n - 1 + 2 * n * j, n * (3 + 2 * j)),
+                 lambda j: ((1 + 2 * j) * (2 * n * j - 1), 2 * (j + 1) * (2 * n * (j + 1) - 1))):
+        num, den, coeffs, total = 1, 1, [], one
+        for j in range(128):
+            p, q = rise(j)
+            num, den = num * p, den * q
+            if j < _GAUSS_TERMS - 1:
+                coeffs.append(num / den)
+            total += num * one // (den << (j + 1))
+        descending.append(tuple(reversed(coeffs)))
+        ascending.append(coeffs)
+        at_half.append(total)
+    diff = at_half[0] * one // math.isqrt(2 * one * one) - n * at_half[1]
+    c_n = _iroot(2 * one ** (2 * n), 2 * n) * diff / (one * one)
+    return (n - 1.0) / (2.0 * n), c_n, descending, np.array(ascending).T
+
+
+def _gauss_tails(w, coeffs):
+    """``(F(w) - 1)/w`` of both series at each ``w`` of an array, shape
+    ``(..., 2)``: one matrix product per chunk of the powers
+    ``w^k = exp(k log w)``, each held at ``e^-700`` or above so that none
+    underflows (an underflowing power is slow), which moves ``F`` by less
+    than ``1e-300``."""
+    logs = np.log(np.maximum(w, 1e-300)).reshape(-1, 1)
+    tails = np.empty((len(logs), 2))
+    for i in range(0, len(logs), _CHUNK):
+        table = logs[i:i + _CHUNK] * _POWERS
+        np.exp(np.maximum(table, -700.0, out=table), out=table)
+        np.matmul(table, coeffs, out=tails[i:i + _CHUNK])
+    return tails.reshape(w.shape + (2,))
+
+
+def _gauss_parts(u, n: int, a: float):
+    """``(lo, t, z, x, m, w S)`` at radii ``0 <= u``, shared by
+    :func:`_distance` and :func:`_psi_ratios`: ``t = u/a``, ``lo`` is
+    ``t <= 1``, ``z = min(t, 1/t)``, ``x = z^(n/2)``, ``m = x^2`` and
+    ``S = (F(w) - 1)/w`` of the branch's series at ``w = m/(1+m) <= 1/2``.
+
+    One radius runs its branch in Python floats and a Horner loop; a stack
+    runs both branches in one vectorised pass, with the same powers
+    (``np.float_power`` is libm's ``pow``).
+    """
+    t = u / a
+    if isinstance(u, float):
+        lo = t <= 1.0
+        z = t if lo else 1.0 / t
+        x = z ** (n / 2.0)
+        m = x * x
+        w = m / (1.0 + m)
+        s = 0.0
+        for c in _gauss_series(n)[2][0 if lo else 1]:
+            s = s * w + c
+        return lo, t, z, x, m, w * s
+    lo = t <= 1.0
+    z = np.minimum(t, 1.0 / np.maximum(t, 1.0))
+    x = np.float_power(z, n / 2.0)
+    m = x * x
+    w = m / (1.0 + m)
+    tails = _gauss_tails(w, _gauss_series(n)[3])
+    return lo, t, z, x, m, w * np.where(lo, tails[..., 0], tails[..., 1])
+
+
+def _distance(u, n: int, a: float):
+    """The distance ``d = sqrt(psi)`` to the zero section at radii ``0 <= u``:
+
+        u <= a:  d = h + h w S_1,  h = (sqrt(a)/n) x (1+m)^(-beta),
+        u > a:   d = h + (sqrt(a)/n) C_n + h w S_2,  h = sqrt(a) sqrt(t) (1+m)^(1/(2n)),
+
+    in the terms of :func:`_gauss_parts`.  ``S`` enters only the term that
+    carries at most 30% of ``d``, so a radius and a stack agree within 1 ulp.
+    """
+    lo, t, _, x, m, ws = _gauss_parts(u, n, a)
+    beta, c_n = _gauss_series(n)[:2]
+    scale = math.sqrt(a) / n
+    if isinstance(u, float):
+        if lo:
+            h = scale * x * (1.0 + m) ** -beta
+            return h + h * ws
+        h = math.sqrt(a) * math.sqrt(t) * (1.0 + m) ** (0.5 / n)
+        return (h + scale * c_n) + h * ws
+    h = np.where(lo, scale * x, math.sqrt(a) * np.sqrt(t)) * np.float_power(
+        1.0 + m, np.where(lo, -beta, 0.5 / n))
+    return (h + np.where(lo, 0.0, scale * c_n)) + h * ws
+
+
+def _psi_ratios(u, n: int, a: float):
+    """``(rho, k)`` at radii ``0 <= u``, the two ratios in which the psi jet
+    is written: ``rho = d / (sqrt(u) (1 - phi)^beta)``, which is ``1/n`` at
+    ``u = 0`` and tends to 1 at infinity, and ``k = (1 - phi)^((n-1)/n) =
+    u psi'^2 / psi``.  Neither is a quotient of two values that underflow:
+
+        u <= a:  rho = 1/n + w S_1/n,  k = x (x/t) (1+m)^(-(n-1)/n),
+        u > a:   rho = r + (1+m)^beta (C_n/n) sqrt(1/t) + r w S_2,  r = sqrt(1+m),
+                 k = (1+m)^(-(n-1)/n),
+
+    in the terms of :func:`_gauss_parts`.  ``x (x/t) = t^(n-1)`` underflows
+    only where ``k`` does, and every power with an inexact exponent has its
+    base in ``[1, 2]``, so the exponent's rounding costs under an ulp.
+    """
+    lo, t, z, x, m, ws = _gauss_parts(u, n, a)
+    beta, c_n = _gauss_series(n)[:2]
+    e = (1.0 - n) / n
+    tiny = sys.float_info.min  # t = 0 gives x (x/t) = 0
+    if isinstance(u, float):
+        k = (1.0 + m) ** e
+        if lo:
+            r = 1.0 / n
+            return r + r * ws, x * (x / max(t, tiny)) * k
+        r = math.sqrt(1.0 + m)
+        return (r + (1.0 + m) ** beta * (c_n / n) * math.sqrt(z)) + r * ws, k
+    r = np.where(lo, 1.0 / n, np.sqrt(1.0 + m))
+    rho = (r + np.where(lo, 0.0, np.float_power(1.0 + m, beta) * (c_n / n) * np.sqrt(z))) + r * ws
+    return rho, np.where(lo, x * (x / np.maximum(t, tiny)), 1.0) * np.float_power(1.0 + m, e)

@@ -38,7 +38,7 @@ from cehgeom import (
     volform_norm_sq,
 )
 from cehgeom.geodesics import fs_energy
-from cehgeom.profiles import _sqrt_psi
+from cehgeom.profiles import _distance, _psi_ratios
 from cehgeom.tensors import _checked
 
 #: agreement of a batched kernel with its per-lift calls, relative to the
@@ -148,9 +148,9 @@ def test_curvature_stack_matches_single_calls(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_hessian_stack_matches_single_calls(n):
-    # psi and psi' each pass through array powers (psi through hyp2f1 of a
-    # powered argument), and the fields combine them: lambda2 = 2 u psi'^2
-    # / psi, coef_a = 2 psi''/psi' - upsilon
+    # phi and upsilon pass through array powers, the ratios rho and k of the
+    # psi jet through libm's (np.float_power), and the fields combine them:
+    # lambda1 = 2 rho k, coef_a = (1/rho - 1)/u
     bound = 6 * REL
     p = GeometryParams(n, 0.8)
     for zs in _stacks(n, seed=90 + n):
@@ -199,7 +199,8 @@ def test_single_lift_gives_floats():
         kretschmann(z, p), kretschmann_contracted(z, p), kretschmann_radial(u, p),
         volform_norm_sq(z, p), homothety_residual(z, 1.3, p),
         upsilon(u, p), psi_prime(u, p), psi_second_derivative(u, p),
-        _sqrt_psi(u, 3, 0.9), *(getattr(spec, f) for f in spec.__dataclass_fields__),
+        _distance(u, 3, 0.9), *_psi_ratios(u, 3, 0.9),
+        *(getattr(spec, f) for f in spec.__dataclass_fields__),
     ]
     for x in values:
         assert isinstance(x, float) and not isinstance(x, np.ndarray), type(x)
@@ -213,11 +214,13 @@ def test_sqrt_psi_array_matches_scalar_calls(n):
     a = 0.6
     us = np.concatenate([[0.0, a], np.geomspace(1e-300, 1e300, 121)])
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        d = _sqrt_psi(us, n, a)
-        single = np.array([_sqrt_psi(float(u), n, a) for u in us])
-    assert np.all(np.isfinite(d)) and d[0] == 0.0
-    assert _ulps(d, single).max() <= 8
-    assert single[1] == radial_arclength(a, GeometryParams(n, a)).distance
+        d, (rho, k) = _distance(us, n, a), _psi_ratios(us, n, a)
+        single = np.array([(_distance(float(u), n, a), *_psi_ratios(float(u), n, a))
+                           for u in us]).T
+    assert np.all(np.isfinite(d)) and d[0] == 0.0 and rho[0] == 1.0 / n and k[0] == 0.0
+    assert _ulps(d, single[0]).max() <= 1 and _ulps(rho, single[1]).max() <= 2
+    assert np.array_equal(k, single[2])
+    assert single[0, 1] == radial_arclength(a, GeometryParams(n, a)).distance
 
 
 def test_batched_metric_bitwise_hermitian():

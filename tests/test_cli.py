@@ -1,7 +1,9 @@
+import ast
 import csv
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from numpy.testing import assert_allclose
 import pytest
 
 from cehgeom import GeometryParams, cli, curvature, numdiff, profiles, tensors
@@ -101,6 +104,18 @@ def test_eval_where_phi_power_overflows(capsys):
     doc = json.loads(out)
     assert doc["metric"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     assert doc["kretschmann"] == 0.0
+
+
+def test_eval_spectrum_where_2u_overflows(capsys):
+    # |z|^2 = 1.69e308: 2u overflows, and lambda2 = 2 (1 - phi)^((n-1)/n) is
+    # formed without it; far out the spectrum is the flat one, 2 2 2
+    rc, out, err = run_cli(capsys, "eval", "--n", "2", "--point=1.3e154+0i,0+0i")
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    spectrum = doc["spectrum"]
+    assert all(math.isfinite(v) for v in spectrum.values())
+    assert spectrum["lambda1"] == spectrum["lambda2"] == spectrum["lambda3"] == 2.0
+    assert doc["distance"] == pytest.approx(1.3e154, rel=1e-15)
 
 
 def test_eval_connection_far_out(capsys):
@@ -386,9 +401,8 @@ def _scalar_row(quantity, u, p):
 def test_scan_rows_match_scalar_calls(capsys, n, quantity):
     # one stacked call per column against one scalar call per radius: the
     # array power rounds apart from libm's pow by an ulp, which the formulas
-    # grow to a few.  Not a bound for every radius: just above u = a, psi's
-    # integral cancels against its constant C_n, and rare radii there reach
-    # 9-13 ulp in psi
+    # grow to a few.  psi and the spectrum take their powers from
+    # np.float_power, which is libm's, and agree within 2 ulp here
     from cehgeom import GeometryParams
 
     p = GeometryParams(n, 0.8)
@@ -400,21 +414,23 @@ def test_scan_rows_match_scalar_calls(capsys, n, quantity):
     assert ulps.max() <= 8
 
 
-@pytest.mark.parametrize("quantity", ["psi", "fprime", "kretschmann"])
+@pytest.mark.parametrize("quantity", ["psi", "fprime", "kretschmann", "spectrum"])
 def test_scan_full_double_range(capsys, quantity):
-    # kretschmann: phi is 0 where (u/a)^n overflows, 1 - phi where (a/u)^n does
+    # kretschmann: phi is 0 where (u/a)^n overflows, 1 - phi where (a/u)^n does;
+    # spectrum: psi and psi' underflow near u = 1e-300, and the jet forms no
+    # quotient of the two
     table = _scan_table(capsys, 3, 1.0, quantity, 1e-300, 1e300, 61)
     assert table.shape[0] == 61 and np.all(np.isfinite(table))
-
-
-@pytest.mark.parametrize("quantity", ["spectrum"])
-def test_scan_full_double_range_overflows(capsys, quantity):
-    # near u = 1e-300 psi and psi' underflow to 0: the psi jet divides 0 by 0
-    rc, out, err = run_cli(capsys, "scan", "--n", "3", "--a", "1",
-                           "--quantity", quantity, "--u-min", "1e-300",
-                           "--u-max", "1e300", "--points", "61")
-    assert rc == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    if quantity == "spectrum":
+        # the zero-section limit: lambda2 = 2 (1-phi)^(2/3) ~ 2 u^2 = lambda3,
+        # and lambda1 ~ lambda2/3, which underflow to 0 in the first rows
+        u, lam1, lam2, lam3 = table.T
+        assert np.all(table[:3, 1:] == 0.0)
+        small = (u < 1e-20) & (lam1 > np.finfo(float).tiny)
+        assert small.sum() >= 10
+        assert_allclose(lam2[small], 2 * u[small] ** 2, rtol=1e-12)
+        assert_allclose(lam3[small], lam2[small], rtol=1e-12)
+        assert_allclose(3 * lam1[small], lam2[small], rtol=1e-12)
 
 
 def test_scan_kretschmann_includes_exact_row(capsys):
@@ -546,23 +562,23 @@ def test_nan_flow_option_exits_2_without_hanging(option):
     assert option.lstrip("-").replace("-", "_") in proc.stderr
 
 
-# the scipy subpackages a command loads on top of the steps before it, in
-# one interpreter and in this order: the closed forms and the flow run (the
-# package's own DOP853) load no scipy, and the radial distance psi loads
-# scipy.special; no step loads scipy.integrate
-_IMPORT_BUDGET = [
-    ((), ["import"]),
-    ((), ["scan", "--quantity", "kretschmann", "--u-min", "0.1", "--u-max", "10"]),
-    ((), ["scan", "--quantity", "fprime", "--u-min", "0.1", "--u-max", "10"]),
-    ((), ["eval", "--n", "3", "--chart=2:0:0.5+0.1i:-1+0i"]),
-    ((), ["geodesic", "--point=1+0i,0+0i", "--velocity=0+0i,0+0i"]),
-    ((), ["geodesic", "--point=1+0.5i,0.3i", "--velocity=0.2+0i,1i", "--t-end", "10"]),
-    (("special",), ["verify", "--n", "2", "--points", "1"]),
-    ((), ["eval", "--point=1+0i,0.5-0.5i"]),
-    ((), ["eval", "--chart=1:0.5+0i:0.3+0i"]),
-    ((), ["scan", "--quantity", "psi", "--u-min", "0.1", "--u-max", "10"]),
-    ((), ["scan", "--quantity", "spectrum", "--u-min", "0.1", "--u-max", "10"]),
-    ((), ["geodesic", "--point=1+0i,0+0i", "--velocity=0+1i,0.2+0i"]),
+# every command, in one interpreter and in this order: the closed forms, the
+# flow run (the package's own DOP853) and the distance psi (the package's own
+# Gauss series) load no scipy module
+_NO_SCIPY_STEPS = [
+    ["import"],
+    ["scan", "--quantity", "kretschmann", "--u-min", "0.1", "--u-max", "10"],
+    ["scan", "--quantity", "fprime", "--u-min", "0.1", "--u-max", "10"],
+    ["eval", "--n", "3", "--chart=2:0:0.5+0.1i:-1+0i"],
+    ["geodesic", "--point=1+0i,0+0i", "--velocity=0+0i,0+0i"],
+    ["geodesic", "--point=1+0.5i,0.3i", "--velocity=0.2+0i,1i", "--t-end", "10"],
+    ["zero-section"],
+    ["verify", "--n", "2", "--points", "1"],
+    ["eval", "--point=1+0i,0.5-0.5i"],
+    ["eval", "--chart=1:0.5+0i:0.3+0i"],
+    ["scan", "--quantity", "psi", "--u-min", "0.1", "--u-max", "10"],
+    ["scan", "--quantity", "spectrum", "--u-min", "0.1", "--u-max", "10"],
+    ["geodesic", "--point=1+0i,0+0i", "--velocity=0+1i,0.2+0i"],
 ]
 
 _WALK = """
@@ -582,26 +598,46 @@ print(json.dumps([step(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
-def _walk(steps) -> list:
-    """The scipy modules loaded after each step, walked in one interpreter."""
-    proc = subprocess.run([sys.executable, "-c", _WALK, json.dumps(steps)],
+def test_no_command_loads_scipy():
+    proc = subprocess.run([sys.executable, "-c", _WALK, json.dumps(_NO_SCIPY_STEPS)],
                           capture_output=True, text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) == len(_NO_SCIPY_STEPS)
+    for argv, mods in zip(_NO_SCIPY_STEPS, loaded, strict=True):
+        assert mods == [], " ".join(argv)
 
 
-def test_commands_load_scipy_only_where_they_run_it():
-    loaded = _walk([argv for _, argv in _IMPORT_BUDGET])
-    budget, before = set(), []
-    for (adds, argv), mods in zip(_IMPORT_BUDGET, loaded, strict=True):
-        budget.update(adds)
-        step = " ".join(argv)
-        if not adds:  # not one scipy module more than the steps before
-            assert mods == before, step
-        assert {m for m in ("special", "integrate") if f"scipy.{m}" in mods} == budget, step
-        before = mods
-    # the zero-section geodesic, which has no command, is a closed form
-    assert _walk([["import"], ["zero-section"]])[1] == []
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: no module of the package names it in an
+    # import, at module level or inside a function
+    importers = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.stem)
+    assert importers == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3", "--points", "2"],
+    ["eval", "--point=1+0i,0.5-0.5i"],
+    ["scan", "--quantity", "spectrum", "--u-min", "0.1", "--u-max", "10"],
+])
+def test_commands_run_where_scipy_cannot_be_imported(argv):
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    code = ("import sys; sys.modules['scipy'] = None; from cehgeom import cli; "
+            f"raise SystemExit(cli.main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and proc.stderr == ""
 
 
 def test_underflowing_lift_is_not_the_zero_vector(capsys):

@@ -164,8 +164,8 @@ def test_spectrum_evaluates_psi_and_profile_once(monkeypatch, params3):
     import cehgeom.hessian as hessian_module
     import cehgeom.tensors as tensors_module
 
-    calls = {"_sqrt_psi": 0, "_profile": 0}
-    binding = {"_sqrt_psi": hessian_module, "_profile": tensors_module}
+    calls = {"_psi_ratios": 0, "_profile": 0}
+    binding = {"_psi_ratios": hessian_module, "_profile": tensors_module}
 
     def counting(name):
         real = getattr(binding[name], name)
@@ -182,11 +182,11 @@ def test_spectrum_evaluates_psi_and_profile_once(monkeypatch, params3):
     for z in (zs[0], zs):
         calls.update(dict.fromkeys(calls, 0))
         spec = hessian_spectrum(z, params3)
-        assert calls == {"_sqrt_psi": 1, "_profile": 1}
+        assert calls == {"_psi_ratios": 1, "_profile": 1}
         # the spectrum and the radial derivatives agree bit for bit
         u = radius_sq(z)
         dp, ups = psi_prime(u, params3), upsilon(u, params3)
         assert np.array_equal(spec.lambda1, 2.0 * dp)
         assert np.array_equal(spec.upsilon, ups)
         assert np.array_equal(
-            spec.coef_a, 2.0 * psi_second_derivative(u, params3) / dp - ups)
+            psi_second_derivative(u, params3), dp * (spec.coef_a + ups) / 2.0)
