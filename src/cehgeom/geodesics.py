@@ -316,10 +316,11 @@ class ArcLength(NamedTuple):
 
 def radial_arclength(u: float, params: GeometryParams) -> ArcLength:
     """Distance to the zero section in closed form (Gauss hypergeometric
-    function); exact at ``u = 0`` and finite for every finite ``u``."""
+    function); exact at ``u = 0`` and finite for every finite ``u``.  A
+    radius that is negative, infinite or NaN is a :class:`DomainError`."""
     u = float(u)
-    if u < 0:
-        raise DomainError(f"radial_arclength requires u >= 0, got {u!r}")
+    if not 0.0 <= u < math.inf:
+        raise DomainError(f"radial_arclength requires 0 <= u < inf, got {u!r}")
     d = _distance(u, params.n, params.a)
     return ArcLength(psi=d * d, distance=d)
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,7 +410,7 @@ def _psi_ratios(u, n: int, a: float):
     lo, t, z, x, m, ws = _gauss_parts(u, n, a)
     beta, c_n = _gauss_series(n)[:2]
     e = (1.0 - n) / n
-    tiny = sys.float_info.min  # t = 0 gives x (x/t) = 0
+    tiny = math.ulp(0.0)  # only t = 0 meets it, where x (x/t) = 0
     if isinstance(u, float):
         k = (1.0 + m) ** e
         if lo:

@@ -515,6 +515,13 @@ def test_arclength_matches_hypergeometric_reference(n):
             assert radial_arclength(u, p).psi == pytest.approx(ref, rel=1e-14)
 
 
+@pytest.mark.parametrize("u", [-1.0, math.inf, math.nan])
+def test_arclength_refuses_radius_outside_its_domain(u, params2):
+    # an infinite radius would make the series' h w S term inf * 0
+    with pytest.raises(DomainError, match="requires 0 <= u < inf"):
+        radial_arclength(u, params2)
+
+
 @pytest.mark.parametrize("n,ratio", [(4, 1e300), (12, 1e100)])
 def test_arclength_finite_at_huge_radius(n, ratio):
     arc = radial_arclength(ratio, GeometryParams(n, 1.0))
