@@ -282,14 +282,23 @@ _POWERS = np.arange(_GAUSS_TERMS - 1.0)
 _CHUNK = 4096
 
 
-def _iroot(x: int, k: int) -> int:
-    """``floor(x^(1/k))`` of a positive integer, by Newton's method from above."""
-    y = 1 << -(-x.bit_length() // k)
-    while True:
-        z = ((k - 1) * y + x // y ** (k - 1)) // k
-        if z >= y:
-            return y
-        y = z
+def _root_of_two(k: int, bits: int) -> int:
+    """``2^(1/k)`` scaled by ``2^bits``, to a unit or two: two Newton steps
+    from the float root, each power truncated to ``bits`` fractional bits,
+    so the cost grows as ``log k``."""
+    def power(y, e):
+        out = 1 << bits
+        while e:
+            if e & 1:
+                out = out * y >> bits
+            y, e = y * y >> bits, e >> 1
+        return out
+
+    y = int(2.0 ** (1.0 / k) * 2.0**52) << (bits - 52)
+    for _ in range(2):
+        p = power(y, k - 1)
+        y -= ((p * y >> bits) - (2 << bits) << bits) // (k * p)
+    return y
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,7 +330,7 @@ def _gauss_series(n: int):
         ascending.append(coeffs)
         at_half.append(total)
     diff = at_half[0] * one // math.isqrt(2 * one * one) - n * at_half[1]
-    c_n = _iroot(2 * one ** (2 * n), 2 * n) * diff / (one * one)
+    c_n = _root_of_two(2 * n, 128) * diff / (one * one)
     return (n - 1.0) / (2.0 * n), c_n, descending, np.array(ascending).T
 
 

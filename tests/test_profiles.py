@@ -305,6 +305,17 @@ def _scipy_distance(u: float, n: int, a: float) -> float:
         n * math.sqrt(u / a) * hyp2f1(beta, -0.5 / n, 1.0 - 0.5 / n, -((a / u) ** n)) + c_n)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 40, 1000])
+def test_tail_constant_is_correctly_rounded(n):
+    # C_n = sqrt(pi) Gamma(-1/(2n)) / (2 Gamma(beta)), summed in integers
+    import mpmath
+
+    with mpmath.workdps(40):
+        exact = (mpmath.sqrt(mpmath.pi) * mpmath.gamma(-mpmath.mpf(1) / (2 * n))
+                 / (2 * mpmath.gamma(mpmath.mpf(n - 1) / (2 * n))))
+    assert profiles._gauss_series(n)[1] == float(exact)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_distance_series_against_quadrature(n):
     # in ulp of the 40-digit quadrature, at each of 182 radii: the series is
