@@ -2,12 +2,21 @@
 runs and radial scans, with machine-readable JSON/CSV output.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage, validation,
-arithmetic, output or allocation error (no output is written then).  Complex
-literals are written ``a+bi`` / ``a-bi`` with no spaces.  JSON is indented
-by two spaces, floats in their shortest round-trip ``repr``, complex numbers
-as ``[re, im]`` pairs; one bulk writer produces the bytes that
-``json.dumps(doc, indent=2, allow_nan=False)`` would, formatting each
-complex array in one pass.  CSV is one ``%.17g`` pass over a float matrix.
+arithmetic, output or allocation error.  Every error raised before the write
+(usage, validation, arithmetic, a non-finite JSON value) leaves no output: an
+existing ``--output`` file keeps its bytes.  ``--output`` is overwritten in
+place, its old tail cut after the new text, with no fsync: on ext4, a file
+truncated to zero and written again starts writeback at ``close``, which
+costs ten times the write in place.  An I/O error during the write can
+leave the file partly overwritten, as truncating first could leave it
+partly written.
+Complex literals are written ``a+bi`` / ``a-bi`` with no spaces.  JSON is
+indented by two spaces, floats in their shortest round-trip ``repr``,
+complex numbers as ``[re, im]`` pairs; one bulk writer produces the bytes
+that ``json.dumps(doc, indent=2, allow_nan=False)`` would, formatting each
+complex array in one ``%`` pass over a layout of its shape.  Layouts of up
+to 4096 floats are cached, at most 64 of them.  CSV is one ``%.17g`` pass
+over a float matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -72,6 +83,26 @@ def _out_of_range(x) -> ValueError:
     return ValueError(f"Out of range float values are not JSON compliant: {x!r}")
 
 
+#: a layout of more floats than this is built on each call and never cached
+_CACHED_FLOATS = 4096
+
+
+def _layout(shape: tuple, pad: str) -> str:
+    """The nested lists of an array of floats of ``shape``, opened at the
+    indent ``pad`` plus two spaces per axis, with ``%r`` for each float."""
+    text = ["%r"] * math.prod(shape)
+    for axis in range(len(shape) - 1, -1, -1):
+        outer = pad + "  " * axis
+        sep = ",\n  " + outer
+        rows = zip(*[iter(text)] * shape[axis])
+        text = ["[\n  " + outer + sep.join(row) + "\n" + outer + "]" for row in rows]
+    return text[0]
+
+
+# one layout per (shape, pad): eval writes 57 of them over n = 2-8
+_cached_layout = functools.lru_cache(maxsize=64)(_layout)
+
+
 def _array(a, pad: str) -> str:
     """A complex array (or number) as nested ``[re, im]`` lists, each list
     opened at the indent ``pad`` plus two spaces per axis."""
@@ -82,13 +113,8 @@ def _array(a, pad: str) -> str:
     vals = pairs.ravel().tolist()
     if not np.isfinite(pairs).all():
         raise _out_of_range(next(x for x in vals if not math.isfinite(x)))
-    text = list(map(float.__repr__, vals))
-    for axis in range(pairs.ndim - 1, -1, -1):
-        outer = pad + "  " * axis
-        sep = ",\n  " + outer
-        rows = zip(*[iter(text)] * pairs.shape[axis])
-        text = ["[\n  " + outer + sep.join(row) + "\n" + outer + "]" for row in rows]
-    return text[0]
+    layout = _cached_layout if len(vals) <= _CACHED_FLOATS else _layout
+    return layout(pairs.shape, pad) % tuple(vals)
 
 
 def _value(x, pad: str) -> str:
@@ -128,11 +154,24 @@ def _json(doc: dict) -> str:
 
 
 def _emit(text: str, path):
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    """Write ``text`` to stdout, or over the file ``path`` in place: no
+    truncate to zero first (see the module docstring), and a longer old tail
+    cut after the new bytes.  Only a regular file is cut; ``/dev/null``
+    refuses ``ftruncate``."""
+    if not path:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _csv(header: list, table: np.ndarray) -> str:

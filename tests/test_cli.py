@@ -522,6 +522,8 @@ def test_eval_near_zero_section(capsys):
     ["verify", "--points", "1000000000000000"],
     ["scan", "--quantity", "psi", "--u-min", "1", "--u-max", "2",
      "--points", "1000000000000000"],
+    # a directory as --output
+    ["eval", "--point=1+0i,0+0i", "--output", os.curdir],
 ])
 def test_non_finite_results_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
@@ -814,7 +816,63 @@ def test_non_finite_output_is_not_written(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(curvature, "_kretschmann", lambda z, params: float("nan"))
     path = tmp_path / "eval.json"
-    rc, out, err = run_cli(capsys, "eval", "--n", "2", "--point=1+0i,0+0i",
-                           "--output", str(path))
+    argv = ["eval", "--n", "2", "--point=1+0i,0+0i", "--output", str(path)]
+    rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == "" and not path.exists()
     assert err == "error: Out of range float values are not JSON compliant: nan\n"
+    # a file that was there keeps its bytes
+    before = b'{"earlier": "output"}\n' * 500
+    path.write_bytes(before)
+    assert run_cli(capsys, *argv) == (rc, out, err)
+    assert path.read_bytes() == before
+
+
+def test_layout_cache_is_bounded():
+    bound = cli._cached_layout.cache_info().maxsize
+    cli._cached_layout.cache_clear()
+    try:
+        doc = {f"v{k}": np.full(k, 0.5 - 1j) for k in range(1, bound + 9)}
+        _assert_same_text(cli._json(doc), _reference_json(doc))
+        info = cli._cached_layout.cache_info()
+        assert (info.misses, info.currsize) == (bound + 8, bound)
+        # 40 x 40 x 3 complex values are 9600 floats: built, not kept
+        big = {"big": np.arange(4800).reshape(40, 40, 3) * (0.25 + 1 / 3j)}
+        assert big["big"].size * 2 > cli._CACHED_FLOATS
+        _assert_same_text(cli._json(big), _reference_json(big))
+        assert cli._cached_layout.cache_info() == info
+    finally:
+        cli._cached_layout.cache_clear()
+
+
+# --- output file ---------------------------------------------------------------
+
+_OUTPUT_ARGVS = [
+    ["eval", "--n", "3", "--a", "0.7", "--point=0.4-0.3i,1+0.2i,0.1i"],
+    ["eval", "--chart=2:0.2+0.4i:0.3-0.1i"],
+    ["verify", "--n", "2", "--points", "2"],
+    ["geodesic", "--point=1+0.5i,0.3i", "--velocity=0.2+0i,1i", "--t-end", "2"],
+    ["scan", "--quantity", "spectrum", "--u-min", "0.1", "--u-max", "10",
+     "--points", "9"],
+    ["scan", "--quantity", "psi", "--u-min", "0.1", "--u-max", "10",
+     "--points", "9", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+@pytest.mark.parametrize("argv", _OUTPUT_ARGVS, ids=" ".join)
+def test_output_overwrites_existing_file(capsys, tmp_path, argv, old):
+    # the file is written in place: a longer old tail is cut, a shorter
+    # file grows, and either way it holds the bytes stdout gets
+    rc, want, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    want = want.encode("utf-8")
+    path = tmp_path / "out"
+    path.write_bytes(b"#" * (len(want) + 4097 if old == "longer" else len(want) // 2))
+    assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("argv", _OUTPUT_ARGVS, ids=" ".join)
+def test_output_to_devnull(capsys, argv):
+    # a character device: written, never truncated
+    assert run_cli(capsys, *argv, "--output", os.devnull) == (0, "", "")
