@@ -19,10 +19,17 @@ The log-sum is real for u > 0 because the branches pair into conjugates;
 The closed forms here are written to avoid overflow near ``u = 0`` (where
 ``(a/u)^n`` blows up) by factoring the small ratio out first; the one
 overflow-safe power ``(1 + x^n)^(1/n)`` is ``_root_one_plus_pow``, and
-``phi`` and ``1 - phi`` are 0 where their power overflows.  The
+``phi`` and ``1 - phi`` are 0 where their power overflows, under one rule
+for a Python float, a numpy scalar and an array (``_pow_or_inf``).  The
 profile also carries ``1 - phi`` from its own stable formula, because
 forming it by subtraction loses every digit near the zero section, where
 ``phi`` rounds to 1.
+
+A radius outside the double range of the scale is a ``DomainError`` that
+names ``u`` and ``a``, where the answer would otherwise read 0, NaN or inf:
+the profile refuses it where ``a/u`` or ``n/u`` overflows (for radii and
+lifts alike), ``f_prime`` where ``a/u`` does, and the psi kernel where
+``u/a`` does.
 
 The distance from radius ``u`` to the zero section is
 
@@ -45,6 +52,14 @@ tail, so nothing overflows.  56 terms reach double precision at ``w = 1/2``,
 and the coefficients are made once per n.  ``_psi_ratios`` gives, from the
 same series, the two ratios in which ``hessian`` writes the derivatives of
 ``psi``.
+
+Each of these formulas is written once, for one radius and for a stack of
+radii.  What differs between the two is picked once per call from the
+input's type: branch select, min/max, ``sqrt``, libm's ``pow`` (``**`` on a
+float, ``np.float_power`` on an array) and the series sum.  One radius sums
+by Horner over the descending coefficients, and a stack by one matrix
+product of its chunk of powers; each is the faster on its own input, so
+both stay.
 """
 
 from __future__ import annotations
@@ -52,7 +67,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -125,13 +142,33 @@ def _all(ok) -> bool:
     return bool(ok.all()) if getattr(ok, "ndim", 0) else bool(ok)
 
 
-def _check_u(u, where: str):
-    u = u if type(u) is float else _radii(u)  # a float goes straight through
-    ok = u > 0
+def _require(ok, u, message: str, **fields):
+    """Raise ``DomainError(message.format(u=..., **fields))`` unless ``ok``
+    holds at every radius of ``u``; ``u`` is the first radius where it fails."""
     if not (ok is True or _all(ok)):
         bad = float(u if isinstance(u, float) else u[~ok][0])
-        raise DomainError(f"{where} requires u > 0, got u={bad!r}")
+        raise DomainError(message.format(u=bad, **fields))
+
+
+def _check_u(u, where: str):
+    u = u if type(u) is float else _radii(u)  # a float goes straight through
+    _require(u > 0, u, "{where} requires u > 0, got u={u!r}", where=where)
     return u
+
+
+def _ratio(x, y, u, a: float, what: str):
+    """``x / y`` at radii ``u`` and scale ``a``, refused where it overflows,
+    since there ``u`` is outside the double range of the scale.  A stack
+    divides with numpy's overflow error off, so every radius type meets the
+    same :class:`DomainError`."""
+    if type(u) is float:
+        q = x / y
+    else:
+        with np.errstate(over="ignore"):
+            q = x / y
+    _require(q < math.inf, u, "u={u!r} is outside the double range of the scale "
+             "a={a!r}: {what} overflows", a=a, what=what)
+    return q
 
 
 def _entrywise(x, split, below, above):
@@ -163,19 +200,20 @@ def f_prime(u: float, params: GeometryParams) -> float:
     Strictly decreasing, -> 1 as u -> infinity.
     """
     u = _check_u(u, "f_prime")
-    return _root_one_plus_pow(params.a / u, params.n)
+    return _root_one_plus_pow(_ratio(params.a, u, u, params.a, "a/u"), params.n)
 
 
 def _pow_or_inf(x, n: int):
-    """``x^n`` for ``x >= 0``, and ``inf`` where it overflows: silently for
-    a float array, and for a Python float, whose power would raise
-    ``OverflowError``.  A numpy scalar, as the flows pass, follows numpy's
-    error state."""
+    """``x^n`` for ``x >= 0``, and ``inf`` where it overflows, whatever the
+    type of ``x``: an array is raised with numpy's overflow error off, and
+    anything else (a Python float, or the numpy scalar the flows pass) as a
+    Python float, whose ``OverflowError`` is caught.  libm's ``pow`` gives
+    both scalars the same bits."""
     if isinstance(x, np.ndarray):
         with np.errstate(over="ignore"):
             return x**n
     try:
-        return x**n
+        return float(x) ** n
     except OverflowError:
         return math.inf
 
@@ -184,12 +222,6 @@ def _phi(u: float, params: GeometryParams) -> float:
     # a^n/(a^n+u^n) without forming either power alone; 0 where (u/a)^n
     # overflows
     return 1.0 / (1.0 + _pow_or_inf(u / params.a, params.n))
-
-
-def _one_minus_phi(u: float, params: GeometryParams) -> float:
-    # u^n/(a^n+u^n), stable against cancellation for u << a; 0 where
-    # (a/u)^n overflows
-    return 1.0 / (1.0 + _pow_or_inf(params.a / u, params.n))
 
 
 def _definite(profile: RadialProfile) -> RadialProfile:
@@ -219,10 +251,8 @@ def potential(u, params: GeometryParams):
     u = _check_u(u, "potential")
     n, a = params.n, params.a
     alpha = _root_one_plus_pow(u / a, n)  # > 1 unless it rounds to 1
-    if not _all(alpha > 1.0):
-        bad = float(u if isinstance(u, float) else u[~(alpha > 1.0)][0])
-        raise DomainError(f"potential cannot be computed in double precision at "
-                          f"u={bad!r}: 1 + (u/a)^n rounds to 1")
+    _require(alpha > 1.0, u, "potential cannot be computed in double precision at "
+             "u={u!r}: 1 + (u/a)^n rounds to 1")
     zeta = cmath.exp(2j * cmath.pi / n)
     acc = 0.0 + 0.0j
     scale = 0.0
@@ -264,12 +294,18 @@ def radial_profile(u, params: GeometryParams) -> RadialProfile:
 
 
 def _profile(u, params: GeometryParams) -> RadialProfile:
-    # radial_profile at radii known to be 0 < u < inf (floats, see _radii)
+    # radial_profile at radii known to be 0 < u < inf (floats, see _radii),
+    # refused where a/u or n/u overflows: max(a, n)/u is the larger of them
+    n, a = params.n, params.a
+    _ratio(max(a, n), u, u, a, "a/u or n/u")
+    q = a / u
     phi = _phi(u, params)
-    one_minus_phi = _one_minus_phi(u, params)
+    # u^n/(a^n+u^n), stable against cancellation for u << a; 0 where
+    # (a/u)^n overflows
+    one_minus_phi = 1.0 / (1.0 + _pow_or_inf(q, n))
     return RadialProfile(
-        u=u, e_psi=_root_one_plus_pow(params.a / u, params.n), phi=phi,  # e_psi = f'
-        one_minus_phi=one_minus_phi, phi_prime=-(params.n / u) * phi * one_minus_phi,
+        u=u, e_psi=_root_one_plus_pow(q, n), phi=phi,  # e_psi = f'
+        one_minus_phi=one_minus_phi, phi_prime=-(n / u) * phi * one_minus_phi,
     )
 
 
@@ -334,9 +370,18 @@ def _gauss_series(n: int):
     return (n - 1.0) / (2.0 * n), c_n, descending, np.array(ascending).T
 
 
-def _gauss_tails(w, coeffs):
-    """``(F(w) - 1)/w`` of both series at each ``w`` of an array, shape
-    ``(..., 2)``: one matrix product per chunk of the powers
+def _horner(w: float, lo: bool, n: int) -> float:
+    """``S = (F(w) - 1)/w`` of the branch's series at one radius: Horner
+    over the descending coefficients."""
+    s = 0.0
+    for c in _gauss_series(n)[2][0 if lo else 1]:
+        s = s * w + c
+    return s
+
+
+def _gauss_tails(w, lo, n: int):
+    """``S = (F(w) - 1)/w`` of the branch's series at each ``w`` of an
+    array: both series in one matrix product per chunk of the powers
     ``w^k = exp(k log w)``, each held at ``e^-700`` or above so that none
     underflows (an underflowing power is slow), which moves ``F`` by less
     than ``1e-300``."""
@@ -345,38 +390,37 @@ def _gauss_tails(w, coeffs):
     for i in range(0, len(logs), _CHUNK):
         table = logs[i:i + _CHUNK] * _POWERS
         np.exp(np.maximum(table, -700.0, out=table), out=table)
-        np.matmul(table, coeffs, out=tails[i:i + _CHUNK])
-    return tails.reshape(w.shape + (2,))
+        np.matmul(table, _gauss_series(n)[3], out=tails[i:i + _CHUNK])
+    tails = tails.reshape(w.shape + (2,))
+    return np.where(lo, tails[..., 0], tails[..., 1])
+
+
+#: the primitives in which one radius (Python floats) and a stack of radii
+#: (float arrays) differ: branch select, min/max, sqrt, libm's ``pow``
+#: (``np.power`` rounds otherwise on AVX-512 builds) and the series ``S`` of
+#: the branch at ``w``, ``(w, lo, n) -> S``
+_RADIUS = SimpleNamespace(where=lambda c, x, y: x if c else y, minimum=min, maximum=max,
+                          sqrt=math.sqrt, pow=operator.pow, series=_horner)
+_STACK = SimpleNamespace(where=np.where, minimum=np.minimum, maximum=np.maximum,
+                         sqrt=np.sqrt, pow=np.float_power, series=_gauss_tails)
 
 
 def _gauss_parts(u, n: int, a: float):
-    """``(lo, t, z, x, m, w S)`` at radii ``0 <= u``, shared by
-    :func:`_distance` and :func:`_psi_ratios`: ``t = u/a``, ``lo`` is
+    """``(ops, lo, t, z, x, m, w S)`` at radii ``0 <= u``, shared by
+    :func:`_distance` and :func:`_psi_ratios`: ``ops`` is :data:`_RADIUS`
+    for a float and :data:`_STACK` otherwise, ``t = u/a``, ``lo`` is
     ``t <= 1``, ``z = min(t, 1/t)``, ``x = z^(n/2)``, ``m = x^2`` and
     ``S = (F(w) - 1)/w`` of the branch's series at ``w = m/(1+m) <= 1/2``.
-
-    One radius runs its branch in Python floats and a Horner loop; a stack
-    runs both branches in one vectorised pass, with the same powers
-    (``np.float_power`` is libm's ``pow``).
+    A radius where ``u/a`` overflows is a :class:`DomainError`.
     """
-    t = u / a
-    if isinstance(u, float):
-        lo = t <= 1.0
-        z = t if lo else 1.0 / t
-        x = z ** (n / 2.0)
-        m = x * x
-        w = m / (1.0 + m)
-        s = 0.0
-        for c in _gauss_series(n)[2][0 if lo else 1]:
-            s = s * w + c
-        return lo, t, z, x, m, w * s
+    ops = _RADIUS if isinstance(u, float) else _STACK
+    t = _ratio(u, a, u, a, "u/a")
     lo = t <= 1.0
-    z = np.minimum(t, 1.0 / np.maximum(t, 1.0))
-    x = np.float_power(z, n / 2.0)
+    z = ops.minimum(t, 1.0 / ops.maximum(t, 1.0))
+    x = ops.pow(z, n / 2.0)
     m = x * x
     w = m / (1.0 + m)
-    tails = _gauss_tails(w, _gauss_series(n)[3])
-    return lo, t, z, x, m, w * np.where(lo, tails[..., 0], tails[..., 1])
+    return ops, lo, t, z, x, m, w * ops.series(w, lo, n)
 
 
 def _distance(u, n: int, a: float):
@@ -388,18 +432,12 @@ def _distance(u, n: int, a: float):
     in the terms of :func:`_gauss_parts`.  ``S`` enters only the term that
     carries at most 30% of ``d``, so a radius and a stack agree within 1 ulp.
     """
-    lo, t, _, x, m, ws = _gauss_parts(u, n, a)
+    ops, lo, t, _, x, m, ws = _gauss_parts(u, n, a)
     beta, c_n = _gauss_series(n)[:2]
     scale = math.sqrt(a) / n
-    if isinstance(u, float):
-        if lo:
-            h = scale * x * (1.0 + m) ** -beta
-            return h + h * ws
-        h = math.sqrt(a) * math.sqrt(t) * (1.0 + m) ** (0.5 / n)
-        return (h + scale * c_n) + h * ws
-    h = np.where(lo, scale * x, math.sqrt(a) * np.sqrt(t)) * np.float_power(
-        1.0 + m, np.where(lo, -beta, 0.5 / n))
-    return (h + np.where(lo, 0.0, scale * c_n)) + h * ws
+    h = ops.where(lo, scale * x, math.sqrt(a) * ops.sqrt(t)) * ops.pow(
+        1.0 + m, ops.where(lo, -beta, 0.5 / n))
+    return (h + ops.where(lo, 0.0, scale * c_n)) + h * ws
 
 
 def _psi_ratios(u, n: int, a: float):
@@ -416,17 +454,10 @@ def _psi_ratios(u, n: int, a: float):
     only where ``k`` does, and every power with an inexact exponent has its
     base in ``[1, 2]``, so the exponent's rounding costs under an ulp.
     """
-    lo, t, z, x, m, ws = _gauss_parts(u, n, a)
+    ops, lo, t, z, x, m, ws = _gauss_parts(u, n, a)
     beta, c_n = _gauss_series(n)[:2]
-    e = (1.0 - n) / n
     tiny = math.ulp(0.0)  # only t = 0 meets it, where x (x/t) = 0
-    if isinstance(u, float):
-        k = (1.0 + m) ** e
-        if lo:
-            r = 1.0 / n
-            return r + r * ws, x * (x / max(t, tiny)) * k
-        r = math.sqrt(1.0 + m)
-        return (r + (1.0 + m) ** beta * (c_n / n) * math.sqrt(z)) + r * ws, k
-    r = np.where(lo, 1.0 / n, np.sqrt(1.0 + m))
-    rho = (r + np.where(lo, 0.0, np.float_power(1.0 + m, beta) * (c_n / n) * np.sqrt(z))) + r * ws
-    return rho, np.where(lo, x * (x / np.maximum(t, tiny)), 1.0) * np.float_power(1.0 + m, e)
+    r = ops.where(lo, 1.0 / n, ops.sqrt(1.0 + m))
+    rho = (r + ops.where(lo, 0.0, ops.pow(1.0 + m, beta) * (c_n / n) * ops.sqrt(z))) + r * ws
+    k = ops.where(lo, x * (x / ops.maximum(t, tiny)), 1.0) * ops.pow(1.0 + m, (1.0 - n) / n)
+    return rho, k

@@ -876,3 +876,23 @@ def test_output_overwrites_existing_file(capsys, tmp_path, argv, old):
 def test_output_to_devnull(capsys, argv):
     # a character device: written, never truncated
     assert run_cli(capsys, *argv, "--output", os.devnull) == (0, "", "")
+
+
+def test_geodesic_where_the_phi_power_overflows(capsys):
+    # (u/a)^3 = 1e360 overflows: phi is 0, as in eval at the same point, and
+    # the flow is the flat one, along v
+    rc, out, err = run_cli(capsys, "geodesic", "--n", "3", "--point=1e60+0i,0+0i,0+0i",
+                           "--velocity=0+0i,1+0i,0+0i", "--t-end", "1")
+    assert rc == 0 and err == ""
+    assert out.endswith("\nclassification,escapes\n")
+    last = [float(x) for x in out.splitlines()[-2].split(",")]
+    assert last[0] == 1.0 and last[3] == pytest.approx(1.0, rel=1e-12)  # im z2 = t
+
+
+def test_eval_where_u_over_a_overflows(capsys):
+    # psi there was NaN, and the JSON writer refused it
+    rc, out, err = run_cli(capsys, "eval", "--n", "2", "--a", "1e-10",
+                           "--point=1e150+0i,0+0i")
+    assert rc == 2 and out == ""
+    assert err == ("error: u=9.999999999999999e+299 is outside the double range of "
+                   "the scale a=1e-10: u/a overflows\n")

@@ -10,8 +10,13 @@ from cehgeom import (
     DomainError,
     GeometryParams,
     f_prime,
+    hessian_spectrum,
+    kretschmann,
+    kretschmann_radial,
     potential,
     profiles,
+    psi_prime,
+    radial_arclength,
     radial_profile,
     radius_sq,
     roots_of_unity_sum,
@@ -344,3 +349,67 @@ def test_distance_radius_and_stack_agree_within_one_ulp(n):
         assert np.all(np.abs(d - single[0]) <= np.spacing(single[0])), a
         assert np.all(np.abs(rho - single[1]) <= 2 * np.spacing(single[1])), a
         assert np.array_equal(k, single[2]), a
+
+
+# --- radii outside the double range of the scale ------------------------------
+
+def _error_states():
+    # numpy's default, and the CLI's: overflow, x/0 and 0/0 raise
+    for state in ("warn", "raise"):
+        yield np.errstate(over=state, divide=state, invalid=state)
+
+
+def _outside(u, a, what):
+    return (f"u={u!r} is outside the double range of the scale a={a!r}: "
+            f"{what} overflows")
+
+
+@pytest.mark.parametrize("call,u,a", [
+    # K, f', phi' and the spectrum read 0, NaN or inf there before the refusal
+    (lambda: kretschmann_radial(1e-310, GeometryParams(2, 1.0)), 1e-310, 1.0),
+    (lambda: kretschmann([1e-155, 0.0], GeometryParams(2, 1.0)), 1e-310, 1.0),
+    (lambda: radial_profile(1e-308, GeometryParams(2, 1.0)), 1e-308, 1.0),  # n/u alone
+    (lambda: radial_profile(np.array([1.0, 1e-300, 1e-320]), GeometryParams(3, 1e10)), 1e-300, 1e10),
+    (lambda: hessian_spectrum([1e-155, 0.0], GeometryParams(2, 1.0)), 1e-310, 1.0),
+])
+def test_profile_refuses_where_a_over_u_or_n_over_u_overflows(call, u, a):
+    # the same refusal for a radius, a stack and a lift, under any error state
+    for errstate in _error_states():
+        with errstate, pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == _outside(u, a, "a/u or n/u")
+
+
+@pytest.mark.parametrize("u", [1e-310, np.array([2.0, 1e-310, 5e-324])])
+def test_f_prime_refuses_where_a_over_u_overflows(u):
+    for errstate in _error_states():
+        with errstate, pytest.raises(DomainError) as info:
+            f_prime(u, GeometryParams(2, 1.0))
+        assert str(info.value) == _outside(1e-310, 1.0, "a/u")
+    # in range, the value stays: f' = a/u to the last bit
+    assert f_prime(1e-308, GeometryParams(2, 1e-8)) == 1e300
+
+
+@pytest.mark.parametrize("call", [
+    lambda: radial_arclength(1e300, GeometryParams(2, 1e-10)),
+    lambda: profiles._distance(np.array([1.0, 1e300]), 2, 1e-10),
+    lambda: psi_prime(1e300, GeometryParams(2, 1e-10)),
+])
+def test_psi_refuses_where_u_over_a_overflows(call):
+    for errstate in _error_states():
+        with errstate, pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == _outside(1e300, 1e-10, "u/a")
+    # the psi scan to 1e-308 at a = 1e-8 stays in range
+    d = profiles._distance(np.geomspace(1e-308, 1e300, 9), 2, 1e-8)
+    assert np.isfinite(d).all() and (d > 0).all()
+
+
+def test_phi_power_overflows_to_inf_for_every_input_type():
+    # (u/a)^3 = 1e360 overflows: phi is 0 for a float, the numpy scalar the
+    # flows pass and an array, even where numpy raises on overflow
+    p = GeometryParams(3, 1.0)
+    with np.errstate(over="raise"):
+        for u in (1e120, np.float64(1e120)):
+            assert profiles._phi(u, p) == 0.0
+        assert profiles._phi(np.array([1e120, 1.0]), p).tolist() == [0.0, 0.5]
