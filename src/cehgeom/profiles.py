@@ -67,7 +67,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -400,7 +399,7 @@ def _gauss_tails(w, lo, n: int):
 #: (``np.power`` rounds otherwise on AVX-512 builds) and the series ``S`` of
 #: the branch at ``w``, ``(w, lo, n) -> S``
 _RADIUS = SimpleNamespace(where=lambda c, x, y: x if c else y, minimum=min, maximum=max,
-                          sqrt=math.sqrt, pow=operator.pow, series=_horner)
+                          sqrt=math.sqrt, pow=pow, series=_horner)
 _STACK = SimpleNamespace(where=np.where, minimum=np.minimum, maximum=np.maximum,
                          sqrt=np.sqrt, pow=np.float_power, series=_gauss_tails)
 
