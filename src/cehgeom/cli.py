@@ -195,7 +195,7 @@ def _tensor_bundle(z: np.ndarray, params: GeometryParams) -> dict:
     # one validated lift (an overflowing |z|^2 is refused) behind every kernel
     z, prof = tensors._lift(z, params)
     g, ginv = tensors._metric(z, prof), tensors._metric_inverse(z, prof)
-    riem = curvature._riemann(z, prof, params)
+    riem = curvature._riemann(z, prof, g, params)
     return {
         "u": prof.u,
         "metric": g,

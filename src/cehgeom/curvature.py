@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensors import _lift, _metric, _metric_inverse, _outer, hermitian_outer
-from .profiles import GeometryParams, RadialProfile, _definite, radial_profile
+from .profiles import GeometryParams, RadialProfile, _definite, _ops, radial_profile
 
 __all__ = [
     "christoffel_ceh",
@@ -83,16 +83,18 @@ def riemann(z, params: GeometryParams) -> np.ndarray:
     the anti-holomorphic pair ``nu <-> beta``; Hermitian in the sense
     ``R[..., m, n, a, b] = conj(R[..., n, m, b, a])``.
     """
-    return _riemann(*_lift(z, params), params)
+    z, prof = _lift(z, params)
+    return _riemann(z, prof, _metric(z, prof), params)
 
 
-def _riemann(z, prof: RadialProfile, params: GeometryParams) -> np.ndarray:
+def _riemann(z, prof: RadialProfile, g, params: GeometryParams) -> np.ndarray:
+    # g is the metric at z, which every caller already holds
     n, u = params.n, prof.u
-    g = _metric(z, prof)
-    w = prof.e_psi ** (-(n - 1))
+    power = _ops(u).pow  # libm's, so a stack rounds as one lift does
+    w = power(prof.e_psi, -(n - 1))
     # per-lift coefficients, broadcast over the four tensor axes
     pref, c2, c3 = (np.asarray(c)[..., None, None, None, None] for c in (
-        prof.phi / (u * prof.e_psi), (n + 1) * w, (n + 1) * (n + 2) * w**2))
+        prof.phi / (u * prof.e_psi), (n + 1) * w, (n + 1) * (n + 2) * power(w, 2)))
     zbz = hermitian_outer(z) / np.asarray(u)[..., None, None]
 
     t1 = np.einsum("...an,...mb->...mnab", g, g) + np.einsum(
@@ -116,7 +118,7 @@ def ricci(z, params: GeometryParams) -> np.ndarray:
     :func:`cehgeom.numdiff.fd_ricci_log_det`.
     """
     z, prof = _lift(z, params)
-    return _ricci(_metric_inverse(z, prof), _riemann(z, prof, params))
+    return _ricci(_metric_inverse(z, prof), _riemann(z, prof, _metric(z, prof), params))
 
 
 def _ricci(ginv, r) -> np.ndarray:
@@ -137,7 +139,7 @@ def _kretschmann(prof: RadialProfile, params: GeometryParams):
     n = params.n
     # a^n/(a^n+u^n)^((n+1)/n) = phi * e^-psi / u
     pref = prof.phi / (prof.u * prof.e_psi)
-    return n * (n + 2) * (n**2 - 1) * pref**2
+    return n * (n + 2) * (n**2 - 1) * _ops(prof.u).pow(pref, 2)
 
 
 def kretschmann(z, params: GeometryParams):
@@ -150,7 +152,8 @@ def kretschmann_contracted(z, params: GeometryParams):
     Riemann tensor with itself, every index raised explicitly with the
     inverse metric."""
     z, prof = _lift(z, params)
-    return _squared_norm(_riemann(z, prof, params), _metric_inverse(z, prof))
+    return _squared_norm(_riemann(z, prof, _metric(z, prof), params),
+                         _metric_inverse(z, prof))
 
 
 def _squared_norm(r, ginv):

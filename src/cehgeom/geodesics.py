@@ -43,7 +43,8 @@ import numpy as np
 from ._dop853 import solve_ivp
 from .charts import _base_chart, zero_section_restriction
 from .tensors import _lift, _one_point
-from .profiles import DomainError, GeometryParams, _definite, _distance, _phi, radius_sq
+from .profiles import (DomainError, GeometryParams, _all, _definite, _distance, _phi,
+                       radius_sq)
 
 __all__ = [
     "GeodesicState",
@@ -134,10 +135,16 @@ def _ceh_acceleration(z, v, params: GeometryParams):
     ``Gamma^lam_{mu alpha} = -(phi/u) (delta^lam_mu zbar_alpha +
     delta^lam_alpha zbar_mu) + (n+1) phi/u^2 zbar_mu zbar_alpha z^lam``,
     unvalidated."""
-    u = np.vdot(z, z).real
+    u = float(np.vdot(z, z).real)  # a float, so an overflowing u*u is inf
     phi = _phi(u, params)
     ip = np.vdot(z, v)  # sum conj(z) v
-    return (2.0 * (phi / u) * ip) * v - ((params.n + 1) * phi / (u * u) * ip * ip) * z
+    uu = u * u
+    if uu < math.inf:
+        cubic = (params.n + 1) * phi / uu * ip * ip
+    else:  # u > 1.3e154: the same term with <z,v>/u formed first
+        s = ip / u
+        cubic = (params.n + 1) * phi * s * s
+    return (2.0 * (phi / u) * ip) * v - cubic * z
 
 
 def geodesic_rhs(z, v, params: GeometryParams) -> np.ndarray:
@@ -167,7 +174,11 @@ def energy(z, v, params: GeometryParams):
     u, omp = prof.u, _definite(prof).one_minus_phi
     v = np.asarray(v, dtype=complex)
     ip = np.einsum("...m,...m->...", np.conj(z), v)  # <z, v>
-    radial = omp * (ip.real**2 + ip.imag**2) / u
+    with np.errstate(over="ignore"):  # |<z,v>|^2 can overflow where this term does not
+        radial = omp * (ip.real**2 + ip.imag**2) / u
+    if not _all(radial < math.inf):  # there, the same term with <z,v>/sqrt(u) formed first
+        s = ip / np.sqrt(u)
+        radial = np.where(radial < math.inf, radial, omp * (s.real**2 + s.imag**2))[()]
     return prof.e_psi * (radius_sq(v - (ip / u)[..., None] * z) + radial)
 
 

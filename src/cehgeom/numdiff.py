@@ -283,9 +283,12 @@ def _second_order_fd(z, params: GeometryParams):
     """FD metric (``d dbar`` of the potential) and FD Ricci tensor
     (``-d dbar log det g``) at one lift, from one nested central4 stencil of
     the two fields stacked on a trailing axis."""
-    log_det = _log_det_field(lambda w: _metric(*_lift(w, params)))
-    h = complex_hessian(
-        lambda w: np.stack([potential(radius_sq(w), params), log_det(w)], axis=-1), z)
+    def field(w):  # one lift: its radius for the potential, its metric for log det
+        w, prof = _lift(w, params)
+        log_det = _log_det_field(lambda _: _metric(w, prof))
+        return np.stack([potential(prof.u, params), log_det(w)], axis=-1)
+
+    h = complex_hessian(field, z)
     return h[..., 0], -h[..., 1]
 
 
@@ -318,7 +321,7 @@ def _point_checks(z, params: GeometryParams, alpha: float):
     z, prof = _lift(z, params)
     g, gamma = _metric(z, prof), _curvature._rot_sym_connection(z, prof)
     ginv = _metric_inverse(z, prof)
-    riem = _curvature._riemann(z, prof, params)
+    riem = _curvature._riemann(z, prof, g, params)
     spec = _hessian._spectrum(prof, params)
     k = _curvature._kretschmann(prof, params)
     k_contr = _curvature._squared_norm(riem, ginv)
@@ -338,7 +341,7 @@ def _point_checks(z, params: GeometryParams, alpha: float):
     yield "hermiticity", maxabs(g - g.conj().T), TOL_HERMITIAN
     yield "mu_n_invariance", maxabs(rotated - g), TOL_MU_N
     yield "metric_positivity", -np.linalg.eigvalsh(g).min(), TOL_POSITIVITY
-    yield "homothety", _homothety_residual(z, prof, alpha, params), TOL_HOMOTHETY
+    yield "homothety", _homothety_residual(z, g, alpha, params), TOL_HOMOTHETY
     yield "volform_norm", abs(volform_norm - 1.0), TOL_VOLFORM
     yield "nabla_epsilon", maxabs(nabla_eps), TOL_NABLA_EPSILON
     yield "hessian_spectrum", maxabs(eigs - spec.multiset(n)), TOL_SPECTRUM

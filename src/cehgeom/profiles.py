@@ -19,11 +19,10 @@ The log-sum is real for u > 0 because the branches pair into conjugates;
 The closed forms here are written to avoid overflow near ``u = 0`` (where
 ``(a/u)^n`` blows up) by factoring the small ratio out first; the one
 overflow-safe power ``(1 + x^n)^(1/n)`` is ``_root_one_plus_pow``, and
-``phi`` and ``1 - phi`` are 0 where their power overflows, under one rule
-for a Python float, a numpy scalar and an array (``_pow_or_inf``).  The
-profile also carries ``1 - phi`` from its own stable formula, because
-forming it by subtraction loses every digit near the zero section, where
-``phi`` rounds to 1.
+``phi`` and ``1 - phi`` are 0 where their ratio or its power overflows, for
+every radius type (``pow_or_inf``).  The profile also carries ``1 - phi``
+from its own stable formula, because forming it by subtraction loses every
+digit near the zero section, where ``phi`` rounds to 1.
 
 A radius outside the double range of the scale is a ``DomainError`` that
 names ``u`` and ``a``, where the answer would otherwise read 0, NaN or inf:
@@ -53,13 +52,18 @@ and the coefficients are made once per n.  ``_psi_ratios`` gives, from the
 same series, the two ratios in which ``hessian`` writes the derivatives of
 ``psi``.
 
-Each of these formulas is written once, for one radius and for a stack of
-radii.  What differs between the two is picked once per call from the
-input's type: branch select, min/max, ``sqrt``, libm's ``pow`` (``**`` on a
-float, ``np.float_power`` on an array) and the series sum.  One radius sums
-by Horner over the descending coefficients, and a stack by one matrix
-product of its chunk of powers; each is the faster on its own input, so
-both stay.
+Every formula here, the profile's and the psi kernel's, is written once,
+for one radius and for a stack of radii, over the primitives in which the
+two differ, picked once per call from the input's type (``_ops``): branch
+select, min/max, ``sqrt``, libm's ``pow`` (``**`` on a float,
+``np.float_power`` on an array), a division and a power that give ``inf``
+where they overflow, and the series sum.  So a stack gives each radius the
+bits of a call at that radius alone, and the tensors built on the profile
+give each lift its bits too.  The one exception is the series sum: one
+radius sums by Horner over the descending coefficients, and a stack by one
+matrix product of its chunk of powers.  Each is the faster on its own input,
+so both stay, and the psi jet and the Hessian spectrum of a stack may differ
+from one radius's by a few ulp.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -157,40 +162,23 @@ def _check_u(u, where: str):
 
 def _ratio(x, y, u, a: float, what: str):
     """``x / y`` at radii ``u`` and scale ``a``, refused where it overflows,
-    since there ``u`` is outside the double range of the scale.  A stack
-    divides with numpy's overflow error off, so every radius type meets the
-    same :class:`DomainError`."""
-    if type(u) is float:
-        q = x / y
-    else:
-        with np.errstate(over="ignore"):
-            q = x / y
+    since there ``u`` is outside the double range of the scale.  ``divide``
+    gives ``inf`` there for every radius type, so each meets the same
+    :class:`DomainError`."""
+    q = _ops(u).divide(x, y)
     _require(q < math.inf, u, "u={u!r} is outside the double range of the scale "
              "a={a!r}: {what} overflows", a=a, what=what)
     return q
 
 
-def _entrywise(x, split, below, above):
-    """``below(x)`` where ``x <= split``, else ``above(x)``: a float takes its
-    one branch and gives a Python float, a float array each entry its own."""
-    if isinstance(x, float):
-        return float(below(x) if x <= split else above(x))
-    out, lo = np.empty_like(x), x <= split
-    out[lo], out[~lo] = below(x[lo]), above(x[~lo])
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _root_branches(n: int):  # made once per n, so one radius makes no closures
-    return (lambda x: (1.0 + x**n) ** (1.0 / n),
-            lambda x: x * (1.0 + x ** (-float(n))) ** (1.0 / n))
-
-
 def _root_one_plus_pow(x, n: int):
     """``(1 + x^n)^(1/n)`` for ``x >= 0``; for ``x > 1`` the equivalent
-    ``x (1 + x^-n)^(1/n)`` is used so the power never overflows."""
-    below, above = _root_branches(n)
-    return _entrywise(x, 1.0, below, above)
+    ``x (1 + x^-n)^(1/n)`` is used, so the inner power is ``x^n`` or
+    ``x^-n``, whichever is at most 1, and never overflows."""
+    ops = _ops(x)
+    lo = x <= 1.0
+    root = ops.pow(1.0 + ops.pow(x, ops.where(lo, float(n), -float(n))), 1.0 / n)
+    return ops.where(lo, root, x * root)
 
 
 def f_prime(u: float, params: GeometryParams) -> float:
@@ -202,25 +190,11 @@ def f_prime(u: float, params: GeometryParams) -> float:
     return _root_one_plus_pow(_ratio(params.a, u, u, params.a, "a/u"), params.n)
 
 
-def _pow_or_inf(x, n: int):
-    """``x^n`` for ``x >= 0``, and ``inf`` where it overflows, whatever the
-    type of ``x``: an array is raised with numpy's overflow error off, and
-    anything else (a Python float, or the numpy scalar the flows pass) as a
-    Python float, whose ``OverflowError`` is caught.  libm's ``pow`` gives
-    both scalars the same bits."""
-    if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore"):
-            return x**n
-    try:
-        return float(x) ** n
-    except OverflowError:
-        return math.inf
-
-
 def _phi(u: float, params: GeometryParams) -> float:
-    # a^n/(a^n+u^n) without forming either power alone; 0 where (u/a)^n
-    # overflows
-    return 1.0 / (1.0 + _pow_or_inf(u / params.a, params.n))
+    # a^n/(a^n+u^n) without forming either power alone; 0 where u/a or
+    # (u/a)^n overflows
+    ops = _ops(u)
+    return 1.0 / (1.0 + ops.pow_or_inf(ops.divide(u, params.a), params.n))
 
 
 def _definite(profile: RadialProfile) -> RadialProfile:
@@ -301,7 +275,7 @@ def _profile(u, params: GeometryParams) -> RadialProfile:
     phi = _phi(u, params)
     # u^n/(a^n+u^n), stable against cancellation for u << a; 0 where
     # (a/u)^n overflows
-    one_minus_phi = 1.0 / (1.0 + _pow_or_inf(q, n))
+    one_minus_phi = 1.0 / (1.0 + _ops(u).pow_or_inf(q, n))
     return RadialProfile(
         u=u, e_psi=_root_one_plus_pow(q, n), phi=phi,  # e_psi = f'
         one_minus_phi=one_minus_phi, phi_prime=-(n / u) * phi * one_minus_phi,
@@ -394,14 +368,41 @@ def _gauss_tails(w, lo, n: int):
     return np.where(lo, tails[..., 0], tails[..., 1])
 
 
+def _libm_pow_or_inf(x, p):
+    """libm's ``pow`` of one radius (a Python float or a numpy scalar), as a
+    Python float, whose ``OverflowError`` is ``inf``."""
+    try:
+        return float(x) ** p
+    except OverflowError:
+        return math.inf
+
+
+def _quiet(ufunc):
+    """``ufunc`` with numpy's overflow error off: an entry that overflows is
+    ``inf``, as in Python float arithmetic."""
+    def quiet(*args):
+        with np.errstate(over="ignore"):
+            return ufunc(*args)
+    return quiet
+
+
 #: the primitives in which one radius (Python floats) and a stack of radii
 #: (float arrays) differ: branch select, min/max, sqrt, libm's ``pow``
-#: (``np.power`` rounds otherwise on AVX-512 builds) and the series ``S`` of
-#: the branch at ``w``, ``(w, lo, n) -> S``
+#: (``np.power`` rounds otherwise on AVX-512 builds), the series ``S`` of the
+#: branch at ``w``, ``(w, lo, n) -> S``, and ``divide`` and ``pow_or_inf``,
+#: which give ``inf`` where they overflow, even where numpy raises
 _RADIUS = SimpleNamespace(where=lambda c, x, y: x if c else y, minimum=min, maximum=max,
-                          sqrt=math.sqrt, pow=pow, series=_horner)
+                          sqrt=math.sqrt, pow=pow, series=_horner,
+                          divide=operator.truediv, pow_or_inf=_libm_pow_or_inf)
 _STACK = SimpleNamespace(where=np.where, minimum=np.minimum, maximum=np.maximum,
-                         sqrt=np.sqrt, pow=np.float_power, series=_gauss_tails)
+                         sqrt=np.sqrt, pow=np.float_power, series=_gauss_tails,
+                         divide=_quiet(np.divide), pow_or_inf=_quiet(np.float_power))
+
+
+def _ops(u):
+    """The primitives of ``u``'s type: :data:`_RADIUS` for one radius, a
+    Python float (see :func:`_radii`), and :data:`_STACK` for an array."""
+    return _RADIUS if isinstance(u, float) else _STACK
 
 
 def _gauss_parts(u, n: int, a: float):
@@ -412,7 +413,7 @@ def _gauss_parts(u, n: int, a: float):
     ``S = (F(w) - 1)/w`` of the branch's series at ``w = m/(1+m) <= 1/2``.
     A radius where ``u/a`` overflows is a :class:`DomainError`.
     """
-    ops = _RADIUS if isinstance(u, float) else _STACK
+    ops = _ops(u)
     t = _ratio(u, a, u, a, "u/a")
     lo = t <= 1.0
     z = ops.minimum(t, 1.0 / ops.maximum(t, 1.0))

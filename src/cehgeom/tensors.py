@@ -182,12 +182,14 @@ def homothety_residual(z, alpha: float, params: GeometryParams):
     """
     if not alpha > 0:
         raise DomainError(f"homothety factor must be positive, got {alpha!r}")
-    return _homothety_residual(*_lift(z, params), alpha, params)
+    z, prof = _lift(z, params)
+    return _homothety_residual(z, _metric(z, prof), alpha, params)
 
 
-def _homothety_residual(z, prof: RadialProfile, alpha: float, params: GeometryParams):
+def _homothety_residual(z, g, alpha: float, params: GeometryParams):
+    # g is the metric at z, which every caller already holds
     g_scaled = metric(alpha * z, GeometryParams(params.n, alpha**2 * params.a))
-    return np.abs(g_scaled - _metric(z, prof)).max(axis=(-2, -1))
+    return np.abs(g_scaled - g).max(axis=(-2, -1))
 
 
 def random_points(num: int, params: GeometryParams, rng) -> np.ndarray:

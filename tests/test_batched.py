@@ -1,11 +1,12 @@
 """Stacked lifts ``(..., n)`` through the closed forms against one call per
 lift: a single lift is a batch of one, so the two must agree to rounding.
 
-A single lift is evaluated in float arithmetic and a stack in numpy
-arithmetic, whose array ``power`` rounds differently from libm's ``pow``
-in a few percent of inputs; kernels whose profile passes through several
-such powers, or whose terms cancel, get a bound scaled to that, with the
-reason next to it.
+Every power is libm's ``pow`` for a stack as for one lift, so the profile,
+the metric, its inverse, the connection and the curvature agree bit for bit
+(``test_stack_rounds_like_one_lift``).  The one exception is the psi series,
+summed by Horner for one radius and by a matrix product for a stack; the
+forms built on it, and those whose terms are summed in another order or
+cancel, get a bound scaled to that, with the reason next to it.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from cehgeom import (
     christoffel_ceh,
     covariant_derivative_epsilon,
     energy,
+    f_prime,
     fubini_study,
     hessian_blocks,
     hessian_spectrum,
@@ -71,6 +73,37 @@ def _ulps(x, y):
     """Distance in units in the last place between equal-signed floats."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return np.abs(x.view(np.int64) - y.view(np.int64))
+
+
+def _same_bits(batched, single):
+    batched, single = np.asarray(batched), np.asarray(single)
+    return batched.dtype == single.dtype and batched.shape == single.shape and (
+        batched.tobytes() == single.tobytes())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_stack_rounds_like_one_lift(n):
+    # 2000 seeded lifts per n, u/a from 1e-8 to 1e8: every power is libm's
+    # pow for a stack as for one lift, so each form gives each lift's bits;
+    # the (n, n) to (n, n, n, n) tensors on the first 400 lifts, for time
+    p = GeometryParams(n, 0.7)
+    rng = np.random.default_rng(300 + n)
+    zs = rng.normal(size=(2000, n)) + 1j * rng.normal(size=(2000, n))
+    zs *= np.sqrt(p.a * 10 ** rng.uniform(-8, 8, 2000) / radius_sq(zs))[:, None]
+    us = radius_sq(zs)
+    stack, single = radial_profile(us, p), [radial_profile(float(u), p) for u in us]
+    for field in ("e_psi", "phi", "one_minus_phi", "phi_prime"):
+        assert _same_bits(getattr(stack, field), [getattr(s, field) for s in single]), field
+    for fn in (f_prime, kretschmann_radial):
+        assert _same_bits(fn(us, p), [fn(float(u), p) for u in us]), fn.__name__
+    assert _same_bits(kretschmann(zs, p), _per_lift(lambda w: kretschmann(w, p), zs))
+    few = zs[:400]
+    for fn in (metric, metric_inverse, christoffel_ceh, riemann):
+        assert _same_bits(fn(few, p), _per_lift(lambda w: fn(w, p), few)), fn.__name__
+    # the one exception: the psi series is summed by Horner for one radius
+    # and by one matrix product for a stack, which may differ by a few ulp
+    spec = hessian_spectrum(zs, p).multiset(n)
+    assert _ulps(spec, _per_lift(lambda w: hessian_spectrum(w, p).multiset(n), zs)).max() <= 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -399,10 +399,11 @@ def _scalar_row(quantity, u, p):
 @pytest.mark.parametrize("quantity", ["kretschmann", "psi", "spectrum", "fprime"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_scan_rows_match_scalar_calls(capsys, n, quantity):
-    # one stacked call per column against one scalar call per radius: the
-    # array power rounds apart from libm's pow by an ulp, which the formulas
-    # grow to a few.  psi and the spectrum take their powers from
-    # np.float_power, which is libm's, and agree within 2 ulp here
+    # one stacked call per column against one scalar call per radius: every
+    # power is libm's pow on both, so kretschmann and fprime agree bit for
+    # bit (test_batched.test_stack_rounds_like_one_lift); psi and the
+    # spectrum sum their series by Horner for one radius and by a matrix
+    # product for a stack, and agree within 2 ulp here
     from cehgeom import GeometryParams
 
     p = GeometryParams(n, 0.8)
@@ -887,6 +888,43 @@ def test_geodesic_where_the_phi_power_overflows(capsys):
     assert out.endswith("\nclassification,escapes\n")
     last = [float(x) for x in out.splitlines()[-2].split(",")]
     assert last[0] == 1.0 and last[3] == pytest.approx(1.0, rel=1e-12)  # im z2 = t
+
+
+def test_geodesic_where_u_squared_overflows(capsys):
+    # n = 2 at |z| = 1e100: u*u overflows, phi is 0, and the flow is the flat
+    # one, along v
+    rc, out, err = run_cli(capsys, "geodesic", "--n", "2", "--point=1e100+0i,0+0i",
+                           "--velocity=0+0i,1+0i", "--t-end", "1")
+    assert rc == 0 and err == ""
+    assert out.endswith("\nclassification,escapes\n")
+    last = [float(x) for x in out.splitlines()[-2].split(",")]
+    assert last[0] == 1.0 and last[3] == pytest.approx(1.0, rel=1e-12)  # re z2 = t
+
+
+def test_geodesic_where_u_squared_overflows_and_phi_is_one_half(capsys):
+    # u = a = 1e200: the cubic term is formed with <z,v>/u first, so every row
+    # is finite, and the energy, whose |<z,v>|^2 also overflows, is conserved
+    rc, out, err = run_cli(capsys, "geodesic", "--n", "2", "--a", "1e200",
+                           "--point=1e100+0i,0+0i", "--velocity=0+0i,1e100+0i")
+    assert rc == 0 and err == ""
+    assert out.endswith("\nclassification,escapes\n")
+    rows = np.array([line.split(",") for line in out.splitlines()[1:-1]], dtype=float)
+    assert np.isfinite(rows).all() and rows[-1, 0] == 10.0
+    assert np.abs(rows[:, -1] / rows[0, -1] - 1.0).max() < 1e-9
+
+
+def test_kretschmann_scan_where_u_over_a_overflows(capsys):
+    # phi is 0 where u/a overflows, for a stack as for one radius: each row is
+    # kretschmann_radial at its radius, bit for bit
+    p = GeometryParams(2, 1e-10)
+    table = _scan_table(capsys, p.n, p.a, "kretschmann", 1.0, 1e300, 3)
+    assert table[:, 1].tolist() == [curvature.kretschmann_radial(u, p) for u in table[:, 0]]
+    # psi has no value there: the spectrum scan meets the psi kernel's refusal
+    rc, out, err = run_cli(capsys, "scan", "--quantity", "spectrum", "--a", "1e-10",
+                           "--u-min", "1", "--u-max", "1e300", "--points", "3")
+    assert rc == 2 and out == ""
+    assert err == ("error: u=9.999999999999999e+299 is outside the double range of "
+                   "the scale a=1e-10: u/a overflows\n")
 
 
 def test_eval_where_u_over_a_overflows(capsys):

@@ -75,6 +75,19 @@ def test_rhs_flat_at_infinity(params2):
     assert np.abs(geodesic_rhs(z, v, params2)).max() < 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_rhs_where_u_squared_overflows(n):
+    # z -> s z, v -> s v and a -> s^2 a scale the acceleration by s: at
+    # s = 2^333, u*u overflows where phi is not 0, and the cubic term is
+    # formed with <z,v>/u first rather than dropped
+    z, v = np.array([1.0, 0.5j, 0.3][:n]), np.array([0.3, 1 + 0.2j, -0.4j][:n])
+    s = 2.0**333
+    far = geodesic_rhs(s * z, s * v, GeometryParams(n, s * s))
+    assert_allclose(far / s, geodesic_rhs(z, v, GeometryParams(n, 1.0)), rtol=1e-14)
+    assert_allclose(energy(s * z, s * v, GeometryParams(n, s * s)) / (s * s),
+                    energy(z, v, GeometryParams(n, 1.0)), rtol=1e-14)
+
+
 def test_rhs_is_christoffel_contraction(params3):
     for z in seeded_points(5, 3, params3.a):
         v = seeded_points(1, 3, params3.a, seed=99)[0]

@@ -507,7 +507,7 @@ def test_riemann_vs_christoffel_sees_scaled_curvature(monkeypatch, n):
     # the Kretschmann contraction reads the same closed form
     exact = curvature._riemann
     monkeypatch.setattr(curvature, "_riemann",
-                        lambda z, prof, p: exact(z, prof, p) * (1 + 1e-2))
+                        lambda z, prof, g, p: exact(z, prof, g, p) * (1 + 1e-2))
     assert _fd_failing(n) == ["kretschmann_consistency", "riemann_vs_christoffel"]
 
 
