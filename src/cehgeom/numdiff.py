@@ -15,38 +15,42 @@ scalar potential gives back the metric.
 Fields are batched.  A field maps a stack of points ``(K, n)`` to a stack
 of values ``(K, *shape)``, as the closed forms in :mod:`cehgeom.tensors`,
 :mod:`cehgeom.curvature` and :func:`cehgeom.profiles.potential` do.
-:func:`wirtinger_partial` is the one stencil: it assembles every
-central-difference point of its base points and indices into one array and
-calls the field once.  A Hessian nests it: the outer stencil over every
-row ``mu`` hands its points to an inner stencil over every ``nu``, in
-equal chunks of whole outer points that make at most 4096 = 64 * 8^2
-field points a call.  A first derivative along one index takes 2 offsets
-in each of the x and y directions (central2) or 4 (central4).
+:func:`wirtinger_partial` is the first-derivative stencil: it assembles
+every central-difference point of its base points and indices into one
+array and calls the field once.  A first derivative along one index takes
+2 offsets in each of the x and y directions (central2) or 4 (central4).  A
+Hessian is the product of two such stencils at one point: its ``64 n^2``
+central4 products (row ``mu`` and column ``nu``, x or y, four offsets each)
+fall on ``32 n^2 + 1`` distinct points ``z + h D``, listed once per
+``(n, scheme)`` in a cached table with the index of each product.  The
+field is called once at each of them, in equal chunks of at most 4096
+points, and its values are combined with the first-derivative weights,
+the column derivative first, then the row one.
 :func:`verify_pipeline` runs one stencil per derivative order at each
 point, its field the closed forms it needs stacked on a trailing axis:
 
-    order   stencil                   points   field calls    field
-    first   central2, FD_FIRST        4 n      1              metric, connection
-    second  central4 mixed Hessian,   64 n^2   1 for n <= 8   potential(|w|^2),
-            FD_SECOND                                         log det metric
+    order   stencil                   points       field calls    field
+    first   central2, FD_FIRST        4 n          1              metric, connection
+    second  central4 mixed Hessian,   32 n^2 + 1   1 for n <= 11  potential(|w|^2),
+            FD_SECOND                                             log det metric
 
 From the first-order differences, ``d`` of the metric part gives the FD
 connection and ``dbar`` of the connection part the FD curvature; the
 second-order Hessian gives the FD metric and ``-d dbar log det g``.  The
 public ``fd_*`` routes each build their own stencil of one field and give
-the same values to the bit.  Above n = 8 the Hessian makes
-``ceil(8n / (512 // n))`` calls (2 at n = 9, 4 at n = 16), so one field
-call holds at most 4096 points for n <= 512 and its memory no longer grows
-as n^4 field entries.
+the same values to the bit.  Above n = 11 the Hessian makes
+``ceil((32 n^2 + 1) / 4096)`` calls (2 at n = 12, 3 at n = 16), so one
+field call holds at most 4096 points and its memory grows as the field's
+entries per point (n^2 for the metric), not as n^4.
 
-Step rule: the step at a base point ``z`` is ``step * max(1, |z|)``; in a
-Hessian each inner derivative uses ``step * max(1, |w|)`` at its own outer
-point ``w``.  Step sizes follow the usual truncation/cancellation
-compromise: second-order central differences with a relative step of 1e-5
-for first derivatives, and fourth-order stencils with a relative step of
-1e-3 for anything involving two derivatives (a second-order stencil at that
-step would sit right at the 1e-6 certification tolerance; the fourth-order
-one clears it by three orders of magnitude).
+Step rule: the step at a base point ``z`` is ``step * max(1, |z|)``; a
+Hessian takes both of its derivatives with the step of its base point.
+Step sizes follow the usual truncation/cancellation compromise:
+second-order central differences with a relative step of 1e-5 for first
+derivatives, and fourth-order stencils with a relative step of 1e-3 for
+anything involving two derivatives (a second-order stencil at that step
+would sit right at the 1e-6 certification tolerance; the fourth-order one
+clears it by three orders of magnitude).
 
 :func:`verify_pipeline` returns the ``checks`` object ``cehgeom verify`` prints.
 Every closed form is a kernel of one lift per evaluation site (the point,
@@ -56,6 +60,7 @@ negative controls patch the kernels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -106,7 +111,7 @@ class FDConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
-#: defaults for first derivatives and for nested second derivatives
+#: defaults for first derivatives and for second derivatives (Hessians)
 FD_FIRST = FDConfig(step=1e-5, scheme="central2")
 FD_SECOND = FDConfig(step=1e-3, scheme="central4")
 
@@ -143,7 +148,7 @@ def wirtinger_partial(
     z = z.reshape(-1, n)
     indices = np.atleast_1d(index)
     weights, offsets, denom = _SCHEMES[cfg.scheme]
-    h = cfg.step * np.maximum(1.0, np.linalg.norm(z, axis=-1))
+    h = _step(z, cfg)
     # [base, direction (x, y), offset] shifts of one coordinate
     shift = h[:, None, None] * (np.array([1.0, 1.0j])[:, None] * offsets)
     pts = np.broadcast_to(
@@ -151,21 +156,14 @@ def wirtinger_partial(
     ).copy()
     for j, mu in enumerate(indices):
         pts[:, j, :, :, mu] += shift
-    k = pts.size // n
-    vals = np.asarray(field_fn(pts.reshape(k, n)))
-    if vals.shape[:1] != (k,):
-        raise ValueError(
-            f"field returned shape {vals.shape} for {k} points; a field maps "
-            "points (K, n) to values (K, *shape)"
-        )
+    vals = _field_values(field_fn, pts.reshape(-1, n))
     shape = vals.shape[1:]
-    vals = vals.reshape(pts.shape[:4] + shape)
-    num = sum(c * vals[:, :, :, i] for i, c in enumerate(weights))
-    d = num / (denom * h).reshape((-1, 1, 1) + (1,) * len(shape))
-    dx, dy = d[:, :, 0], d[:, :, 1]
+    # [x/y, offset, base, index, *shape]
+    vals = np.moveaxis(vals.reshape(pts.shape[:4] + shape), (2, 3), (0, 1))
+    d = _difference(vals, weights, (denom * h).reshape((-1, 1) + (1,) * len(shape)))
 
     def combine(conj):
-        out = 0.5 * (dx + 1j * dy) if conj else 0.5 * (dx - 1j * dy)
+        out = _wirtinger(d, conj)
         if np.ndim(index) == 0:
             out = out[:, 0]
         return out.reshape(lead + out.shape[1:])
@@ -173,39 +171,95 @@ def wirtinger_partial(
     return (combine(False), combine(True)) if conjugate is None else combine(conjugate)
 
 
+def _step(z, cfg):
+    """The step ``step * max(1, |z|)`` at each base point ``(..., n)``."""
+    return cfg.step * np.maximum(1.0, np.linalg.norm(z, axis=-1))
+
+
+def _field_values(field_fn, pts):
+    """The values of a batched field at points ``(K, n)``, checked to carry
+    the batch as their leading axis."""
+    vals = np.asarray(field_fn(pts))
+    if vals.shape[:1] != (len(pts),):
+        raise ValueError(
+            f"field returned shape {vals.shape} for {len(pts)} points; a field "
+            "maps points (K, n) to values (K, *shape)"
+        )
+    return vals
+
+
 def complex_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
     """Mixed Hessian ``H[mu, nu] = d_mu dbar_nu field`` of a batched field
-    at one point, shape ``(n, n, *shape)``; ``64 n^2`` field points
-    (central4), at most 4096 a call."""
-    return _nested_hessian(field_fn, z, True, cfg)
+    at one point ``z``, shape ``(n, n, *shape)``: the product of two
+    first-derivative stencils, both with the step ``step * max(1, |z|)``,
+    whose ``32 n^2 + 1`` distinct points (central4) the field sees once
+    each, at most 4096 a call."""
+    return _product_hessian(field_fn, z, True, cfg)
 
 
 def holomorphic_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
     """Pure Hessian ``H[mu, nu] = d_mu d_nu field`` of a batched field at one
-    point, shape ``(n, n, *shape)``; ``64 n^2`` field points (central4), at
-    most 4096 a call."""
-    return _nested_hessian(field_fn, z, False, cfg)
+    point ``z``, shape ``(n, n, *shape)``, from the same product stencil as
+    :func:`complex_hessian`."""
+    return _product_hessian(field_fn, z, False, cfg)
 
 
-#: most field points in one call of a nested Hessian: 64 n^2 at n = 8
+#: most field points in one call of a Hessian: 32 n^2 + 1 up to n = 11
 _MAX_FIELD_POINTS = 4096
 
 
-def _nested_hessian(field_fn, z, conjugate, cfg):
-    # the inner derivative is taken at every outer stencil point w, of
-    # every row mu, with w's own step, for all nu at once; the outer points
-    # go in equal chunks of at most `size`, each w making `per_w` points
-    nus = range(np.size(z))
-    per_w = 2 * len(nus) * len(_SCHEMES[cfg.scheme][1])
-    size = max(1, _MAX_FIELD_POINTS // per_w)
+@functools.lru_cache(maxsize=None)
+def _hessian_table(n: int, scheme: str):
+    """The distinct displacements ``D`` (in steps) of the product of two
+    first-derivative stencils in ``n`` coordinates, shape ``(P, n)``, and the
+    index into them of each entry of the layout ``[x/y, offset]`` of the
+    column (inner) derivative, ``[x/y, offset]`` of the row (outer) one, then
+    row and column."""
+    offsets = _SCHEMES[scheme][1]
+    # one shift as 2n small integers: [index, direction (x, y), offset, part]
+    one = np.zeros((n, 2, len(offsets), 2 * n), dtype=np.int8)
+    for mu in range(n):
+        for xy in range(2):
+            one[mu, xy, :, xy * n + mu] = offsets
+    both = one[:, :, :, None, None, None] + one  # [mu, xy, s, nu, xy, s, part]
+    rows = np.ascontiguousarray(both.transpose(4, 5, 1, 2, 0, 3, 6)).reshape(-1, 2 * n)
+    # rows compared as byte strings of 2n bytes
+    keys, index = np.unique(rows.view(np.dtype((np.void, 2 * n))), return_inverse=True)
+    disp = keys.view(np.int8).reshape(-1, 2 * n)
+    disp = disp[:, :n] + 1j * disp[:, n:]
+    index = index.reshape((2, len(offsets)) * 2 + (n, n))
+    disp.flags.writeable = index.flags.writeable = False
+    return disp, index
 
-    def row_field(w):
-        return np.concatenate([
-            wirtinger_partial(field_fn, chunk, nus, conjugate=conjugate, cfg=cfg)
-            for chunk in np.array_split(w, -(-len(w) // size))
-        ])
 
-    return wirtinger_partial(row_field, z, nus, cfg=cfg)
+def _product_hessian(field_fn, z, conjugate, cfg):
+    # the field is called once at each distinct point z + h D of the
+    # product stencil, in equal chunks of at most _MAX_FIELD_POINTS, with
+    # the base point's step h for both derivatives; the inner (column)
+    # derivative is taken first, then the outer (row) one
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    disp, index = _hessian_table(z.size, cfg.scheme)
+    weights, _, denom = _SCHEMES[cfg.scheme]
+    h = _step(z, cfg)
+    pts = z + h * disp
+    calls = -(-len(pts) // _MAX_FIELD_POINTS)
+    size = -(-len(pts) // calls)  # equal chunks, each at most the cap
+    vals = np.concatenate([_field_values(field_fn, pts[i:i + size])
+                           for i in range(0, len(pts), size)])[index]
+    inner = _wirtinger(_difference(vals, weights, denom * h), conjugate)
+    return _wirtinger(_difference(inner, weights, denom * h), False)
+
+
+def _difference(vals, weights, scale):
+    """Directional derivatives ``[x/y, ...]`` from stencil values
+    ``[x/y, offset, ...]``: the weighted sum over the offsets over ``scale``."""
+    weights = np.reshape(weights, (-1,) + (1,) * (vals.ndim - 2))
+    return (weights * vals).sum(axis=1) / scale
+
+
+def _wirtinger(d, conjugate):
+    """``d`` (or ``dbar``) from directional derivatives ``[x/y, ...]``."""
+    return 0.5 * (d[0] + 1j * d[1]) if conjugate else 0.5 * (d[0] - 1j * d[1])
 
 
 def fd_metric_from_potential(z, params: GeometryParams) -> np.ndarray:
@@ -281,7 +335,7 @@ TOL_ROOTS_OF_UNITY = 1e-12
 
 def _second_order_fd(z, params: GeometryParams):
     """FD metric (``d dbar`` of the potential) and FD Ricci tensor
-    (``-d dbar log det g``) at one lift, from one nested central4 stencil of
+    (``-d dbar log det g``) at one lift, from one central4 product stencil of
     the two fields stacked on a trailing axis."""
     def field(w):  # one lift: its radius for the potential, its metric for log det
         w, prof = _lift(w, params)

@@ -255,9 +255,10 @@ def test_pipeline_fd_residuals_equal_the_public_routes(n):
 
 
 def test_pipeline_evaluates_each_field_once_per_stencil(monkeypatch):
-    # per point: one field call per stencil order (4n points, then 64 n^2),
-    # the metric at the lift itself only for g and its mu_n rotation, and
-    # one closed-form Riemann tensor
+    # per point: one field call per stencil order (4n points, then the
+    # 32 n^2 + 1 distinct points of the Hessian's product stencil), the
+    # metric at the lift itself only for g and its mu_n rotation, and one
+    # closed-form Riemann tensor
     n, num = 3, 2
     p = GeometryParams(n, 1.0)
     calls = {}
@@ -277,8 +278,8 @@ def test_pipeline_evaluates_each_field_once_per_stencil(monkeypatch):
     spy(curvature, "_rot_sym_connection")
     spy(curvature, "_riemann")
     verify_pipeline(seeded_points(num, n, p.a), p, np.random.default_rng(0))
-    assert sorted(calls["_metric"]) == sorted([1, 1, 4 * n, 64 * n * n] * num)
-    assert calls["potential"] == [64 * n * n] * num
+    assert sorted(calls["_metric"]) == sorted([1, 1, 4 * n, 32 * n * n + 1] * num)
+    assert calls["potential"] == [32 * n * n + 1] * num
     assert sorted(calls["_rot_sym_connection"]) == sorted([1, 4 * n] * num)
     assert calls["_riemann"] == [1] * num
 
@@ -338,14 +339,14 @@ def test_hessian_one_field_call_per_row(params3):
         return potential(radius_sq(w), params3)
 
     complex_hessian(field, z)
-    assert calls == [64 * 3**2]  # one call for every row of the Hessian
+    assert calls == [32 * 3**2 + 1]  # one call for every row of the Hessian
 
 
-@pytest.mark.parametrize("n, chunks", [(8, [4096]), (9, [2592, 2592]),
-                                        (16, [4096] * 4)])
+@pytest.mark.parametrize("n, chunks", [(8, [2049]), (9, [2593]), (16, [2731] * 3),
+                                        (11, [3873]), (12, [2305, 2304])])
 def test_hessian_field_calls_hold_at_most_4096_points(monkeypatch, n, chunks):
-    # the outer stencil's points reach the field in equal chunks: one call
-    # up to n = 8, and the same Hessian as one call would give, to the bit
+    # the stencil's 32 n^2 + 1 points reach the field in equal chunks: one
+    # call up to n = 11, and the same Hessian as one call would give, to the bit
     p = GeometryParams(n, 1.0)
     z = seeded_points(1, n, p.a, seed=n)[0]
     calls = []
@@ -355,10 +356,65 @@ def test_hessian_field_calls_hold_at_most_4096_points(monkeypatch, n, chunks):
         return potential(radius_sq(w), p)
 
     h = complex_hessian(field, z)
-    assert calls == chunks and sum(calls) == 64 * n * n
-    monkeypatch.setattr(numdiff, "_MAX_FIELD_POINTS", 64 * n * n)
+    assert calls == chunks and sum(calls) == 32 * n * n + 1
+    monkeypatch.setattr(numdiff, "_MAX_FIELD_POINTS", 32 * n * n + 1)
     assert np.array_equal(h, complex_hessian(field, z))
-    assert calls[len(chunks):] == [64 * n * n]
+    assert calls[len(chunks):] == [32 * n * n + 1]
+
+
+@pytest.mark.parametrize("scheme, m", [("central2", 2), ("central4", 4)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hessian_table_lists_each_product_point_once(n, scheme, m):
+    # the (2m n)^2 products of two first-derivative stencils of m offsets
+    # have (2m n)^2 / 2 + 1 distinct displacements, 0 among them, and the
+    # index map reads back every product: s_a c e_mu + s_b c' e_nu, c in {1, i}
+    disp, index = numdiff._hessian_table(n, scheme)
+    assert disp.shape == (2 * m * m * n * n + 1, n)
+    assert len({tuple(d) for d in disp}) == len(disp)
+    assert (disp == 0).all(axis=1).any()
+    offsets = numdiff._SCHEMES[scheme][1]
+    assert index.shape == (2, m, 2, m, n, n)
+    for (c2, b, c1, a, mu, nu), k in np.ndenumerate(index):
+        d = np.zeros(n, complex)
+        d[mu] += offsets[a] * 1j**c1
+        d[nu] += offsets[b] * 1j**c2
+        assert np.array_equal(disp[k], d)
+
+
+def quartic(w):
+    """Batched field |w|^4 + Re(w_0^2 wbar_1), (K, n) -> (K,)."""
+    s = sq_norm(w)
+    return s * s + (w[:, 0] ** 2 * np.conj(w[:, 1])).real
+
+
+@pytest.mark.parametrize("radius", [0.5, 3.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hessians_of_a_quartic_are_exact_to_round_off(n, radius):
+    # central4 differentiates polynomials of degree 4 exactly, so both
+    # Hessians meet the analytic ones to round-off, eps |f| / h^2 with the
+    # base point's step h = step max(1, |z|) below and above |z| = 1; the
+    # field sees z + h D, D the table's displacements
+    rng = np.random.default_rng(70 + n)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    z *= radius / np.linalg.norm(z)
+    seen = []
+
+    def field(w):
+        seen.append(w.copy())
+        return quartic(w)
+
+    mixed = 2 * np.outer(z.conj(), z) + 2 * radius**2 * np.eye(n)
+    mixed[0, 1] += z[0]
+    mixed[1, 0] += z[0].conj()
+    pure = 2 * np.outer(z.conj(), z.conj())
+    pure[0, 0] += z[1].conj()
+    tol = 64 * np.finfo(float).eps * 1e6 * max(1.0, radius) ** 2
+    assert np.abs(complex_hessian(field, z) - mixed).max() < tol
+    assert np.abs(holomorphic_hessian(field, z) - pure).max() < tol
+    h = FD_SECOND.step * max(1.0, radius)
+    disp = numdiff._hessian_table(n, FD_SECOND.scheme)[0]
+    for w in seen:
+        assert np.abs((w - z) / h - disp).max() < 1e-9
 
 
 def test_stencil_rejects_flattening_field():
@@ -489,7 +545,7 @@ def test_fd_controls_uncorrupted_pass(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_metric_vs_potential_sees_scaled_potential(monkeypatch, n):
     exact = numdiff.potential
-    monkeypatch.setattr(numdiff, "potential", lambda u, p: exact(u, p) * (1 + 1e-4))
+    monkeypatch.setattr(numdiff, "potential", lambda u, p: exact(u, p) * (1 + 1e-5))
     assert _fd_failing(n) == ["metric_vs_potential"]
 
 
@@ -513,13 +569,13 @@ def test_riemann_vs_christoffel_sees_scaled_curvature(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_ricci_log_det_sees_non_flat_metric_field(monkeypatch, n):
-    # the metric field inside log det times 1 + 1e-4 u/a: log det g gains
-    # n log(1 + 1e-4 u/a), whose complex Hessian is no longer 0
+    # the metric field inside log det times 1 + 1e-5 u/a: log det g gains
+    # n log(1 + 1e-5 u/a), whose complex Hessian is no longer 0
     exact = numdiff._log_det_field
 
     def corrupted(metric_fn):
         def field(w):
-            return metric_fn(w) * (1 + 1e-4 * radius_sq(w) / 1.3)[..., None, None]
+            return metric_fn(w) * (1 + 1e-5 * radius_sq(w) / 1.3)[..., None, None]
         return exact(field)
 
     monkeypatch.setattr(numdiff, "_log_det_field", corrupted)
