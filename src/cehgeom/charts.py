@@ -30,12 +30,13 @@ block is ``a`` times the Fubini-Study metric.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensors import _one_point, fubini_study
-from .profiles import DomainError, GeometryParams, _root_one_plus_pow
+from .profiles import DomainError, GeometryParams, _ratio, _root_one_plus_pow
 
 __all__ = [
     "ChartError",
@@ -222,17 +223,32 @@ class PullbackMetric:
 
 
 def pullback_metric(p: ChartPoint, params: GeometryParams) -> PullbackMetric:
-    """The Ricci-flat metric through the blow-down, valid down to ``z = 0``."""
+    """The Ricci-flat metric through the blow-down, valid down to ``z = 0``.
+
+    Raises
+    ------
+    DomainError
+        Where ``u/a`` overflows, or where the fiber block ``P (1+|zeta|^2)/n^2``
+        falls below the normal double range (at ``|z|`` = 3e300 for n = 3),
+        so the metric would be singular or lose its last digits.
+    """
     _check_dim(p, params)
     n, a = params.n, params.a
     s = 1.0 + p.base_norm_sq()
     u = p.radius_sq()
-    nth_root = a * _root_one_plus_pow(u / a, n)  # (a^n + u^n)^(1/n)
+    nth_root = a * _root_one_plus_pow(_ratio(u, a, u, a, "u/a"), n)  # (a^n + u^n)^(1/n)
     pref = (s / nth_root) ** (n - 1)
     fs_scale = a * (a / nth_root) ** (n - 1)
     block_zz = pref * s / n**2
+    if not block_zz >= sys.float_info.min:
+        raise DomainError(f"degenerate chart metric at |z|={abs(p.z)!r}: the fiber "
+                          f"block {block_zz!r} is below the normal double range")
     block_zzeta = pref * np.conj(p.z) * p.zeta / n
-    base = pref * abs(p.z) ** 2 * np.eye(n - 1) + fs_scale * fubini_study(p.zeta)
+    try:
+        fiber = pref * abs(p.z) ** 2
+    except OverflowError:  # |z|^2 alone overflows, P |z|^2 does not
+        fiber = pref * abs(p.z) * abs(p.z)
+    base = fiber * np.eye(n - 1) + fs_scale * fubini_study(p.zeta)
     return PullbackMetric(
         block_zz=float(block_zz),
         block_zzeta=block_zzeta,

@@ -15,17 +15,19 @@ scalar potential gives back the metric.
 Fields are batched.  A field maps a stack of points ``(K, n)`` to a stack
 of values ``(K, *shape)``, as the closed forms in :mod:`cehgeom.tensors`,
 :mod:`cehgeom.curvature` and :func:`cehgeom.profiles.potential` do.
-:func:`wirtinger_partial` is the first-derivative stencil: it assembles
-every central-difference point of its base points and indices into one
-array and calls the field once.  A first derivative along one index takes
-2 offsets in each of the x and y directions (central2) or 4 (central4).  A
-Hessian is the product of two such stencils at one point: its ``64 n^2``
-central4 products (row ``mu`` and column ``nu``, x or y, four offsets each)
-fall on ``32 n^2 + 1`` distinct points ``z + h D``, listed once per
-``(n, scheme)`` in a cached table with the index of each product.  The
-field is called once at each of them, in equal chunks of at most 4096
-points, and its values are combined with the first-derivative weights,
-the column derivative first, then the row one.
+One stencil engine serves every derivative.  A first derivative along one
+index takes 2 offsets in each of the x and y directions (central2) or 4
+(central4); a Hessian is the product of two such stencils at one point,
+whose ``64 n^2`` central4 products (row ``mu`` and column ``nu``, x or y,
+four offsets each) fall on ``32 n^2 + 1`` distinct points.  A table cached
+per ``(n, scheme, indices, order)`` lists the distinct displacements ``D``
+of a stencil (order 1) or of a product (order 2) once, with the index of
+each entry.  The field is called once at each point ``z + h D`` of each
+base point, in equal chunks of at most 4096 points, its values are
+gathered into the stencil's layout and differenced with the
+first-derivative weights.  :func:`wirtinger_partial` stops there, for a
+stack of base points and indices; a Hessian differences again, the column
+derivative first, then the row one.
 :func:`verify_pipeline` runs one stencil per derivative order at each
 point, its field the closed forms it needs stacked on a trailing axis:
 
@@ -38,10 +40,11 @@ From the first-order differences, ``d`` of the metric part gives the FD
 connection and ``dbar`` of the connection part the FD curvature; the
 second-order Hessian gives the FD metric and ``-d dbar log det g``.  The
 public ``fd_*`` routes each build their own stencil of one field and give
-the same values to the bit.  Above n = 11 the Hessian makes
-``ceil((32 n^2 + 1) / 4096)`` calls (2 at n = 12, 3 at n = 16), so one
+the same values to the bit.  A stencil of ``P`` points makes
+``ceil(P / 4096)`` calls: the Hessian 2 at n = 12 and 3 at n = 16, a first
+derivative at a stack of base points 1 per 4096 of its points.  So one
 field call holds at most 4096 points and its memory grows as the field's
-entries per point (n^2 for the metric), not as n^4.
+entries per point (n^2 for the metric), not as n^4 or the stack's size.
 
 Step rule: the step at a base point ``z`` is ``step * max(1, |z|)``; a
 Hessian takes both of its derivatives with the step of its base point.
@@ -133,10 +136,11 @@ def wirtinger_partial(
     ``field_fn`` is batched: it maps points of shape ``(K, n)`` to values of
     shape ``(K, *shape)``.  ``z`` holds base points ``(..., n)``, each with
     its own step ``step * max(1, |z|)``.  ``index`` is one index or a
-    sequence of them; all stencil points of all base points and indices go
-    to ``field_fn`` in one call, and the result has shape
-    ``(..., *shape)``, or ``(..., len(index), *shape)`` for a sequence.
-    ``conjugate=None`` returns both, ``(d, dbar)``, from the one stencil.
+    sequence of them; the stencil points of all base points and indices
+    reach ``field_fn`` in equal chunks of at most 4096 points (one call for
+    up to 4096), and the result has shape ``(..., *shape)``, or
+    ``(..., len(index), *shape)`` for a sequence.  ``conjugate=None``
+    returns both, ``(d, dbar)``, from the one stencil.
 
     Raises
     ------
@@ -144,23 +148,9 @@ def wirtinger_partial(
         If the field's values do not carry the batch as their leading axis.
     """
     z = np.asarray(z, dtype=complex)
-    lead, n = z.shape[:-1], z.shape[-1]
-    z = z.reshape(-1, n)
-    indices = np.atleast_1d(index)
-    weights, offsets, denom = _SCHEMES[cfg.scheme]
-    h = _step(z, cfg)
-    # [base, direction (x, y), offset] shifts of one coordinate
-    shift = h[:, None, None] * (np.array([1.0, 1.0j])[:, None] * offsets)
-    pts = np.broadcast_to(
-        z[:, None, None, None, :], (len(z), indices.size, 2, len(offsets), n)
-    ).copy()
-    for j, mu in enumerate(indices):
-        pts[:, j, :, :, mu] += shift
-    vals = _field_values(field_fn, pts.reshape(-1, n))
-    shape = vals.shape[1:]
-    # [x/y, offset, base, index, *shape]
-    vals = np.moveaxis(vals.reshape(pts.shape[:4] + shape), (2, 3), (0, 1))
-    d = _difference(vals, weights, (denom * h).reshape((-1, 1) + (1,) * len(shape)))
+    lead = z.shape[:-1]
+    d, _ = _first_differences(field_fn, z.reshape(-1, z.shape[-1]),
+                              tuple(np.atleast_1d(index).tolist()), 1, cfg)
 
     def combine(conj):
         out = _wirtinger(d, conj)
@@ -193,7 +183,7 @@ def complex_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndar
     at one point ``z``, shape ``(n, n, *shape)``: the product of two
     first-derivative stencils, both with the step ``step * max(1, |z|)``,
     whose ``32 n^2 + 1`` distinct points (central4) the field sees once
-    each, at most 4096 a call."""
+    each, at most 4096 a call, as in :func:`wirtinger_partial`."""
     return _product_hessian(field_fn, z, True, cfg)
 
 
@@ -204,50 +194,67 @@ def holomorphic_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.
     return _product_hessian(field_fn, z, False, cfg)
 
 
-#: most field points in one call of a Hessian: 32 n^2 + 1 up to n = 11
+#: most field points in one call of any stencil: all 32 n^2 + 1 points of a
+#: Hessian up to n = 11
 _MAX_FIELD_POINTS = 4096
 
 
 @functools.lru_cache(maxsize=None)
-def _hessian_table(n: int, scheme: str):
-    """The distinct displacements ``D`` (in steps) of the product of two
-    first-derivative stencils in ``n`` coordinates, shape ``(P, n)``, and the
-    index into them of each entry of the layout ``[x/y, offset]`` of the
-    column (inner) derivative, ``[x/y, offset]`` of the row (outer) one, then
-    row and column."""
+def _stencil_table(n: int, scheme: str, indices, order: int):
+    """The distinct displacements ``D`` (in steps), shape ``(P, n)``, of the
+    first-derivative stencil along each of ``indices`` (``order`` 1) or of
+    the product of two (``order`` 2), and the index into them of each entry
+    of the layout ``[x/y, offset, index]``; for a product, ``[x/y, offset]``
+    of the column (inner) derivative, ``[x/y, offset]`` of the row (outer)
+    one, then row and column."""
     offsets = _SCHEMES[scheme][1]
-    # one shift as 2n small integers: [index, direction (x, y), offset, part]
-    one = np.zeros((n, 2, len(offsets), 2 * n), dtype=np.int8)
-    for mu in range(n):
+    # one shift as 2n small integers: [direction (x, y), offset, index, part]
+    one = np.zeros((2, len(offsets), len(indices), 2 * n), dtype=np.int8)
+    for j, mu in enumerate(indices):
         for xy in range(2):
-            one[mu, xy, :, xy * n + mu] = offsets
-    both = one[:, :, :, None, None, None] + one  # [mu, xy, s, nu, xy, s, part]
-    rows = np.ascontiguousarray(both.transpose(4, 5, 1, 2, 0, 3, 6)).reshape(-1, 2 * n)
+            one[xy, :, j, xy * n + range(n)[mu]] = offsets
+    if order == 2:
+        one = one[:, :, None, None, None] + one[:, :, :, None]
     # rows compared as byte strings of 2n bytes
-    keys, index = np.unique(rows.view(np.dtype((np.void, 2 * n))), return_inverse=True)
+    keys, index = np.unique(one.reshape(-1, 2 * n).view(np.dtype((np.void, 2 * n))),
+                            return_inverse=True)
     disp = keys.view(np.int8).reshape(-1, 2 * n)
     disp = disp[:, :n] + 1j * disp[:, n:]
-    index = index.reshape((2, len(offsets)) * 2 + (n, n))
+    index = index.reshape(one.shape[:-1])
     disp.flags.writeable = index.flags.writeable = False
     return disp, index
 
 
-def _product_hessian(field_fn, z, conjugate, cfg):
-    # the field is called once at each distinct point z + h D of the
-    # product stencil, in equal chunks of at most _MAX_FIELD_POINTS, with
-    # the base point's step h for both derivatives; the inner (column)
-    # derivative is taken first, then the outer (row) one
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    disp, index = _hessian_table(z.size, cfg.scheme)
+def _first_differences(field_fn, z, indices, order, cfg):
+    """Directional derivatives ``[x/y, base, *layout, *shape]`` of a batched
+    field at base points ``z`` ``(B, n)``, ``layout`` the stencil table's
+    after its leading ``[x/y, offset]``, and the steps ``h`` ``(B,)``.
+
+    The field is called once at each distinct point ``z + h D`` of each
+    base point, in equal chunks of at most :data:`_MAX_FIELD_POINTS`.
+    """
+    disp, index = _stencil_table(z.shape[1], cfg.scheme, indices, order)
     weights, _, denom = _SCHEMES[cfg.scheme]
     h = _step(z, cfg)
-    pts = z + h * disp
-    calls = -(-len(pts) // _MAX_FIELD_POINTS)
-    size = -(-len(pts) // calls)  # equal chunks, each at most the cap
+    pts = (z[:, None] + h[:, None, None] * disp).reshape(-1, z.shape[1])
+    # equal chunks, each at most the cap; no points make one empty call
+    calls = max(1, -(-len(pts) // _MAX_FIELD_POINTS))
+    size = max(1, -(-len(pts) // calls))
     vals = np.concatenate([_field_values(field_fn, pts[i:i + size])
-                           for i in range(0, len(pts), size)])[index]
-    inner = _wirtinger(_difference(vals, weights, denom * h), conjugate)
-    return _wirtinger(_difference(inner, weights, denom * h), False)
+                           for i in range(0, max(1, len(pts)), size)])
+    # [x/y, offset, base, *layout, *shape]
+    vals = np.moveaxis(vals.reshape((len(z), len(disp)) + vals.shape[1:])[:, index], 0, 2)
+    return _difference(vals, weights, (denom * h).reshape((-1,) + (1,) * (vals.ndim - 3))), h
+
+
+def _product_hessian(field_fn, z, conjugate, cfg):
+    # the inner (column) derivative is taken first, then the outer (row)
+    # one, with the base point's step h for both
+    z = np.asarray(z, dtype=complex).reshape(1, -1)
+    d, h = _first_differences(field_fn, z, range(z.shape[1]), 2, cfg)
+    weights, _, denom = _SCHEMES[cfg.scheme]
+    inner = _wirtinger(d, conjugate)[0]
+    return _wirtinger(_difference(inner, weights, denom * h[0]), False)
 
 
 def _difference(vals, weights, scale):

@@ -215,7 +215,8 @@ def potential(u, params: GeometryParams):
     Raises
     ------
     DomainError
-        If ``u <= 0``, or if ``1 + (u/a)^n`` rounds to 1, where the ``j = 0``
+        If ``u <= 0``, if ``u/a`` overflows (``u`` outside the double range
+        of the scale), or if ``1 + (u/a)^n`` rounds to 1, where the ``j = 0``
         log is ``log 0``.
     ArithmeticError
         If the imaginary parts of the root-of-unity weighted logs fail to
@@ -223,7 +224,7 @@ def potential(u, params: GeometryParams):
     """
     u = _check_u(u, "potential")
     n, a = params.n, params.a
-    alpha = _root_one_plus_pow(u / a, n)  # > 1 unless it rounds to 1
+    alpha = _root_one_plus_pow(_ratio(u, a, u, a, "u/a"), n)  # > 1 unless it rounds to 1
     _require(alpha > 1.0, u, "potential cannot be computed in double precision at "
              "u={u!r}: 1 + (u/a)^n rounds to 1")
     zeta = cmath.exp(2j * cmath.pi / n)

@@ -244,6 +244,29 @@ def test_pullback_positive_definite_including_zero_section(params2, rng):
         assert np.linalg.eigvalsh(r).min() > 0
 
 
+@pytest.mark.parametrize("n, z", [(2, 1e160), (2, 1e300), (3, 1e200), (4, 1e200)])
+def test_pullback_far_from_the_zero_section_keeps_its_determinant(n, z):
+    # |z|^2 overflows alone, P |z|^2 does not: det is 1/n^2 as near z = 0
+    pt = ChartPoint(i=1, z=z, zeta=np.zeros(n - 1, dtype=complex))
+    h = pullback_metric(pt, GeometryParams(n, 1.0)).matrix()
+    assert np.isfinite(h).all()
+    assert abs(np.linalg.det(h).real * n**2 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("pt, params, match", [
+    # the fiber block P (1+|zeta|^2)/n^2 underflows to 0 (about 1e-402) or
+    # to a subnormal, where the metric is singular or loses its digits
+    (ChartPoint(i=1, z=3e300, zeta=np.zeros(2)), GeometryParams(3, 1.0), "fiber block 0.0"),
+    (ChartPoint(i=1, z=1e250, zeta=np.zeros(3)), GeometryParams(4, 1.0), "fiber block 0.0"),
+    (ChartPoint(i=1, z=1e235, zeta=np.zeros(2)), GeometryParams(3, 1.0), "normal double range"),
+    # u/a overflows: the metric read all zeros before the refusal
+    (ChartPoint(i=1, z=1e150, zeta=[0]), GeometryParams(2, 1e-300), "u/a overflows"),
+])
+def test_pullback_refuses_where_its_blocks_leave_the_double_range(pt, params, match):
+    with pytest.raises(DomainError, match=match):
+        pullback_metric(pt, params)
+
+
 def test_pullback_radius_consistency(params3, rng):
     for _ in range(10):
         p = rand_chart_point(rng, 3)

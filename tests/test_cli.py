@@ -508,11 +508,23 @@ def test_eval_near_zero_section(capsys):
     assert np.isfinite(np.asarray(json.loads(out)["metric_inverse"])).all()
 
 
+@pytest.mark.parametrize("z", ["1e160+0i", "1e300+0i"])
+def test_eval_chart_far_from_the_zero_section(capsys, z):
+    # |z|^2 overflows alone: the pullback's blocks stay finite, det 1/n^2
+    rc, out, err = run_cli(capsys, "eval", "--n", "2", f"--chart=1:{z}:0")
+    assert rc == 0 and err == ""
+    pb = json.loads(out)["pullback"]
+    h = np.array([[pb["block_zz"], complex(*pb["block_zzeta"][0])],
+                  [complex(*pb["block_zzeta"][0]).conjugate(),
+                   complex(*pb["block_zetazeta"][0][0])]])
+    assert abs(np.linalg.det(h).real * 4 - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--a", "inf", "--points", "1"],
     ["eval", "--a", "inf", "--point=1+0i,0+0i"],
     ["eval", "--point=1e200+0i,0+0i"],
-    ["eval", "--chart=1:1e300+0i:0"],
+    ["eval", "--n", "3", "--chart=1:3e300+0i:0+0i:0+0i"],  # fiber block underflows
     ["verify", "--a", "1e-300", "--points", "1"],
     ["verify", "--points", "0"],
     ["geodesic", "--point=1+0i,0+0i", "--velocity=0+1i,0.2+0i", "--tol", "0"],

@@ -330,6 +330,20 @@ def test_wirtinger_stacked_base_points(params2):
             assert np.abs(d[k, 0, mu] - ref).max() < 1e-12
 
 
+def test_wirtinger_empty_stack_or_indices(params2):
+    # no base points or no indices: one field call at no points, and an
+    # empty result of the documented shape
+    calls = []
+
+    def field(w):
+        calls.append(len(w))
+        return metric(w, params2)
+
+    assert wirtinger_partial(field, np.zeros((0, 2), complex), 0).shape == (0, 2, 2)
+    assert wirtinger_partial(field, np.ones(2, complex), []).shape == (0, 2, 2)
+    assert calls == [0, 0]
+
+
 def test_hessian_one_field_call_per_row(params3):
     z = seeded_points(1, 3, params3.a)[0]
     calls = []
@@ -362,17 +376,47 @@ def test_hessian_field_calls_hold_at_most_4096_points(monkeypatch, n, chunks):
     assert calls[len(chunks):] == [32 * n * n + 1]
 
 
+def test_wirtinger_stack_field_calls_hold_at_most_4096_points(monkeypatch, params2):
+    # 520 base points x 2 indices x 4 points of central2: 4160 points reach
+    # the field in two equal chunks, and give what one call gives, to the bit
+    zs = seeded_points(520, 2, 1.0, seed=9).reshape(260, 2, 2)
+    calls = []
+
+    def field(w):
+        calls.append(len(w))
+        return metric(w, params2)
+
+    d, dbar = wirtinger_partial(field, zs, [0, 1], conjugate=None)
+    assert calls == [2080, 2080] and d.shape == dbar.shape == (260, 2, 2, 2, 2)
+    monkeypatch.setattr(numdiff, "_MAX_FIELD_POINTS", 4160)
+    one_d, one_dbar = wirtinger_partial(field, zs, [0, 1], conjugate=None)
+    assert calls[2:] == [4160]
+    assert np.array_equal(d, one_d) and np.array_equal(dbar, one_dbar)
+
+
 @pytest.mark.parametrize("scheme, m", [("central2", 2), ("central4", 4)])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_hessian_table_lists_each_product_point_once(n, scheme, m):
-    # the (2m n)^2 products of two first-derivative stencils of m offsets
-    # have (2m n)^2 / 2 + 1 distinct displacements, 0 among them, and the
-    # index map reads back every product: s_a c e_mu + s_b c' e_nu, c in {1, i}
-    disp, index = numdiff._hessian_table(n, scheme)
+    # order 1: a stencil of m offsets along each index, x and y, has
+    # 2 m len(indices) distinct displacements, 0 not among them; order 2:
+    # the (2m n)^2 products of two such stencils have (2m n)^2 / 2 + 1,
+    # 0 among them; the index map reads back every entry: s_a c e_mu
+    # (+ s_b c' e_nu for a product), c in {1, i}
+    offsets = numdiff._SCHEMES[scheme][1]
+    for indices in (tuple(range(n)), (n - 1,), tuple(range(n))[::-2]):
+        disp, index = numdiff._stencil_table(n, scheme, indices, 1)
+        assert disp.shape == (2 * m * len(indices), n)
+        assert len({tuple(d) for d in disp}) == len(disp)
+        assert not (disp == 0).all(axis=1).any()
+        assert index.shape == (2, m, len(indices))
+        for (c, a, j), k in np.ndenumerate(index):
+            d = np.zeros(n, complex)
+            d[indices[j]] = offsets[a] * 1j**c
+            assert np.array_equal(disp[k], d)
+    disp, index = numdiff._stencil_table(n, scheme, range(n), 2)
     assert disp.shape == (2 * m * m * n * n + 1, n)
     assert len({tuple(d) for d in disp}) == len(disp)
     assert (disp == 0).all(axis=1).any()
-    offsets = numdiff._SCHEMES[scheme][1]
     assert index.shape == (2, m, 2, m, n, n)
     for (c2, b, c1, a, mu, nu), k in np.ndenumerate(index):
         d = np.zeros(n, complex)
@@ -412,7 +456,7 @@ def test_hessians_of_a_quartic_are_exact_to_round_off(n, radius):
     assert np.abs(complex_hessian(field, z) - mixed).max() < tol
     assert np.abs(holomorphic_hessian(field, z) - pure).max() < tol
     h = FD_SECOND.step * max(1.0, radius)
-    disp = numdiff._hessian_table(n, FD_SECOND.scheme)[0]
+    disp = numdiff._stencil_table(n, FD_SECOND.scheme, range(n), 2)[0]
     for w in seen:
         assert np.abs((w - z) / h - disp).max() < 1e-9
 

@@ -394,6 +394,9 @@ def test_f_prime_refuses_where_a_over_u_overflows(u):
     lambda: radial_arclength(1e300, GeometryParams(2, 1e-10)),
     lambda: profiles._distance(np.array([1.0, 1e300]), 2, 1e-10),
     lambda: psi_prime(1e300, GeometryParams(2, 1e-10)),
+    # the potential read NaN there before the refusal
+    lambda: potential(1e300, GeometryParams(2, 1e-10)),
+    lambda: potential(np.array([1.0, 1e300]), GeometryParams(2, 1e-10)),
 ])
 def test_psi_refuses_where_u_over_a_overflows(call):
     for errstate in _error_states():
