@@ -17,43 +17,56 @@ of values ``(K, *shape)``, as the closed forms in :mod:`cehgeom.tensors`,
 :mod:`cehgeom.curvature` and :func:`cehgeom.profiles.potential` do.
 One stencil engine serves every derivative.  A first derivative along one
 index takes 2 offsets in each of the x and y directions (central2) or 4
-(central4); a Hessian is the product of two such stencils at one point,
-whose ``64 n^2`` central4 products (row ``mu`` and column ``nu``, x or y,
-four offsets each) fall on ``32 n^2 + 1`` distinct points.  A table cached
-per ``(n, scheme, indices, order)`` lists the distinct displacements ``D``
-of a stencil (order 1) or of a product (order 2) once, with the index of
-each entry.  The field is called once at each point ``z + h D`` of each
-base point, in equal chunks of at most 4096 points, its values are
-gathered into the stencil's layout and differenced with the
-first-derivative weights.  :func:`wirtinger_partial` stops there, for a
-stack of base points and indices; a Hessian differences again, the column
-derivative first, then the row one.
+(central4).  A Hessian takes the compact stencil of the real Hessian in
+the 2n real coordinates.  Along one axis it is the second difference
+``(-F(2) + 16 F(1) - 30 F(0) + 16 F(-1) - F(-2)) / (12 h^2)``, and for a
+pair of axes ``(16 Q(1) - Q(2)) / (48 h^2)`` with
+``Q(k) = F(k, k) - F(k, -k) - F(-k, k) + F(-k, -k)``; central2 keeps the
+``k = 1`` terms, ``(F(1) - 2 F(0) + F(-1)) / h^2`` and ``Q(1) / (4 h^2)``.
+Both are Richardson extrapolations of the second-order central differences
+at ``h`` and ``2h``, as central4's first derivative is of central2's, and
+are exact for polynomials of degree 5 (3 for central2).  With 1 point at
+the base, 4 along each real axis and 8 for each pair, they fall on
+``16 n^2 + 1`` distinct points (``8 n^2 + 1`` for central2).  The Wirtinger
+forms follow, ``x = x^mu``, ``x' = x^nu``:
+
+    d_mu dbar_nu = [(F_xx' + F_yy') + i (F_xy' - F_yx')] / 4,
+    d_mu d_nu    = [(F_xx' - F_yy') - i (F_xy' + F_yx')] / 4.
+
+A table cached per ``(n, scheme, indices, order)`` lists the distinct
+displacements ``D`` of a first-derivative stencil (order 1) or of the
+Hessian's (order 2) once, with the index and weight of each entry.  The
+field is called once at each point ``z + h D`` of each base point, in
+equal chunks of at most 4096 points, and its values are gathered into the
+stencil's layout and contracted with the weights.
+:func:`wirtinger_partial` takes ``d`` or ``dbar`` of the first
+derivatives, for a stack of base points and indices; a Hessian takes
+``dbar`` (or ``d``) of the real Hessian's column, then ``d`` of its row.
 :func:`verify_pipeline` runs one stencil per derivative order at each
 point, its field the closed forms it needs stacked on a trailing axis:
 
-    order   stencil                   points       field calls    field
-    first   central2, FD_FIRST        4 n          1              metric, connection
-    second  central4 mixed Hessian,   32 n^2 + 1   1 for n <= 11  potential(|w|^2),
-            FD_SECOND                                             log det metric
+    order   stencil                    points       field calls    field
+    first   central2, FD_FIRST         4 n          1              metric, connection
+    second  central4 compact Hessian,  16 n^2 + 1   1 for n <= 15  potential(|w|^2),
+            FD_SECOND                                              log det metric
 
 From the first-order differences, ``d`` of the metric part gives the FD
 connection and ``dbar`` of the connection part the FD curvature; the
 second-order Hessian gives the FD metric and ``-d dbar log det g``.  The
 public ``fd_*`` routes each build their own stencil of one field and give
 the same values to the bit.  A stencil of ``P`` points makes
-``ceil(P / 4096)`` calls: the Hessian 2 at n = 12 and 3 at n = 16, a first
+``ceil(P / 4096)`` calls: the Hessian 2 for n = 16 to 22, a first
 derivative at a stack of base points 1 per 4096 of its points.  So one
 field call holds at most 4096 points and its memory grows as the field's
 entries per point (n^2 for the metric), not as n^4 or the stack's size.
 
 Step rule: the step at a base point ``z`` is ``step * max(1, |z|)``; a
-Hessian takes both of its derivatives with the step of its base point.
-Step sizes follow the usual truncation/cancellation compromise:
-second-order central differences with a relative step of 1e-5 for first
-derivatives, and fourth-order stencils with a relative step of 1e-3 for
-anything involving two derivatives (a second-order stencil at that step
-would sit right at the 1e-6 certification tolerance; the fourth-order one
-clears it by three orders of magnitude).
+Hessian takes every entry with the step of its base point.  Step sizes
+follow the usual truncation/cancellation compromise: second-order central
+differences with a relative step of 1e-5 for first derivatives, and the
+fourth-order Hessian with a relative step of 2e-3.  Its stencil then spans
+``+-4e-3 max(1, |z|)``, as the product of two central4 stencils at 1e-3
+did; at 1e-3 its -30/12 centre weight amplifies round-off 2-3 times.
 
 :func:`verify_pipeline` returns the ``checks`` object ``cehgeom verify`` prints.
 Every closed form is a kernel of one lift per evaluation site (the point,
@@ -108,15 +121,15 @@ class FDConfig:
     scheme: str = "central2"
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step!r}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step!r}")
         if self.scheme not in ("central2", "central4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 #: defaults for first derivatives and for second derivatives (Hessians)
 FD_FIRST = FDConfig(step=1e-5, scheme="central2")
-FD_SECOND = FDConfig(step=1e-3, scheme="central4")
+FD_SECOND = FDConfig(step=2e-3, scheme="central4")
 
 
 #: integer weights of the central first-derivative stencils, their offsets
@@ -149,8 +162,8 @@ def wirtinger_partial(
     """
     z = np.asarray(z, dtype=complex)
     lead = z.shape[:-1]
-    d, _ = _first_differences(field_fn, z.reshape(-1, z.shape[-1]),
-                              tuple(np.atleast_1d(index).tolist()), 1, cfg)
+    d = _differences(field_fn, z.reshape(-1, z.shape[-1]),
+                     tuple(np.atleast_1d(index).tolist()), 1, cfg)
 
     def combine(conj):
         out = _wirtinger(d, conj)
@@ -180,61 +193,78 @@ def _field_values(field_fn, pts):
 
 def complex_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
     """Mixed Hessian ``H[mu, nu] = d_mu dbar_nu field`` of a batched field
-    at one point ``z``, shape ``(n, n, *shape)``: the product of two
-    first-derivative stencils, both with the step ``step * max(1, |z|)``,
-    whose ``32 n^2 + 1`` distinct points (central4) the field sees once
-    each, at most 4096 a call, as in :func:`wirtinger_partial`."""
-    return _product_hessian(field_fn, z, True, cfg)
+    at one point ``z``, shape ``(n, n, *shape)``, from the compact stencil
+    of the real Hessian with the step ``step * max(1, |z|)``, whose
+    ``16 n^2 + 1`` distinct points (central4) the field sees once each, at
+    most 4096 a call, as in :func:`wirtinger_partial`."""
+    return _wirtinger_hessian(field_fn, z, True, cfg)
 
 
 def holomorphic_hessian(field_fn: Callable, z, cfg: FDConfig = FD_SECOND) -> np.ndarray:
     """Pure Hessian ``H[mu, nu] = d_mu d_nu field`` of a batched field at one
-    point ``z``, shape ``(n, n, *shape)``, from the same product stencil as
+    point ``z``, shape ``(n, n, *shape)``, from the same compact stencil as
     :func:`complex_hessian`."""
-    return _product_hessian(field_fn, z, False, cfg)
+    return _wirtinger_hessian(field_fn, z, False, cfg)
 
 
-#: most field points in one call of any stencil: all 32 n^2 + 1 points of a
-#: Hessian up to n = 11
+#: most field points in one call of any stencil: all 16 n^2 + 1 points of a
+#: Hessian up to n = 15
 _MAX_FIELD_POINTS = 4096
 
 
 @functools.lru_cache(maxsize=None)
 def _stencil_table(n: int, scheme: str, indices, order: int):
-    """The distinct displacements ``D`` (in steps), shape ``(P, n)``, of the
-    first-derivative stencil along each of ``indices`` (``order`` 1) or of
-    the product of two (``order`` 2), and the index into them of each entry
-    of the layout ``[x/y, offset, index]``; for a product, ``[x/y, offset]``
-    of the column (inner) derivative, ``[x/y, offset]`` of the row (outer)
-    one, then row and column."""
-    offsets = _SCHEMES[scheme][1]
+    """The distinct displacements ``D`` (in steps), shape ``(P, n)``, of a
+    stencil, the index into them of each entry of its layout, and the
+    weight of each entry (broadcast over the layout), over ``d h^order``,
+    ``d`` the scheme's denominator.
+
+    Order 1 is the first-derivative stencil along each of ``indices``,
+    laid out ``[x/y, offset, index]``.  Order 2 is the compact stencil of
+    the real Hessian, laid out ``[x/y, slot, x/y, row, column]``, the
+    column's real axis first: a slot pairs offsets ``s``, ``t`` of equal
+    size, a pair of axes takes ``s e_col + t e_row`` with weight
+    ``2 c_s / (4 t)`` and one axis ``(s + t) / 2 e`` with ``2 c_s / t``,
+    ``c_s`` the first-derivative weight of ``s``.
+    That is the Richardson extrapolation of the second-order central
+    differences at the scheme's steps, as the first derivative's is.
+    """
+    weights, offsets, _ = _SCHEMES[scheme]
     # one shift as 2n small integers: [direction (x, y), offset, index, part]
     one = np.zeros((2, len(offsets), len(indices), 2 * n), dtype=np.int8)
     for j, mu in enumerate(indices):
         for xy in range(2):
             one[xy, :, j, xy * n + range(n)[mu]] = offsets
+    weights = np.reshape(weights, (1, -1, 1))
     if order == 2:
-        one = one[:, :, None, None, None] + one[:, :, :, None]
+        s, t = np.nonzero(np.abs(offsets)[:, None] == np.abs(offsets))
+        col, row = one[:, s, None, None], np.swapaxes(one[:, t], 0, 1)[:, :, :, None]
+        same = (col * row).any(axis=-1)  # row and column on one real axis
+        one = np.where(same[..., None], (col + row) // 2, col + row)
+        ratio = weights[0, s, 0] / np.take(offsets, t)
+        weights = 2 * ratio[:, None, None, None] / np.where(same, 1, 4)
     # rows compared as byte strings of 2n bytes
     keys, index = np.unique(one.reshape(-1, 2 * n).view(np.dtype((np.void, 2 * n))),
                             return_inverse=True)
     disp = keys.view(np.int8).reshape(-1, 2 * n)
     disp = disp[:, :n] + 1j * disp[:, n:]
     index = index.reshape(one.shape[:-1])
-    disp.flags.writeable = index.flags.writeable = False
-    return disp, index
+    disp.flags.writeable = index.flags.writeable = weights.flags.writeable = False
+    return disp, index, weights
 
 
-def _first_differences(field_fn, z, indices, order, cfg):
-    """Directional derivatives ``[x/y, base, *layout, *shape]`` of a batched
-    field at base points ``z`` ``(B, n)``, ``layout`` the stencil table's
-    after its leading ``[x/y, offset]``, and the steps ``h`` ``(B,)``.
+def _differences(field_fn, z, indices, order, cfg):
+    """First derivatives (``order`` 1) or real Hessian entries (2)
+    ``[base, x/y, *layout, *shape]`` of a batched field at base points
+    ``z`` ``(B, n)``, ``layout`` the stencil table's after its leading
+    ``[x/y, offset]``.
 
     The field is called once at each distinct point ``z + h D`` of each
-    base point, in equal chunks of at most :data:`_MAX_FIELD_POINTS`.
+    base point, in equal chunks of at most :data:`_MAX_FIELD_POINTS`, and
+    the table's weights contract its values over the offsets, each
+    component of the field's values alike.
     """
-    disp, index = _stencil_table(z.shape[1], cfg.scheme, indices, order)
-    weights, _, denom = _SCHEMES[cfg.scheme]
+    disp, index, weights = _stencil_table(z.shape[1], cfg.scheme, indices, order)
     h = _step(z, cfg)
     pts = (z[:, None] + h[:, None, None] * disp).reshape(-1, z.shape[1])
     # equal chunks, each at most the cap; no points make one empty call
@@ -242,31 +272,24 @@ def _first_differences(field_fn, z, indices, order, cfg):
     size = max(1, -(-len(pts) // calls))
     vals = np.concatenate([_field_values(field_fn, pts[i:i + size])
                            for i in range(0, max(1, len(pts)), size)])
-    # [x/y, offset, base, *layout, *shape]
-    vals = np.moveaxis(vals.reshape((len(z), len(disp)) + vals.shape[1:])[:, index], 0, 2)
-    return _difference(vals, weights, (denom * h).reshape((-1,) + (1,) * (vals.ndim - 3))), h
+    # [base, x/y, offset, *layout, *shape]
+    vals = vals.reshape((len(z), len(disp)) + vals.shape[1:])[:, index]
+    weights = weights.reshape(weights.shape + (1,) * (vals.ndim - 1 - weights.ndim))
+    scale = _SCHEMES[cfg.scheme][2] * h**order
+    return (weights * vals).sum(axis=2) / scale.reshape((-1,) + (1,) * (vals.ndim - 2))
 
 
-def _product_hessian(field_fn, z, conjugate, cfg):
-    # the inner (column) derivative is taken first, then the outer (row)
-    # one, with the base point's step h for both
+def _wirtinger_hessian(field_fn, z, conjugate, cfg):
+    # the real Hessian [base, x/y column, x/y row, row, column], then dbar
+    # (or d) along the column and d along the row
     z = np.asarray(z, dtype=complex).reshape(1, -1)
-    d, h = _first_differences(field_fn, z, range(z.shape[1]), 2, cfg)
-    weights, _, denom = _SCHEMES[cfg.scheme]
-    inner = _wirtinger(d, conjugate)[0]
-    return _wirtinger(_difference(inner, weights, denom * h[0]), False)
-
-
-def _difference(vals, weights, scale):
-    """Directional derivatives ``[x/y, ...]`` from stencil values
-    ``[x/y, offset, ...]``: the weighted sum over the offsets over ``scale``."""
-    weights = np.reshape(weights, (-1,) + (1,) * (vals.ndim - 2))
-    return (weights * vals).sum(axis=1) / scale
+    d = _differences(field_fn, z, range(z.shape[1]), 2, cfg)
+    return _wirtinger(_wirtinger(d, conjugate), False)[0]
 
 
 def _wirtinger(d, conjugate):
-    """``d`` (or ``dbar``) from directional derivatives ``[x/y, ...]``."""
-    return 0.5 * (d[0] + 1j * d[1]) if conjugate else 0.5 * (d[0] - 1j * d[1])
+    """``d`` (or ``dbar``) from directional derivatives ``[base, x/y, ...]``."""
+    return 0.5 * (d[:, 0] + 1j * d[:, 1]) if conjugate else 0.5 * (d[:, 0] - 1j * d[:, 1])
 
 
 def fd_metric_from_potential(z, params: GeometryParams) -> np.ndarray:
@@ -342,7 +365,7 @@ TOL_ROOTS_OF_UNITY = 1e-12
 
 def _second_order_fd(z, params: GeometryParams):
     """FD metric (``d dbar`` of the potential) and FD Ricci tensor
-    (``-d dbar log det g``) at one lift, from one central4 product stencil of
+    (``-d dbar log det g``) at one lift, from one compact central4 stencil of
     the two fields stacked on a trailing axis."""
     def field(w):  # one lift: its radius for the potential, its metric for log det
         w, prof = _lift(w, params)
